@@ -7,7 +7,7 @@ signs, measures the prime statistics behind the lower-bound argument, and
 certifies/optimizes the quartic majorant of |lambda(p)|.
 """
 
-from .curves import WeierstrassCurve, ap_table, count_ap, discriminant, load_coeffs, write_coeffs
+from .curves import WeierstrassCurve, ap_table, count_ap, load_coeffs, write_coeffs
 from .errors import AdditiveReductionError, ComputationError, SignUncertainError, ValidationError
 from .hecke import (
     NewformCoeffs,
@@ -34,7 +34,7 @@ from .majorant import (
     q_eval,
     r_eval,
 )
-from .primes import PrimeRange, primes_up_to, sieve_range
+from .primes import primes_up_to
 from .signs import (
     BoundConfig,
     SignReport,

@@ -98,14 +98,12 @@ def _build_sequence(args):
     spec = _load_pair(args)
     if args.xmax < 1:
         raise ValidationError("xmax must be >= 1")
-    seq = lift.lift_sequence(spec, args.xmax, exact=args.exact)
+    seq = lift.lift_sequence(spec, args.xmax)
     return spec, seq
 
 
 def _sign_char(seq, n) -> str:
-    if seq.exact_signs is not None:
-        return str(seq.exact_signs[n])
-    s = seq.float_sign(n)
+    s = seq.sign(n)
     return "?" if s is None else str(s)
 
 
@@ -157,7 +155,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_witness(args) -> int:
     spec = _load_pair(args)
-    seq = lift.lift_sequence(spec, args.x, exact=args.exact)
+    seq = lift.lift_sequence(spec, args.x)
     report = signs.lower_bound_witness(seq, spec, args.x)
     _write_report(report, args.out, args.format)
     return 0
@@ -220,7 +218,8 @@ def _add_pair_args(sp, with_xmax=True):
     if with_xmax:
         sp.add_argument("--xmax", type=int, required=True)
     sp.add_argument("--exact", action="store_true",
-                    help="exact integer sign channel (weight-2 integer tables)")
+                    help="accepted and ignored: the exact sign channel is used "
+                         "whenever both tables hold integers")
 
 
 def _add_bound_args(sp):

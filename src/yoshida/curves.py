@@ -66,11 +66,6 @@ class WeierstrassCurve:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def discriminant(curve: WeierstrassCurve) -> int:
-    """Discriminant via the b-invariant formula (exact integer arithmetic)."""
-    return curve.discriminant
-
-
 def _count_affine_brute(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     """(#affine points, #affine singular points) by a full (x, y) double loop."""
     a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))

@@ -25,10 +25,12 @@ class AdditiveReductionError(ComputationError):
 
 
 class SignUncertainError(ComputationError):
-    """A float-mode eigenvalue sits inside the uncertainty band around zero,
-    so its sign cannot be certified; rerun in exact mode."""
+    """A negative eigenvalue from normalized float tables lies within the
+    sign tolerance of zero, so its sign cannot be certified; integer
+    coefficient tables give the exact sign."""
 
     def __init__(self, n: int, value: float):
         self.n = n
         self.value = value
-        super().__init__(f"sign uncertain at n={n} (lambda={value!r}); exact mode required")
+        super().__init__(f"sign uncertain at n={n} (lambda={value!r}); "
+                         "integer coefficient tables required")

@@ -28,6 +28,8 @@ Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2).
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 from .primes import factorize, is_prime, is_squarefree, primes_up_to
 
@@ -55,15 +57,25 @@ def hecke_power(lam_p: float, r: int) -> float:
     return hecke_power_seq(lam_p, r)[r]
 
 
-def hecke_power_seq(lam_p: float, rmax: int) -> list[float]:
-    """[lambda(p^0), ..., lambda(p^rmax)] at a good prime."""
+def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
+    """[c(p^0), ..., c(p^rmax)] at a good prime from the Hecke recurrence
+    c(p^(r+1)) = c(p) c(p^r) - step c(p^(r-1)).
+
+    step = 1 with the float lambda(p) gives the normalised eigenvalues
+    lambda(p^r); step = p^(k-1) with the integer a_p of a weight-k form gives
+    the unnormalised a(p^r) = lambda(p^r) p^(r(k-1)/2) in exact integers.
+    """
     if rmax < 0:
         raise ValidationError(f"prime-power exponent must be >= 0, got {rmax}")
-    if not math.isfinite(lam_p):
+    if isinstance(lam_p, (int, np.integer)):
+        c, one = int(lam_p), 1
+    elif math.isfinite(lam_p):
+        c, one = float(lam_p), 1.0
+    else:
         raise ValidationError(f"eigenvalue must be finite, got {lam_p!r}")
-    seq = [1.0, float(lam_p)]
+    seq = [one, c]
     for _ in range(rmax - 1):
-        seq.append(lam_p * seq[-1] - seq[-2])
+        seq.append(c * seq[-1] - step * seq[-2])
     return seq[: rmax + 1]
 
 
@@ -124,10 +136,12 @@ class NewformCoeffs:
         pmax = keys[-1] if keys else 0
         expected = primes_up_to(pmax).tolist()
         if keys != expected:
-            bad = next((p for p in keys if p not in set(expected)), None)
+            expected_set = set(expected)
+            bad = next((p for p in keys if p not in expected_set), None)
             if bad is not None:
                 raise ValidationError(f"{bad} is not prime")
-            missing = next(p for p in expected if p not in set(keys))
+            key_set = set(keys)
+            missing = next(p for p in expected if p not in key_set)
             raise ValidationError(f"prime table has a gap: missing p={missing}")
         object.__setattr__(self, "pmax", pmax)
         for p, v in self.coeffs.items():

@@ -21,12 +21,18 @@ No Siegel modular forms are constructed; whether a genuine lift exists for a
 given pair is not decided here, the eigenvalue system is computed
 unconditionally.
 
-For weight-2/weight-2 pairs with exact integer tables there is a certified
-sign channel: lambda_F(p^r) sqrt(p^r) = C_r - C_{r-2} with
-C_r = sum_{i+j=r} a_f(p^i) a_g(p^j) an exact integer (e.g.
-lambda_F(p) sqrt(p) = a_f(p) + a_g(p) and
+When both tables hold integer a_p (neither is `normalized`) the sequence
+also carries an exact channel: with A_i = a_f(p^i) and B_j = a_g(p^j) the
+unnormalised Hecke sequences,
+
+    lambda_F(p^r) p^(r(k-1)/2) = sum_{i+j=r} A_i B_j p^(j(k-2)/2)
+                                 - sum_{i+j=r-2} A_i B_j p^(j(k-2)/2 + k-2)
+
+is an integer (in weight 2, e.g. lambda_F(p) sqrt(p) = a_f(p) + a_g(p) and
 lambda_F(p^2) p = a_f(p)^2 + a_g(p)^2 + a_f(p) a_g(p) - 2p - 1), so
-lambda_F(n) sqrt(n) is an integer whose sign is computed exactly.
+lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
+Normalized float tables get float signs, certified only outside
+|lambda_F(n)| <= SIGN_TOL.
 """
 
 import math
@@ -35,12 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .hecke import NewformCoeffs, infer_atkin_lehner
+from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
 from .primes import factorize, primes_up_to
 
-# Float-mode values inside this band get sign 0 (rendered '?' by the CLI);
-# the exact channel is the only certified source of zero signs.
-ZERO_BAND = 1e-12
+# A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
+# exceeds this; the exact channel is the only certified source of zero signs.
+SIGN_TOL = 1e-9
 
 
 def _infer_al_map(nf: NewformCoeffs) -> dict[int, int]:
@@ -116,13 +122,8 @@ def lift_euler_coeffs(lam_f: float, lam_g: float, p: int, rmax: int) -> list[flo
     quadratic inverses are Chebyshev-U sequences u, v via the Hecke
     recurrence, so the coefficient is conv(u, v)[r] - conv(u, v)[r-2] / p.
     """
-    if rmax < 0:
-        raise ValidationError(f"rmax must be >= 0, got {rmax}")
-    u = [1.0, float(lam_f)]
-    v = [1.0, float(lam_g)]
-    for _ in range(rmax - 1):
-        u.append(lam_f * u[-1] - u[-2])
-        v.append(lam_g * v[-1] - v[-2])
+    u = hecke_power_seq(lam_f, rmax)
+    v = hecke_power_seq(lam_g, rmax)
     out = []
     for r in range(rmax + 1):
         c = math.fsum(u[i] * v[r - i] for i in range(r + 1))
@@ -132,68 +133,66 @@ def lift_euler_coeffs(lam_f: float, lam_g: float, p: int, rmax: int) -> list[flo
     return out
 
 
-def lift_euler_ints(af: int, ag: int, p: int, rmax: int) -> list[int]:
-    """Exact channel: integers I_r = lambda_F(p^r) sqrt(p^r) for r <= rmax.
+def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
+    """Exact channel: integers I_r = lambda_F(p^r) p^(r(k-1)/2) for r <= rmax,
+    with f of even weight k and g of weight 2.
 
-    Uses the unnormalised weight-2 recurrences a(p^(r+1)) = a_p a(p^r)
-    - p a(p^(r-1)) and I_r = C_r - C_{r-2}, C_r = sum_{i+j=r} a_f(p^i) a_g(p^j).
+    A_i = a_f(p^i) follows the unnormalised recurrence with step p^(k-1), and
+    so does B_j = a_g(p^j) p^(j(k-2)/2), started from a_g(p) p^((k-2)/2);
+    then I_r = sum_{i+j=r} A_i B_j - p^(k-2) sum_{i+j=r-2} A_i B_j.
     """
-    if rmax < 0:
-        raise ValidationError(f"rmax must be >= 0, got {rmax}")
-    A = [1, af]
-    B = [1, ag]
-    for _ in range(rmax - 1):
-        A.append(af * A[-1] - p * A[-2])
-        B.append(ag * B[-1] - p * B[-2])
+    step = p ** (k - 1)
+    A = hecke_power_seq(af, rmax, step)
+    B = hecke_power_seq(ag * p ** ((k - 2) // 2), rmax, step)
 
     def conv(r: int) -> int:
         return sum(A[i] * B[r - i] for i in range(r + 1)) if r >= 0 else 0
 
-    # lambda_F(p^r) p^(r/2) = C_r - C_{r-2}: the 1/p in the numerator
-    # (1 - X^2/p) is absorbed by the two fewer sqrt(p) factors in C_{r-2}
-    return [conv(r) - conv(r - 2) for r in range(rmax + 1)]
+    # the 1/p of the numerator (1 - X^2/p) times the p^(k-1) by which
+    # p^(r(k-1)/2) exceeds the scale p^((r-2)(k-1)/2) of conv(r-2)
+    return [conv(r) - p ** (k - 2) * conv(r - 2) for r in range(rmax + 1)]
 
 
 @dataclass(eq=False)
 class EigenSequence:
-    """lambda_F(n) for n <= xmax coprime to N, with optional exact sign data.
+    """lambda_F(n) for n <= xmax coprime to N, with optional exact channel.
 
-    values[n] is binary64; when the exact channel is present, scaled[n] is the
-    integer lambda_F(n) sqrt(n) and exact_signs[n] its sign in {-1, 0, +1}.
+    values[n] is binary64; when both tables hold integers, scaled[n] is the
+    integer lambda_F(n) n^((k-1)/2).
     """
 
     spec: LiftSpec
     xmax: int
     values: dict
-    exact_signs: dict | None = None
     scaled: dict | None = None
 
-    def indices(self) -> list[int]:
-        return list(self.values.keys())
+    def sign(self, n: int) -> int | None:
+        """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain.
 
-    def float_sign(self, n: int) -> int | None:
-        """Sign from the float channel; None inside the uncertainty band."""
+        Exact from scaled when present; otherwise +-1 from the float value
+        when |lambda_F(n)| > SIGN_TOL, and None inside that band.
+        """
+        if self.scaled is not None:
+            s = self.scaled[n]
+            return (s > 0) - (s < 0)
         v = self.values[n]
-        if abs(v) <= ZERO_BAND:
+        if abs(v) <= SIGN_TOL:
             return None
         return 1 if v > 0 else -1
 
 
-def lift_sequence(spec: LiftSpec, xmax: int, exact: bool = False) -> EigenSequence:
+def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.
 
     Prime-power coefficients are computed once per prime (up to log_p xmax)
     and extended multiplicatively over a smallest-prime-factor decomposition.
-    exact=True also builds the certified integer sign channel; it requires
-    weight-2 exact tables on both sides.
+    The exact integer channel is built whenever neither table is normalized.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
     spec.f.require_cover(xmax)
     spec.g.require_cover(xmax)
-    if exact:
-        if spec.f.normalized or spec.g.normalized or spec.weight != 2 or spec.g.weight != 2:
-            raise ValidationError("exact sign channel needs weight-2 exact integer tables")
+    exact = not (spec.f.normalized or spec.g.normalized)
 
     N = spec.N
     ps = primes_up_to(xmax)
@@ -208,7 +207,7 @@ def lift_sequence(spec: LiftSpec, xmax: int, exact: bool = False) -> EigenSequen
             rmax += 1
         pw_float[p] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)
         if exact:
-            pw_int[p] = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax)
+            pw_int[p] = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, spec.weight)
 
     # smallest prime factor sieve for the multiplicative assembly
     spf = np.zeros(xmax + 1, dtype=np.int64)
@@ -231,7 +230,4 @@ def lift_sequence(spec: LiftSpec, xmax: int, exact: bool = False) -> EigenSequen
         if exact:
             scaled[n] = pw_int[p][e] * scaled[m]
 
-    signs = None
-    if exact:
-        signs = {n: (0 if s == 0 else (1 if s > 0 else -1)) for n, s in scaled.items()}
-    return EigenSequence(spec=spec, xmax=xmax, values=values, exact_signs=signs, scaled=scaled)
+    return EigenSequence(spec=spec, xmax=xmax, values=values, scaled=scaled)

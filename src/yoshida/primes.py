@@ -1,12 +1,7 @@
-"""Prime enumeration and small factorization utilities.
-
-Provides a plain Eratosthenes sieve, a segmented sieve for [lo, hi] windows
-(so coefficient tables can be built over disjoint prime ranges and merged),
-and a validated PrimeRange record.
-"""
+"""Prime enumeration and small factorization utilities: an Eratosthenes
+sieve, trial-division primality, factorization and squarefree divisors."""
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,24 +18,6 @@ def primes_up_to(n: int) -> np.ndarray:
         if is_p[p]:
             is_p[p * p :: p] = False
     return np.flatnonzero(is_p).astype(np.int64)
-
-
-def sieve_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve driven by base primes <= sqrt(hi)."""
-    if hi < 2 or hi < lo:
-        return np.array([], dtype=np.int64)
-    lo = max(lo, 2)
-    base = primes_up_to(math.isqrt(hi))
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for p in base.tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            mask[start - lo :: p] = False
-    if lo <= 1:
-        mask[: 2 - lo] = False
-    # base primes themselves may fall inside the window
-    out = np.flatnonzero(mask).astype(np.int64) + lo
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -90,27 +67,3 @@ def squarefree_divisors(n: int) -> list[int]:
         divs += [d * p for d in divs]
     return sorted(divs)
 
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """Ascending list of all primes in [lo, hi]."""
-
-    lo: int
-    hi: int
-    primes: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.lo < 1 or self.hi < self.lo:
-            raise ValidationError(f"bad prime range [{self.lo}, {self.hi}]")
-        ps = self.primes
-        if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValidationError("primes not strictly ascending")
-        if any(p < self.lo or p > self.hi for p in ps):
-            raise ValidationError("prime outside declared range")
-
-    @classmethod
-    def from_bounds(cls, lo: int, hi: int) -> "PrimeRange":
-        return cls(lo, hi, tuple(sieve_range(lo, hi).tolist()))
-
-    def __len__(self) -> int:
-        return len(self.primes)

@@ -25,10 +25,6 @@ from .hecke import NewformCoeffs, hecke_power
 from .lift import EigenSequence, LiftSpec
 from .primes import primes_up_to, squarefree_divisors
 
-# A float-channel value below -NEG_CERT certifies a negative sign; values in
-# (-NEG_CERT, 0) are uncertain and demand the exact channel.
-NEG_CERT = 1e-9
-
 
 @dataclass(frozen=True)
 class BoundConfig:
@@ -83,28 +79,18 @@ def weighted_sum(seq: EigenSequence, x: float) -> float:
 
 
 def first_negative(seq: EigenSequence) -> int | None:
-    """Smallest stored n with certified sign -1, or None.
+    """Smallest stored n with certified sign -1 (EigenSequence.sign), or None.
 
-    The exact channel is used when present.  On the float channel a value
-    below -1e-9 certifies; a negative value inside the band aborts with
-    SignUncertainError since no smaller negative exists to rescue it.
+    A negative float value whose sign is uncertain aborts with
+    SignUncertainError, since no smaller negative exists to rescue it.
     """
-    if seq.exact_signs is not None:
-        for n in sorted(seq.exact_signs):
-            if seq.exact_signs[n] < 0:
-                return n
-        return None
     for n in sorted(seq.values):
-        v = seq.values[n]
-        if v < 0.0:
-            if v < -NEG_CERT:
-                return n
-            raise SignUncertainError(n, v)
+        s = seq.sign(n)
+        if s == -1:
+            return n
+        if s is None and seq.values[n] < 0.0:
+            raise SignUncertainError(n, seq.values[n])
     return None
-
-
-def q_hat_f(spec: LiftSpec) -> float:
-    return float(spec.weight**2 * spec.f.level)
 
 
 def q_hat_g(spec: LiftSpec) -> float:
@@ -274,20 +260,18 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
 
     The branch bounds presuppose lambda_F(p) >= 0 and lambda_F(p^2) >= 0;
     primes violating that land in hypothesis_violated and are exempt from the
-    bound check.  Primes with |lambda_g(p)| > 13/10 carry no claim and are
-    counted as outside.  The witness is only meaningful where the sequence is
-    nonnegative, which is checked and reported, never assumed.
+    bound check; the hypothesis holds only where both signs are certified
+    (EigenSequence.sign) in {0, +1}.  Primes with |lambda_g(p)| > 13/10 carry
+    no claim and are counted as outside.  The witness is only meaningful where
+    the sequence is nonnegative, which is checked and reported, never assumed.
     """
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
     y = math.isqrt(x)
     N = spec.N
-    zero_tol = 1e-12
 
     def nonneg(n: int) -> bool:
-        if seq.exact_signs is not None:
-            return seq.exact_signs[n] >= 0
-        return seq.values[n] >= -zero_tol
+        return seq.sign(n) in (0, 1)
 
     counts = {"v1": 0, "case_i": 0, "case_ii": 0, "outside": 0, "hypothesis_violated": 0}
     violated = []

@@ -117,7 +117,7 @@ def test_c04_square_identity_random():
 
 
 def test_c05_multiplicativity_oracle(reg_spec):
-    seq = lift_sequence(reg_spec, 1000, exact=True)
+    seq = lift_sequence(reg_spec, 1000)
     oracle = dirichlet_oracle(reg_spec, 1000)
     worst = 0.0
     for n, v in seq.values.items():
@@ -127,7 +127,7 @@ def test_c05_multiplicativity_oracle(reg_spec):
     for n, v in seq.values.items():
         if abs(v) > 1e-9:
             checked += 1
-            assert seq.exact_signs[n] == (1 if v > 0 else -1)
+            assert seq.sign(n) == (1 if v > 0 else -1)
     _report("C5", f"Dirichlet convolution matches to {worst:.2e}; {checked} signs cross-checked")
 
 
@@ -176,7 +176,7 @@ def test_c09_end_to_end_regression(table_11a, table_33a):
     assert spec.al_f[11] == spec.al_g[11] == -1
     assert (spec.M, spec.N) == (11, 33)
     cfg = BoundConfig()
-    seq = lift_sequence(spec, 10**4, exact=True)
+    seq = lift_sequence(spec, 10**4)
     n0 = first_negative(seq)
     assert n0 is not None
     assert n0 == FROZEN_FIRST_NEGATIVE

@@ -66,6 +66,34 @@ def test_lift_float_mode_question_mark(tmp_path):
     assert rows["7"][2] == "1"
 
 
+def test_float_sign_rule_same_in_lift_and_search(tmp_path, capsys):
+    # lambda_F(2) = -0.5 + 0.4999999999 ~ -1e-10: inside the sign tolerance,
+    # so lift prints no sign and search refuses to certify it
+    f = tmp_path / "f.txt"
+    g = tmp_path / "g.txt"
+    f.write_text("# level=11 weight=2 normalized\n2 -0.5\n3 0.25\n5 0.0\n7 0.1\n11 0.301511\n")
+    g.write_text("# level=33 weight=2 normalized\n2 0.4999999999\n3 0.57735\n5 0.0\n7 0.2\n"
+                 "11 0.301511\n")
+    out = tmp_path / "l.csv"
+    pair = ["--f", str(f), "--g", str(g), "--xmax", "10"]
+    assert run(["lift", *pair, "--out", str(out)]) == 0
+    rows = {ln.split(",")[0]: ln.split(",") for ln in out.read_text().splitlines()[1:]}
+    assert -1e-9 < float(rows["2"][1]) < 0
+    assert rows["2"][2] == "?"
+    assert run(["search", *pair, "--out", str(tmp_path / "s.json")]) == 2
+    assert "sign uncertain at n=2" in capsys.readouterr().err
+
+
+def test_exact_flag_changes_nothing(pair_files, tmp_path):
+    f, g = pair_files
+    pair = ["--f", str(f), "--g", str(g), "--xmax", "200"]
+    for cmd in ("lift", "report"):
+        plain, flagged = tmp_path / f"{cmd}.out", tmp_path / f"{cmd}-exact.out"
+        assert run([cmd, *pair, "--out", str(plain)]) == 0
+        assert run([cmd, *pair, "--exact", "--out", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+
+
 def test_lift_xmax_zero_is_usage_error(pair_files, capsys):
     f, g = pair_files
     assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "0"]) == 1

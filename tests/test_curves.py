@@ -1,6 +1,6 @@
 import pytest
 
-from yoshida.curves import WeierstrassCurve, ap_table, count_ap, discriminant, load_coeffs, write_coeffs
+from yoshida.curves import WeierstrassCurve, ap_table, count_ap, load_coeffs, write_coeffs
 from yoshida.errors import AdditiveReductionError, ValidationError
 from yoshida.primes import primes_up_to
 from tests.conftest import CURVE_11A, CURVE_33A
@@ -27,9 +27,9 @@ def ap_character_sum(curve, p):
 
 
 def test_discriminant_examples():
-    assert discriminant(CURVE_11A) == -11
-    assert discriminant(WeierstrassCurve(0, 0, 1, -1, 0)) == 37
-    assert discriminant(CURVE_33A) == 3**6 * 11**2
+    assert CURVE_11A.discriminant == -11
+    assert WeierstrassCurve(0, 0, 1, -1, 0).discriminant == 37
+    assert CURVE_33A.discriminant == 3**6 * 11**2
 
 
 def test_singular_curve_rejected():
@@ -40,7 +40,7 @@ def test_singular_curve_rejected():
 def test_discriminant_wide_integers():
     # coefficients near 2^32 must not overflow anywhere
     c = WeierstrassCurve(2**32, -(2**32), 2**32, -(2**32), 2**32)
-    d = discriminant(c)
+    d = c.discriminant
     assert isinstance(d, int) and d != 0
 
 
@@ -61,7 +61,7 @@ def test_count_ap_brute_vs_fast_small():
 def test_count_ap_character_sum_oracle():
     # dual-route check for 3 < p <= 50 at good primes
     for curve in (CURVE_11A, CURVE_33A, WeierstrassCurve(0, 0, 1, -1, 0)):
-        d = discriminant(curve)
+        d = curve.discriminant
         for p in primes_up_to(50).tolist():
             if p <= 3 or d % p == 0:
                 continue

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from yoshida.hecke import (
     infer_atkin_lehner,
     normalize_coeff,
 )
+from yoshida.primes import primes_up_to
 
 
 def chebyshev_u(r, x):
@@ -140,6 +142,15 @@ def test_table_rejects_odd_weight():
 def test_table_rejects_gap():
     with pytest.raises(ValidationError, match="missing p=3"):
         NewformCoeffs(level=7, weight=2, coeffs={2: 1, 5: 1})
+
+
+def test_table_rejects_gap_in_large_table():
+    # the gap search builds each set once, so a 1e5 table is rejected quickly
+    coeffs = {p: 0 for p in primes_up_to(10**5).tolist() if p != 99989}
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="missing p=99989"):
+        NewformCoeffs(level=7, weight=2, coeffs=coeffs)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_rejects_nonprime_key():

@@ -117,17 +117,21 @@ def test_euler_coeffs_rejects_negative_rmax():
 
 
 def test_euler_ints_match_float_channel():
-    for af, ag, p in [(-2, 1, 2), (-1, -1, 3), (1, -2, 5), (4, -2, 13)]:
-        lf, lg = af / math.sqrt(p), ag / math.sqrt(p)
+    # weight 2, weight 4, and weight 12 (tau(2), tau(3), tau(5) of Delta)
+    cases = [(-2, 1, 2, 2), (-1, -1, 3, 2), (1, -2, 5, 2), (4, -2, 13, 2),
+             (-4, 1, 2, 4), (20, -3, 5, 4), (-30, 5, 7, 4),
+             (-24, 1, 2, 12), (252, -3, 3, 12), (4830, 4, 5, 12)]
+    for af, ag, p, k in cases:
+        lf, lg = af / p ** ((k - 1) / 2), ag / math.sqrt(p)
         floats = lift_euler_coeffs(lf, lg, p, 6)
-        ints = lift_euler_ints(af, ag, p, 6)
+        ints = lift_euler_ints(af, ag, p, 6, k)
         for r in range(7):
-            assert floats[r] == pytest.approx(ints[r] / p ** (r / 2), abs=1e-10)
+            assert floats[r] == pytest.approx(ints[r] / p ** (r * (k - 1) / 2), abs=1e-10)
 
 
 def test_euler_ints_displayed_identity():
     # lambda_F(p^2) p = a_f^2 + a_g^2 + a_f a_g - 2p - 1 at a_f = a_g = 0, p = 5
-    assert lift_euler_ints(0, 0, 5, 2)[2] == -11
+    assert lift_euler_ints(0, 0, 5, 2, 2)[2] == -11
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,33 @@ def test_sequence_exact_multiplicativity(reg_seq):
 def test_sequence_exact_vs_float_signs(reg_seq):
     for n, v in reg_seq.values.items():
         if abs(v) > 1e-9:
-            assert reg_seq.exact_signs[n] == (1 if v > 0 else -1)
+            assert reg_seq.sign(n) == (1 if v > 0 else -1)
+
+
+def test_sequence_weight4_exact_channel():
+    # synthetic Deligne-bounded integer tables: f of weight 4 and level 11,
+    # g of weight 2 and level 33, with w_11 = -1 on both sides
+    rng = np.random.default_rng(4)
+    xmax = 3000
+    ps = primes_up_to(xmax).tolist()
+    fa = {p: int(rng.integers(-math.isqrt(4 * p**3), math.isqrt(4 * p**3) + 1)) for p in ps}
+    ga = {p: int(rng.integers(-math.isqrt(4 * p), math.isqrt(4 * p) + 1)) for p in ps}
+    fa[11], ga[3], ga[11] = 11, -1, 1
+    f = NewformCoeffs(level=11, weight=4, coeffs=fa)
+    g = NewformCoeffs(level=33, weight=2, coeffs=ga)
+    seq = lift_sequence(validate_pair(f, g), xmax)
+    sc = seq.scaled
+    assert sc is not None and sc.keys() == seq.values.keys()
+    for m in range(2, 60):
+        for n in range(2, xmax // m + 1):
+            if m in sc and n in sc and math.gcd(m, n) == 1:
+                assert sc[m * n] == sc[m] * sc[n]
+    checked = 0
+    for n, v in seq.values.items():
+        if abs(v) > 1e-9:
+            checked += 1
+            assert seq.sign(n) == (1 if v > 0 else -1), n
+    assert checked > 0.9 * len(sc)
 
 
 def test_sequence_square_identity_in_data(reg_seq):
@@ -281,9 +311,7 @@ def test_sequence_rejects_exact_on_normalized():
     g = NewformCoeffs(level=33, weight=2,
                       coeffs={2: 0.7, 3: -0.5, 5: -0.9, 7: 1.5, 11: 0.3}, normalized=True)
     spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
-    with pytest.raises(ValidationError, match="exact"):
-        lift_sequence(spec, 10, exact=True)
-    seq = lift_sequence(spec, 10, exact=False)
-    assert seq.exact_signs is None
+    seq = lift_sequence(spec, 10)
+    assert seq.scaled is None  # normalized tables get no exact channel
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
-    assert seq.float_sign(2) is None  # zero band
+    assert seq.sign(2) is None  # inside the sign tolerance

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from yoshida.errors import ValidationError
 from yoshida.primes import (
-    PrimeRange,
     factorize,
     is_prime,
     is_squarefree,
     primes_up_to,
-    sieve_range,
     squarefree_divisors,
 )
 
@@ -29,28 +26,6 @@ def test_sieve_matches_trial_division_up_to_1e4():
 @pytest.mark.parametrize("n,expected", [(0, []), (1, []), (2, [2]), (10, [2, 3, 5, 7])])
 def test_sieve_small(n, expected):
     assert primes_up_to(n).tolist() == expected
-
-
-def test_segmented_sieve_agrees_with_plain():
-    full = primes_up_to(5000)
-    for lo, hi in [(1, 100), (90, 150), (4900, 5000), (2, 2), (14, 16), (1000, 999)]:
-        want = full[(full >= lo) & (full <= hi)].tolist()
-        assert sieve_range(lo, hi).tolist() == want
-
-
-def test_prime_range_from_bounds():
-    pr = PrimeRange.from_bounds(10, 30)
-    assert pr.primes == (11, 13, 17, 19, 23, 29)
-    assert len(pr) == 6
-
-
-def test_prime_range_rejects_bad_lists():
-    with pytest.raises(ValidationError):
-        PrimeRange(10, 30, (13, 11))
-    with pytest.raises(ValidationError):
-        PrimeRange(10, 30, (7, 11))
-    with pytest.raises(ValidationError):
-        PrimeRange(30, 10)
 
 
 def test_is_prime_matches_sieve():

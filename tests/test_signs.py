@@ -19,7 +19,6 @@ from yoshida.signs import (
     invert_xlog_bound,
     lower_bound_witness,
     pi_restricted,
-    q_hat_f,
     q_hat_g,
     v_density,
     weighted_sum,
@@ -70,8 +69,8 @@ def test_pi_restricted_validation():
 # weighted_sum / first_negative
 # ---------------------------------------------------------------------------
 
-def _seq_from_values(values, xmax, signs=None):
-    return EigenSequence(spec=None, xmax=xmax, values=values, exact_signs=signs)
+def _seq_from_values(values, xmax, scaled=None):
+    return EigenSequence(spec=None, xmax=xmax, values=values, scaled=scaled)
 
 
 def test_weighted_sum_x1():
@@ -121,7 +120,7 @@ def test_first_negative_uncertain_band():
 
 def test_first_negative_exact_channel_overrides_floats():
     # tiny float value, but the exact channel certifies the sign
-    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, signs={1: 1, 2: -1})
+    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, scaled={1: 1, 2: -1})
     assert first_negative(seq) == 2
 
 
@@ -132,7 +131,6 @@ def test_first_negative_exact_channel_overrides_floats():
 def test_conductor_proxy(reg_spec):
     assert conductor_proxy(reg_spec, BoundConfig()) == 4 * 11 * 33
     assert conductor_proxy(reg_spec, BoundConfig(conductor_constant=2.5)) == pytest.approx(3630.0)
-    assert q_hat_f(reg_spec) == 44.0
     assert q_hat_g(reg_spec) == 33.0
 
 
