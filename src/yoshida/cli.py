@@ -16,7 +16,6 @@ floats rendered as shortest round-trip decimals.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -113,7 +112,7 @@ def _sign_char(seq, n) -> str:
 
 def _cmd_ap(args) -> int:
     curve = _parse_curve(args.curve, args.level)
-    table = curves.ap_table(curve, args.pmax, threads=args.threads)
+    table = curves.ap_table(curve, args.pmax)
     curves.write_coeffs(table, args.out)
     return 0
 
@@ -235,8 +234,6 @@ def _add_out_args(sp, default_format="json"):
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="yoshida", description=__doc__.split("\n")[0])
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="cap on worker threads for partitionable work")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ap", help="point-count a curve into a coefficient file")

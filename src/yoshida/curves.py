@@ -4,9 +4,18 @@ A long Weierstrass curve y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with
 integer coefficients yields a_p = p + 1 - #E(F_p) at good primes and
 a_p = p - #E_ns(F_p) in {+1, -1} at multiplicative primes (the nonsingular
 locus is a form of G_m there; a cusp gives #E_ns = p, i.e. a_p = 0, which is
-rejected as additive reduction).  Counting is a full enumeration over x with
-a squares table for the y-count; p = 2, 3 enumerate all (x, y) pairs
-directly since completing the square is not available there.
+rejected as additive reduction).
+
+At good primes p > MESTRE_MIN_P, #E(F_p) is found by Mestre's baby-step
+giant-step method on the short model y^2 = x^3 + A x + B: each point found
+gives the set of N in the Hasse interval with N P = O, on E or (mapped by
+N -> 2p + 2 - N) on its quadratic twist, and the sets are intersected until a
+single N survives.  The true #E(F_p) lies in every set, so the survivor is
+exact; Mestre's theorem says one survives once enough points are tried.
+Smaller primes, primes dividing the discriminant, and the rare prime where no
+single N survives a fixed number of points are counted by a full enumeration
+over x with a squares table for the y-count; p = 2, 3 enumerate all (x, y)
+pairs directly since completing the square is not available there.
 
 Conductors are never computed: the user declares the level (validated for
 squarefreeness), or |disc| is used with a warning.  Models should be
@@ -14,8 +23,9 @@ globally minimal; a non-minimal model shows up as spurious additive
 reduction and is rejected.
 """
 
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,8 +33,13 @@ import numpy as np
 
 from .errors import AdditiveReductionError, ComputationError, ValidationError
 from .hecke import NewformCoeffs
-from .primes import is_prime, primes_up_to
+from .primes import is_prime, nth_prime_bound, prime_sieve, primes_up_to
 
+# Mestre: for p > 229, E or its quadratic twist has a point whose order has a
+# single multiple in the Hasse interval, so the candidate sets can shrink to one.
+MESTRE_MIN_P = 229
+# points tried before a prime falls back to the full count
+MESTRE_MAX_POINTS = 40
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -110,22 +125,138 @@ def _count_affine_fast(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     return naff, nsing
 
 
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q in affine coordinates on y^2 = x^3 + a x + b over F_p (b is not
+    needed); None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, P, a: int, p: int):
+    """k P for k >= 0 by double-and-add."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, a, p)
+    return R
+
+
+def _hasse_multiples(P, a: int, p: int, w: int) -> tuple[list[int], bool]:
+    """(every N in [p+1-w, p+1+w] with N P = O, ascending; whether P has small
+    order) for an affine point P with y != 0.
+
+    Baby steps j P, 1 <= j <= m, are keyed by x-coordinate; giant steps
+    (p + 1 + s (2m + 1)) P meet +-j P exactly when N = p + 1 + s (2m + 1) -+ j
+    kills P.  If a baby step meets y = 0 (order 2j) or repeats an
+    x-coordinate (the first repeat is j P = -i P, order i + j; O cannot come
+    before either), the order o of P is known and the answer is every
+    multiple of o.
+    """
+    lo, hi = p + 1 - w, p + 1 + w
+    m = math.isqrt(w) + 1
+    baby = {}
+    last, R = None, P
+    for j in range(1, m + 1):
+        if R[1] == 0:
+            order = 2 * j
+        elif R[0] in baby:
+            order = baby[R[0]][0] + j
+        else:
+            baby[R[0]] = (j, R[1])
+            last, R = R, _ec_add(R, P, a, p)
+            continue
+        return list(range(-(-lo // order) * order, hi + 1, order)), True
+    # no small order: P has order > 2m, so each N below is met exactly once
+    step = 2 * m + 1
+    G = _ec_add(last, R, a, p)  # m P + (m + 1) P
+    S = (w + m) // step
+    Q = _ec_mul(p + 1 - S * step, P, a, p)
+    out = []
+    for s in range(-S, S + 1):
+        base = p + 1 + s * step
+        if Q is None:
+            out.append(base)
+        else:
+            hit = baby.get(Q[0])
+            if hit is not None:
+                j, y = hit
+                out.append(base - j if Q[1] == y else base + j)
+        Q = _ec_add(Q, G, a, p)
+    return [N for N in out if lo <= N <= hi], False
+
+
+def _short_model(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
+    """(A, B) mod p of y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6: a model
+    of the curve over F_p for p > 3."""
+    b2, b4, b6, _ = curve.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    return -27 * c4 % p, -54 * c6 % p
+
+
+def _order_mestre(A: int, B: int, p: int, tally: Counter | None = None) -> int | None:
+    """#E(F_p) of y^2 = x^3 + A x + B at a good prime p > 3, or None if no
+    single candidate survives MESTRE_MAX_POINTS points.
+
+    For x = 0, 1, 2, ... with r = x^3 + A x + B != 0, the point (x r, r^2)
+    lies on Y^2 = X^3 + A r^2 X + B r^3, which is E when r is a square and
+    the quadratic twist (#E' = 2p + 2 - #E) when it is not; no square root is
+    ever taken.  tally, if given, counts the points used and how many of
+    them lay on the twist or had small order.
+    """
+    w = math.isqrt(4 * p)  # floor(2 sqrt p): the Hasse interval is p + 1 +- w
+    alive = None
+    points = 0
+    for x in range(p):
+        r = (x * x * x + A * x + B) % p
+        if r == 0:
+            continue
+        r2 = r * r % p
+        twist = pow(r, (p - 1) // 2, p) != 1
+        found, small = _hasse_multiples((x * r % p, r2), A * r2 % p, p, w)
+        if twist:
+            found = [2 * p + 2 - N for N in found]
+        alive = set(found) if alive is None else alive & set(found)
+        points += 1
+        if tally is not None:
+            tally.update(points=1, twist=twist, small_order=small)
+        if len(alive) <= 1 or points == MESTRE_MAX_POINTS:
+            break
+    return alive.pop() if alive is not None and len(alive) == 1 else None
+
+
 def count_ap(curve: WeierstrassCurve, p: int) -> int:
     """a_p by point counting: p + 1 - #E(F_p) at good p, p - #E_ns(F_p) at
     multiplicative p.  Raises AdditiveReductionError at a cusp."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    if p <= 3:
-        naff, nsing = _count_affine_brute(curve, p)
-    else:
-        naff, nsing = _count_affine_fast(curve, p)
-    if curve.discriminant % p != 0:
-        a = p - naff  # p + 1 - (naff + point at infinity)
+    good = curve.discriminant % p != 0
+    n = _order_mestre(*_short_model(curve, p), p) if good and p > MESTRE_MIN_P else None
+    if n is None:
+        naff, nsing = (_count_affine_brute if p <= 3 else _count_affine_fast)(curve, p)
+        n = naff - nsing + 1  # nonsingular points, with the point at infinity
+    if good:
+        a = p + 1 - n
         if a * a > 4 * p:
             raise ComputationError(f"Hasse bound violated at p={p}: a_p={a}")
         return a
     # singular reduction; the unique singular point is F_p-rational
-    a = p - (naff - nsing + 1)
+    a = p - n
     if a == 0:
         raise AdditiveReductionError(p)
     if a not in (1, -1):
@@ -133,23 +264,15 @@ def count_ap(curve: WeierstrassCurve, p: int) -> int:
     return a
 
 
-def ap_table(curve: WeierstrassCurve, pmax: int, threads: int = 1) -> NewformCoeffs:
+def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
     """Exact a_p for every prime p <= pmax, as a weight-2 table.
 
     Level is the declared level when given, else |discriminant| with a
-    warning.  The prime range may be partitioned across threads; results are
-    exact integers, so the merged table is independent of the partitioning.
+    warning.
     """
     if pmax < 1:
         raise ValidationError(f"pmax must be >= 1, got {pmax}")
-    ps = primes_up_to(pmax).tolist()
-    if threads > 1 and len(ps) > 64:
-        chunks = [ps[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ch: [(p, count_ap(curve, p)) for p in ch], chunks))
-        pairs = sorted(pair for part in parts for pair in part)
-    else:
-        pairs = [(p, count_ap(curve, p)) for p in ps]
+    pairs = [(p, count_ap(curve, p)) for p in primes_up_to(pmax).tolist()]
     level = curve.declared_level
     if level is None:
         level = abs(curve.discriminant)
@@ -200,6 +323,9 @@ def load_coeffs(path, *, level: int | None = None, weight: int | None = None,
 
     coeffs: dict[int, int | float] = {}
     last_p = 0
+    # one sieve to the largest prime a gap-free table of this many rows can
+    # hold; a larger p (which NewformCoeffs rejects) is trial-divided
+    sieve = prime_sieve(nth_prime_bound(len(lines)))
     for i, line in enumerate(lines[1:], start=2):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -211,7 +337,7 @@ def load_coeffs(path, *, level: int | None = None, weight: int | None = None,
             p = int(parts[0])
         except ValueError:
             raise ValidationError(f"{path}: bad prime {parts[0]!r} (line {i})") from None
-        if not is_prime(p):
+        if not (sieve[p] if 0 <= p < len(sieve) else is_prime(p)):
             raise ValidationError(f"{path}: {p} is not prime (line {i})")
         if p <= last_p:
             raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .primes import factorize, is_prime, is_squarefree, primes_up_to
+from .primes import factorize, is_prime, is_squarefree, nth_prime_bound, primes_up_to
 
 # Normalised float tables may carry rounding in their last digit; exact
 # integer tables are checked with no slack.
@@ -134,10 +134,13 @@ class NewformCoeffs:
         if sorted(keys) != keys:
             raise ValidationError("table primes are not strictly ascending")
         pmax = keys[-1] if keys else 0
-        expected = primes_up_to(pmax).tolist()
+        # a gap-free table of n primes ends at p_n <= limit: sieve no further
+        limit = nth_prime_bound(len(keys))
+        expected = primes_up_to(min(pmax, limit)).tolist()
         if keys != expected:
             expected_set = set(expected)
-            bad = next((p for p in keys if p not in expected_set), None)
+            bad = next((p for p in keys
+                        if not (p in expected_set if p <= limit else is_prime(p))), None)
             if bad is not None:
                 raise ValidationError(f"{bad} is not prime")
             key_set = set(keys)

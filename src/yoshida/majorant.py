@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ComputationError, ValidationError
 from .hecke import NewformCoeffs, hecke_power
@@ -190,6 +189,9 @@ def optimize_delta(grid_step: float, refine: bool = False,
     """
     if grid_step > 1e-3:
         raise ValidationError(f"grid_step must be <= 1e-3, got {grid_step}")
+    # scipy.optimize takes most of a second to import; only this LP needs it
+    from scipy.optimize import linprog
+
     n = max(1, math.ceil(2.0 / grid_step))
     ts = np.linspace(0.0, 2.0, n + 1)
 

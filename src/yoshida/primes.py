@@ -1,5 +1,6 @@
 """Prime enumeration and small factorization utilities: an Eratosthenes
-sieve, trial-division primality, factorization and squarefree divisors."""
+sieve, a bound on the n-th prime, trial-division primality, factorization
+and squarefree divisors."""
 
 import math
 
@@ -8,16 +9,28 @@ import numpy as np
 from .errors import ValidationError
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (empty for n < 2)."""
-    if n < 2:
-        return np.array([], dtype=np.int64)
-    is_p = np.ones(n + 1, dtype=bool)
+def prime_sieve(n: int) -> np.ndarray:
+    """Boolean array of length max(n + 1, 0) whose entry k is True iff k is prime."""
+    is_p = np.ones(max(n + 1, 0), dtype=bool)
     is_p[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if is_p[p]:
             is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).astype(np.int64)
+    return is_p
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array (empty for n < 2)."""
+    return np.flatnonzero(prime_sieve(n)).astype(np.int64)
+
+
+def nth_prime_bound(n: int) -> int:
+    """An integer >= the n-th prime: n (ln n + ln ln n) for n >= 6 (Rosser's
+    theorem, strict there), else p_5 = 11.  A gap-free table of n primes ends
+    at or below it, so no sieve for such a table needs to reach further."""
+    if n < 6:
+        return 11
+    return math.ceil(n * (math.log(n) + math.log(math.log(n))))
 
 
 def is_prime(n: int) -> bool:

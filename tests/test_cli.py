@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import yoshida
 from yoshida.cli import run
 from yoshida.curves import load_coeffs
 
@@ -109,6 +115,28 @@ def test_missing_file_exits_1(tmp_path, capsys):
     # FileNotFoundError is an OSError -> io error exit code
     assert run(["lift", "--f", str(tmp_path / "nope.txt"), "--g", str(tmp_path / "nope.txt"),
                 "--xmax", "10"]) == 3
+
+
+def test_far_prime_in_short_table_rejected_fast(tmp_path, capsys):
+    # two rows cannot reach 1000000007 without a gap; no sieve that far is made
+    form = tmp_path / "far.txt"
+    form.write_text("# level=11 weight=2\n2 1\n1000000007 3\n")
+    t0 = time.perf_counter()
+    assert run(["stats", "--form", str(form), "--y", "10"]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    assert "prime table has a gap: missing p=3" in capsys.readouterr().err
+
+
+def test_import_and_majorant_verify_leave_scipy_unloaded():
+    code = ("import sys, yoshida\n"
+            "from yoshida.cli import run\n"
+            "assert run(['majorant', 'verify']) == 0\n"
+            "sys.exit(3 if 'scipy' in sys.modules else 0)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(yoshida.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert "feasible_sufficient: True" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_additive_reduction_exits_2(tmp_path, capsys):

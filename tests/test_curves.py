@@ -1,5 +1,10 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
+from yoshida import curves
 from yoshida.curves import WeierstrassCurve, ap_table, count_ap, load_coeffs, write_coeffs
 from yoshida.errors import AdditiveReductionError, ValidationError
 from yoshida.primes import primes_up_to
@@ -88,11 +93,69 @@ def test_hasse_bound_up_to_1e4(table_11a):
             assert a * a <= 4 * p
 
 
-def test_ap_table_partition_determinism():
-    t1 = ap_table(CURVE_11A, 500, threads=1)
-    t4 = ap_table(CURVE_11A, 500, threads=4)
-    assert t1.coeffs == t4.coeffs
-    assert list(t1.coeffs.keys()) == primes_up_to(500).tolist()
+# Mestre's method against the O(p) counter: 11a, 33a, 37a, and two curves with
+# large rational torsion (y^2 = x^3 - x and 15a1 [1,1,1,-10,-10]), whose points
+# often have small order and whose twists are often needed.
+ORACLE_CURVES = (CURVE_11A, CURVE_33A, WeierstrassCurve(0, 0, 1, -1, 0),
+                 WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(1, 1, 1, -10, -10))
+
+
+def _good_primes(curve, pmax):
+    return [p for p in primes_up_to(pmax).tolist() if curve.discriminant % p != 0]
+
+
+def test_mestre_tables_match_full_count_up_to_1e4(monkeypatch):
+    fast = {c: {p: count_ap(c, p) for p in _good_primes(c, 10**4)} for c in ORACLE_CURVES}
+    monkeypatch.setattr(curves, "MESTRE_MIN_P", 10**9)  # every prime takes the O(p) path
+    for c in ORACLE_CURVES:
+        assert fast[c] == {p: count_ap(c, p) for p in _good_primes(c, 10**4)}, c
+
+
+def test_mestre_runs_twist_and_small_order_branches():
+    for c in ORACLE_CURVES[3:]:
+        tally = Counter()
+        for p in _good_primes(c, 3000):
+            if p > curves.MESTRE_MIN_P:
+                n = curves._order_mestre(*curves._short_model(c, p), p, tally)
+                assert n == curves._count_affine_fast(c, p)[0] + 1, (c, p)
+        assert tally["twist"] > 0 and tally["small_order"] > 0, (c, tally)
+
+
+def test_hasse_multiples_match_scalar_multiplication():
+    # every N in the Hasse interval that kills P, found by N P directly
+    small = 0
+    for c in ORACLE_CURVES[3:]:
+        for p in _good_primes(c, 1200):
+            if p <= curves.MESTRE_MIN_P:
+                continue
+            A, B = curves._short_model(c, p)
+            w = math.isqrt(4 * p)
+            for x in range(4):
+                r = (x**3 + A * x + B) % p
+                if r == 0:
+                    continue
+                P, a = (x * r % p, r * r % p), A * r * r % p
+                found, is_small = curves._hasse_multiples(P, a, p, w)
+                brute = [N for N in range(p + 1 - w, p + 2 + w)
+                         if curves._ec_mul(N, P, a, p) is None]
+                assert found == brute, (c, p, x)
+                small += is_small
+    assert small > 0
+
+
+def test_mestre_falls_back_when_no_single_candidate(monkeypatch):
+    c = WeierstrassCurve(0, 0, 0, -1, 0)
+    ps = [p for p in _good_primes(c, 3000) if p > curves.MESTRE_MIN_P]
+    expected = [count_ap(c, p) for p in ps]
+    monkeypatch.setattr(curves, "MESTRE_MAX_POINTS", 1)
+    assert any(curves._order_mestre(*curves._short_model(c, p), p) is None for p in ps)
+    assert [count_ap(c, p) for p in ps] == expected
+
+
+def test_mestre_character_sum_oracle_above_1e5():
+    ps = [p for p in primes_up_to(2 * 10**5).tolist() if p >= 10**5]
+    for p in random.Random(20201).sample(ps, 10):
+        assert count_ap(CURVE_11A, p) == ap_character_sum(CURVE_11A, p), p
 
 
 def test_ap_table_empty_below_first_prime():
@@ -145,6 +208,19 @@ def test_load_coeffs_nonprime_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# level=11 weight=2\n2 1\n4 7\n")
     with pytest.raises(ValidationError, match=r"4 is not prime \(line 3\)"):
+        load_coeffs(path)
+
+
+def test_load_coeffs_nonprime_outside_and_above_sieve(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# level=11 weight=2\n1 1\n")
+    with pytest.raises(ValidationError, match=r"1 is not prime \(line 2\)"):
+        load_coeffs(path)
+    path.write_text("# level=11 weight=2\n-7 1\n")
+    with pytest.raises(ValidationError, match=r"-7 is not prime \(line 2\)"):
+        load_coeffs(path)
+    path.write_text("# level=11 weight=2\n2 1\n1000000008 1\n")
+    with pytest.raises(ValidationError, match=r"1000000008 is not prime \(line 3\)"):
         load_coeffs(path)
 
 

@@ -5,6 +5,8 @@ from yoshida.primes import (
     factorize,
     is_prime,
     is_squarefree,
+    nth_prime_bound,
+    prime_sieve,
     primes_up_to,
     squarefree_divisors,
 )
@@ -33,6 +35,18 @@ def test_is_prime_matches_sieve():
     flags[primes_up_to(2000)] = True
     for n in range(2001):
         assert is_prime(n) == bool(flags[n])
+
+
+def test_nth_prime_bound_holds_up_to_1e6():
+    ps = primes_up_to(10**6).tolist()
+    assert all(p <= nth_prime_bound(n) for n, p in enumerate(ps, start=1))
+    assert nth_prime_bound(0) == 11 and nth_prime_bound(len(ps)) < 2 * ps[-1]
+
+
+def test_prime_sieve_flags():
+    assert prime_sieve(-1).tolist() == []
+    assert prime_sieve(1).tolist() == [False, False]
+    assert np.flatnonzero(prime_sieve(30)).tolist() == trial_division_primes(30)
 
 
 def test_factorize_and_squarefree():
