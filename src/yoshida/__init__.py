@@ -12,7 +12,6 @@ from .errors import AdditiveReductionError, ComputationError, SignUncertainError
 from .hecke import (
     NewformCoeffs,
     hecke_power,
-    hecke_power_bad,
     infer_atkin_lehner,
     normalize_coeff,
 )
@@ -46,7 +45,6 @@ from .signs import (
     first_negative,
     invert_xlog_bound,
     lower_bound_witness,
-    pi_restricted,
     v_density,
     weighted_sum,
 )

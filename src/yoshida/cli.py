@@ -101,9 +101,8 @@ def _build_sequence(args):
     return spec, seq
 
 
-def _sign_char(seq, n) -> str:
-    s = seq.sign(n)
-    return "?" if s is None else str(s)
+# EigenSequence.signs() code -> CSV sign column
+_SIGN_CHARS = {-1: "-1", 0: "0", 1: "1", lift.UNCERTAIN: "?"}
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +119,9 @@ def _cmd_ap(args) -> int:
 def _cmd_lift(args) -> int:
     _, seq = _build_sequence(args)
     lines = ["n,lambda,sign"]
-    for n, v in seq.values.items():
-        lines.append(f"{n},{_fmt(v)},{_sign_char(seq, n)}")
+    # tolist() hands _fmt Python floats: numpy 2 reprs np.float64 differently
+    for n, v, s in zip(seq.index.tolist(), seq.values[seq.index].tolist(), seq.signs().tolist()):
+        lines.append(f"{n},{_fmt(v)},{_SIGN_CHARS[s]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

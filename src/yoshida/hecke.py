@@ -27,6 +27,7 @@ Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,14 +80,11 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     return seq[: rmax + 1]
 
 
-def hecke_power_bad(lam_p: float, r: int) -> float:
-    """lambda(p^r) = lambda(p)^r at a prime exactly dividing a squarefree
-    level (the Euler factor (1 - lambda(p) p^-s)^-1 has no quadratic term)."""
-    if r < 0:
-        raise ValidationError(f"prime-power exponent must be >= 0, got {r}")
-    if not math.isfinite(lam_p):
-        raise ValidationError(f"eigenvalue must be finite, got {lam_p!r}")
-    return float(lam_p) ** r
+def require_finite(lams: np.ndarray) -> None:
+    """Reject a non-finite eigenvalue in lams as hecke_power_seq does."""
+    bad = lams[~np.isfinite(lams)]
+    if bad.size:
+        raise ValidationError(f"eigenvalue must be finite, got {float(bad[0])!r}")
 
 
 def infer_atkin_lehner(a_p: int, p: int, k: int) -> int:
@@ -170,6 +168,31 @@ class NewformCoeffs:
 
     def primes(self) -> list[int]:
         return list(self.coeffs.keys())
+
+    @cached_property
+    def prime_array(self) -> np.ndarray:
+        """The table's primes as an int64 array (built on first use)."""
+        return np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
+
+    @cached_property
+    def lam_array(self) -> np.ndarray:
+        """lam(p) for every table prime, in table order, bit for bit.
+
+        Array operations repeat lam()'s roundings (int to binary64, the
+        correctly rounded sqrt, one multiply, one divide) while int64 holds
+        every a_p and p^((k-2)/2), i.e. while 4 pmax^(k-1) < 2^126; beyond
+        that lam() runs per prime.
+        """
+        n = len(self.coeffs)
+        if self.normalized:
+            return np.fromiter(self.coeffs.values(), dtype=np.float64, count=n)
+        k = self.weight
+        if 4 * self.pmax ** (k - 1) >= 2**126:
+            return np.fromiter((self.lam(p) for p in self.coeffs), dtype=np.float64, count=n)
+        ps = self.prime_array
+        a = np.fromiter(self.coeffs.values(), dtype=np.int64, count=n)
+        scale = (ps ** ((k - 2) // 2)).astype(np.float64) * np.sqrt(ps.astype(np.float64))
+        return a.astype(np.float64) / scale
 
     def level_primes(self) -> list[int]:
         return [p for p, _ in factorize(self.level)]

@@ -33,20 +33,32 @@ lambda_F(p^2) p = a_f(p)^2 + a_g(p)^2 + a_f(p) a_g(p) - 2p - 1), so
 lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
 Normalized float tables get float signs, certified only outside
 |lambda_F(n)| <= SIGN_TOL.
+
+An EigenSequence holds both channels as dense numpy arrays indexed by n,
+assembled without a per-n Python loop but with the same float operations as
+the per-n recurrence, so every printed bit is that of the textbook loop.  The
+exact channel is int64 while every product provably fits and switches to
+Python ints (an object array) at the first one that might not; in weight
+k > 2 that happens early, since lambda_F(n) n^((k-1)/2) grows like
+n^((k-1)/2).
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .errors import ValidationError
-from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
+from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner, require_finite
 from .primes import factorize, primes_up_to
 
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
 # exceeds this; the exact channel is the only certified source of zero signs.
 SIGN_TOL = 1e-9
+# EigenSequence.signs() code for an uncertain sign (sign(n) is None)
+UNCERTAIN = 2
 
 
 def _infer_al_map(nf: NewformCoeffs) -> dict[int, int]:
@@ -155,79 +167,158 @@ def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
 
 @dataclass(eq=False)
 class EigenSequence:
-    """lambda_F(n) for n <= xmax coprime to N, with optional exact channel.
+    """lambda_F(n) for the n <= xmax coprime to N, as arrays indexed by n.
 
-    values[n] is binary64; when both tables hold integers, scaled[n] is the
-    integer lambda_F(n) n^((k-1)/2).
+    index holds those n in ascending order.  values[n] is the binary64
+    lambda_F(n) for n in index; every other slot holds 0.0 and is never read.
+    When both tables hold integers, scaled[n] is the integer
+    lambda_F(n) n^((k-1)/2): int64 while every product fits, else an object
+    array of Python ints (weight k > 2 outgrows int64 fast); otherwise None.
     """
 
     spec: LiftSpec
     xmax: int
-    values: dict
-    scaled: dict | None = None
+    index: np.ndarray
+    values: np.ndarray
+    scaled: np.ndarray | None = None
 
     def sign(self, n: int) -> int | None:
         """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain.
 
         Exact from scaled when present; otherwise +-1 from the float value
-        when |lambda_F(n)| > SIGN_TOL, and None inside that band.
+        when |lambda_F(n)| > SIGN_TOL, and None inside that band.  Raises
+        ValidationError for n outside index.
         """
+        i = int(np.searchsorted(self.index, n))
+        if i == self.index.size or self.index[i] != n:
+            raise ValidationError(f"lambda_F({n}) is not in the sequence: "
+                                  f"n must lie in [1, {self.xmax}] and be coprime to N")
         if self.scaled is not None:
-            s = self.scaled[n]
+            s = int(self.scaled[n])
             return (s > 0) - (s < 0)
-        v = self.values[n]
+        v = float(self.values[n])
         if abs(v) <= SIGN_TOL:
             return None
         return 1 if v > 0 else -1
+
+    def signs(self) -> np.ndarray:
+        """sign(n) for every n in index as an int8 array, UNCERTAIN where
+        sign(n) is None."""
+        if self.scaled is not None:
+            return np.sign(self.scaled[self.index]).astype(np.int8)
+        v = self.values[self.index]
+        return np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
+
+    @cached_property
+    def log_index(self) -> np.ndarray:
+        """math.log(n) for every n in index.  np.log is not guaranteed to
+        round the same way, and S(F, x) must keep its printed bits."""
+        return np.fromiter(map(math.log, self.index.tolist()), dtype=np.float64,
+                           count=self.index.size)
+
+
+def _spf_power(xmax: int, small_primes: np.ndarray) -> np.ndarray:
+    """q[n] = p^e with p the smallest prime factor of n and p^e exactly
+    dividing n (q[n] = n for n <= 1); small_primes are the primes <= sqrt(xmax)."""
+    spf = np.arange(xmax + 1)
+    for p in small_primes[::-1].tolist():  # descending: the smallest p writes last
+        spf[p * p :: p] = p
+    q = spf.copy()
+    for p in small_primes.tolist():
+        pe = p * p
+        while pe <= xmax:
+            block = q[pe::pe]
+            block[spf[pe::pe] == p] = pe
+            pe *= p
+    return q
 
 
 def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.
 
-    Prime-power coefficients are computed once per prime (up to log_p xmax)
-    and extended multiplicatively over a smallest-prime-factor decomposition.
-    The exact integer channel is built whenever neither table is normalized.
+    Euler coefficients are tabulated by prime power q = p^e <= xmax.  Primes
+    p <= sqrt(xmax) use lift_euler_coeffs / lift_euler_ints; above sqrt(xmax)
+    only lambda_F(p) = lambda_f(p) + lambda_g(p) and I_1 = a_f(p) +
+    a_g(p) p^((k-2)/2) are needed, taken as array operations with the same
+    roundings.  Then lambda_F(n) = c(q) lambda_F(n/q) with q the power of the
+    smallest prime factor of n, one gather-multiply round per number of
+    distinct prime factors: the per-n float product of the textbook
+    recurrence, so the bits do not depend on the assembly.  The exact integer
+    channel is built whenever neither table is normalized.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
     spec.f.require_cover(xmax)
     spec.g.require_cover(xmax)
     exact = not (spec.f.normalized or spec.g.normalized)
+    N, k = spec.N, spec.weight
 
-    N = spec.N
     ps = primes_up_to(xmax)
-    pw_float: dict[int, list[float]] = {}
-    pw_int: dict[int, list[int]] = {}
-    for p in ps.tolist():
-        if N % p == 0:
-            continue
+    root = math.isqrt(xmax)
+    good = N % ps != 0
+    large = good & (ps > root)
+    lam_f, lam_g = spec.f.lam_array[: ps.size][large], spec.g.lam_array[: ps.size][large]
+    require_finite(lam_f)
+    require_finite(lam_g)
+
+    # Euler coefficients indexed by q = p^e.  Above sqrt(xmax) the two-term
+    # fsum of lift_euler_coeffs is one IEEE add; + 0.0 turns the -0.0 of
+    # (-0.0) + (-0.0) into fsum's 0.0.
+    euler = np.zeros(xmax + 1)
+    euler[ps[large]] = (lam_f + lam_g) + 0.0
+    small_q, small_ints = [], []
+    for p in ps[good & ~large].tolist():
         rmax, q = 1, p
         while q * p <= xmax:
             q *= p
             rmax += 1
-        pw_float[p] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)
+        qs = [p**e for e in range(1, rmax + 1)]
+        euler[qs] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)[1:]
+        small_q += qs
         if exact:
-            pw_int[p] = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, spec.weight)
+            small_ints += lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[1:]
 
-    # smallest prime factor sieve for the multiplicative assembly
-    spf = np.zeros(xmax + 1, dtype=np.int64)
-    for p in ps.tolist():
-        block = spf[p::p]
-        block[block == 0] = p
+    if exact:
+        # |I_1| <= 4 p^((k-1)/2) fits int64 when 16 xmax^(k-1) < 2^126
+        wide = 16 * xmax ** (k - 1) >= 2**126 or any(abs(v) >= 2**63 for v in small_ints)
+        dtype = object if wide else np.int64
+        a_f, a_g = (np.array(list(islice(h.coeffs.values(), ps.size)), dtype=dtype)[large]
+                    for h in (spec.f, spec.g))
+        euler_int = np.zeros(xmax + 1, dtype=dtype)
+        euler_int[ps[large]] = a_f + a_g * ps[large].astype(dtype) ** ((k - 2) // 2)
+        euler_int[small_q] = np.array(small_ints, dtype=dtype)
 
-    values = {1: 1.0}
-    scaled: dict[int, int] | None = {1: 1} if exact else None
-    for n in range(2, xmax + 1):
-        if math.gcd(n, N) != 1:
-            continue
-        p = int(spf[n])
-        m = n
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        values[n] = pw_float[p][e] * values[m]
+    coprime = np.ones(xmax + 1, dtype=bool)
+    coprime[0] = False
+    for p, _ in factorize(N):
+        coprime[::p] = False
+    index = np.flatnonzero(coprime)
+    spf_q = _spf_power(xmax, ps[ps <= root])
+
+    values = np.zeros(xmax + 1)
+    values[1] = 1.0
+    scaled = None
+    if exact:
+        scaled = np.zeros(xmax + 1, dtype=euler_int.dtype)
+        scaled[1] = 1
+    done = np.zeros(xmax + 1, dtype=bool)
+    done[1] = True
+    todo = index[1:]
+    while todo.size:
+        q = spf_q[todo]
+        m = todo // q
+        ready = done[m]
+        n, q, m = todo[ready], q[ready], m[ready]
+        values[n] = euler[q] * values[m]
         if exact:
-            scaled[n] = pw_int[p][e] * scaled[m]
+            a, b = euler_int[q], scaled[m]
+            if scaled.dtype != object and np.any(
+                    np.abs(a.astype(float)) * np.abs(b.astype(float)) >= 2.0**62):
+                # some product may pass 2^63: continue in Python ints
+                euler_int, scaled = euler_int.astype(object), scaled.astype(object)
+                a, b = euler_int[q], scaled[m]
+            scaled[n] = a * b
+        done[n] = True
+        todo = todo[~ready]
 
-    return EigenSequence(spec=spec, xmax=xmax, values=values, scaled=scaled)
+    return EigenSequence(spec=spec, xmax=xmax, index=index, values=values, scaled=scaled)

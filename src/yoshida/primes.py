@@ -1,6 +1,6 @@
 """Prime enumeration and small factorization utilities: an Eratosthenes
-sieve, a bound on the n-th prime, trial-division primality, factorization
-and squarefree divisors."""
+sieve, a bound on the n-th prime, Miller-Rabin primality, factorization and
+squarefree divisors."""
 
 import math
 
@@ -33,19 +33,40 @@ def nth_prime_bound(n: int) -> int:
     return math.ceil(n * (math.log(n) + math.log(math.log(n))))
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality for every
+# n < 3317044064679887385961981 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (scalars only; sieve for bulk work)."""
+    """Miller-Rabin primality check on the bases _MR_BASES (scalars only;
+    sieve for bulk work).
+
+    Deterministic for n < 3.3e24.  Above that bound it is a strong
+    probable-prime test: a composite passing all 13 bases would be reported
+    prime.  No gap-free table reaches that far (its primes stay below
+    nth_prime_bound of its row count), so for table rows a wrong answer there
+    changes only which error rejects the table.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import SignUncertainError, ValidationError
-from .hecke import NewformCoeffs, hecke_power
-from .lift import EigenSequence, LiftSpec
+from .hecke import NewformCoeffs, require_finite
+from .lift import UNCERTAIN, EigenSequence, LiftSpec
 from .primes import primes_up_to, squarefree_divisors
 
 
@@ -60,13 +62,6 @@ class SignReport:
     epsilon: float
 
 
-def pi_restricted(y: int, L: int) -> int:
-    """#{p <= y : p does not divide L}; at least pi(y) - log L / log 2."""
-    if y < 0 or L < 1:
-        raise ValidationError(f"need y >= 0 and L >= 1, got y={y}, L={L}")
-    return sum(1 for p in primes_up_to(y).tolist() if L % p != 0)
-
-
 def weighted_sum(seq: EigenSequence, x: float) -> float:
     """S(F, x) = sum_{n <= x, (n,N)=1} lambda_F(n) log(x/n), fsum-accumulated
     in ascending n (the canonical order)."""
@@ -75,22 +70,25 @@ def weighted_sum(seq: EigenSequence, x: float) -> float:
     if x < 1:
         raise ValidationError(f"x must be >= 1, got {x}")
     lx = math.log(x)
-    return math.fsum(v * (lx - math.log(n)) for n, v in seq.values.items() if n <= x)
+    upto = np.count_nonzero(seq.index <= x)
+    terms = seq.values[seq.index[:upto]] * (lx - seq.log_index[:upto])
+    return math.fsum(terms.tolist())
 
 
 def first_negative(seq: EigenSequence) -> int | None:
-    """Smallest stored n with certified sign -1 (EigenSequence.sign), or None.
+    """Smallest stored n with certified sign -1 (EigenSequence.signs), or None.
 
     A negative float value whose sign is uncertain aborts with
     SignUncertainError, since no smaller negative exists to rescue it.
     """
-    for n in sorted(seq.values):
-        s = seq.sign(n)
-        if s == -1:
-            return n
-        if s is None and seq.values[n] < 0.0:
-            raise SignUncertainError(n, seq.values[n])
-    return None
+    sg = seq.signs()
+    hit = np.flatnonzero((sg == -1) | ((sg == UNCERTAIN) & (seq.values[seq.index] < 0.0)))
+    if hit.size == 0:
+        return None
+    n = int(seq.index[hit[0]])
+    if sg[hit[0]] == -1:
+        return n
+    raise SignUncertainError(n, float(seq.values[n]))
 
 
 def q_hat_g(spec: LiftSpec) -> float:
@@ -173,9 +171,11 @@ class AbsSumStats:
     pi_yL: int
 
 
-def _good_lams(h: NewformCoeffs, y: int) -> list[float]:
+def _good_lams(h: NewformCoeffs, y: int) -> np.ndarray:
+    """lambda(p) at the primes p <= y not dividing the level, ascending."""
     h.require_cover(y)
-    return [h.lam(p) for p in h.primes() if p <= y and h.level % p != 0]
+    ps = h.prime_array
+    return h.lam_array[(ps <= y) & (h.level % ps != 0)]
 
 
 def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
@@ -183,12 +183,17 @@ def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
     sum |lambda(p)| / pi(y, L) plus the symmetric-power cancellation ratios
     |sum lambda(p^2)| / pi and |sum lambda(p^4)| / pi."""
     lams = _good_lams(h, y)
-    piyL = len(lams)
+    piyL = lams.size
     if piyL == 0:
         return AbsSumStats(0.0, 0.0, 0.0, 0)
-    s_abs = math.fsum(abs(v) for v in lams)
-    s2 = math.fsum(hecke_power(v, 2) for v in lams)
-    s4 = math.fsum(hecke_power(v, 4) for v in lams)
+    require_finite(lams)
+    # the float operations of hecke_power_seq, one array at a time
+    u2 = lams * lams - 1.0
+    u3 = lams * u2 - lams
+    u4 = lams * u3 - u2
+    s_abs = math.fsum(np.abs(lams).tolist())
+    s2 = math.fsum(u2.tolist())
+    s4 = math.fsum(u4.tolist())
     return AbsSumStats(s_abs / piyL, abs(s2) / piyL, abs(s4) / piyL, piyL)
 
 
@@ -197,9 +202,9 @@ def v_density(h: NewformCoeffs, y: int, gamma: float) -> float:
     if gamma < 0:
         raise ValidationError(f"gamma must be >= 0, got {gamma}")
     lams = _good_lams(h, y)
-    if not lams:
+    if lams.size == 0:
         return 0.0
-    return sum(1 for v in lams if abs(v) <= gamma) / len(lams)
+    return int(np.count_nonzero(np.abs(lams) <= gamma)) / lams.size
 
 
 @dataclass
@@ -285,7 +290,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
             violated.append(p)
             continue
         lf, lg = abs(spec.f.lam(p)), abs(spec.g.lam(p))
-        lF = seq.values[p]
+        lF = float(seq.values[p])
         if lg <= V1_GAMMA:
             counts["v1"] += 1
             v1_set.append(p)
@@ -313,7 +318,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
         active, active_set = "v2", v2_set
     m = len(active_set)
 
-    esum = math.fsum(seq.values[n] for n in seq.values if n <= x)
+    esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
     lx = math.log(x) if x > 1 else 1.0
     try:
         n0 = first_negative(seq)

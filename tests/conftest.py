@@ -29,3 +29,9 @@ def reg_spec(table_11a, table_33a):
 def reg_seq(reg_spec):
     """Regression sequence: xmax 10^4; integer tables, so the exact channel is on."""
     return lift_sequence(reg_spec, 10**4)
+
+
+def seq_items(seq):
+    """(n, lambda_F(n)) for every n of an EigenSequence, ascending, as Python
+    ints and floats."""
+    return zip(seq.index.tolist(), seq.values[seq.index].tolist())

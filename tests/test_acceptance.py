@@ -33,7 +33,7 @@ from yoshida.signs import (
     lower_bound_witness,
     weighted_sum,
 )
-from tests.conftest import CURVE_11A, CURVE_33A
+from tests.conftest import CURVE_11A, CURVE_33A, seq_items
 from tests.test_curves import ap_character_sum
 from tests.test_lift import dirichlet_oracle
 
@@ -120,11 +120,11 @@ def test_c05_multiplicativity_oracle(reg_spec):
     seq = lift_sequence(reg_spec, 1000)
     oracle = dirichlet_oracle(reg_spec, 1000)
     worst = 0.0
-    for n, v in seq.values.items():
+    for n, v in seq_items(seq):
         worst = max(worst, abs(v - oracle[n]))
     assert worst <= 1e-10
     checked = 0
-    for n, v in seq.values.items():
+    for n, v in seq_items(seq):
         if abs(v) > 1e-9:
             checked += 1
             assert seq.sign(n) == (1 if v > 0 else -1)

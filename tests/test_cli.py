@@ -226,3 +226,45 @@ def test_lift_roundtrip_reproduces_values(pair_files, tmp_path):
     assert run(["lift", "--f", str(f2), "--g", str(g), "--xmax", "150", "--exact",
                 "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# SHA-256 of each subcommand's output file on the 11a/33a tables at xmax 1e4,
+# frozen from the per-n dict implementation of the lift: any change to the
+# printed bits (float formatting, summation order, sign rule) fails here
+FROZEN_DIGESTS = {
+    "lift": "c14a4e5fa74d6b3cd08f5f653553cbc979808ace6875a6be401bdd878ec96631",
+    "search": "7beed82e5d4daad3d0eb88fe16c483c0034bc7fc5a8142326c60be76a16c306b",
+    "witness": "b841cda894d505b30bbef4ec611f1b45ffcba5c9d9c5d56c4a1c699c37163ce7",
+    "report": "fadab7b212344a904309aefe098e865328f99c0c009a59e6d966c3c9422cad1c",
+}
+
+
+def test_outputs_match_frozen_digests(table_11a, table_33a, tmp_path):
+    import hashlib
+
+    from yoshida.curves import write_coeffs
+    f, g = tmp_path / "f11.txt", tmp_path / "g33.txt"
+    write_coeffs(table_11a, f)
+    write_coeffs(table_33a, g)
+    pair = ["--f", str(f), "--g", str(g)]
+    argvs = {"lift": ["lift", *pair, "--xmax", "10000"],
+             "search": ["search", *pair, "--xmax", "10000"],
+             "witness": ["witness", *pair, "--x", "10000"],
+             "report": ["report", *pair, "--xmax", "10000"]}
+    got = {}
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}.out"
+        assert run([*argv, "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == FROZEN_DIGESTS
+
+
+def test_huge_prime_row_rejected_fast(tmp_path, capsys):
+    # the row above the sieve is tested by Miller-Rabin, not trial division
+    # (about 1e9 divisions here), so the gap is reported at once
+    form = tmp_path / "F.txt"
+    form.write_text("# level=11 weight=2\n2 1\n1000000000000000003 1\n")
+    t0 = time.perf_counter()
+    assert run(["stats", "--form", str(form), "--y", "10"]) == 1
+    assert time.perf_counter() - t0 < 2.0
+    assert "missing p=3" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from yoshida.errors import ValidationError
 from yoshida.hecke import (
     NewformCoeffs,
     hecke_power,
-    hecke_power_bad,
     hecke_power_seq,
     infer_atkin_lehner,
     normalize_coeff,
@@ -93,16 +92,8 @@ def test_power_exact_float_agreement():
 
 
 # ---------------------------------------------------------------------------
-# hecke_power_bad / infer_atkin_lehner
+# infer_atkin_lehner
 # ---------------------------------------------------------------------------
-
-def test_power_bad_is_geometric():
-    assert hecke_power_bad(1 / math.sqrt(11), 2) == pytest.approx(1 / 11, abs=1e-15)
-    assert hecke_power_bad(0.0, 5) == 0.0
-    assert hecke_power_bad(-1 / math.sqrt(3), 3) == pytest.approx(-1 / (3 * math.sqrt(3)), abs=1e-12)
-    with pytest.raises(ValidationError):
-        hecke_power_bad(0.5, -2)
-
 
 def test_atkin_lehner_inference():
     assert infer_atkin_lehner(1, 11, 2) == -1

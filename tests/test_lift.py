@@ -7,13 +7,14 @@ from yoshida.curves import ap_table
 from yoshida.errors import ValidationError
 from yoshida.hecke import NewformCoeffs
 from yoshida.lift import (
+    UNCERTAIN,
     lift_euler_coeffs,
     lift_euler_ints,
     lift_sequence,
     validate_pair,
 )
 from yoshida.primes import factorize, primes_up_to
-from tests.conftest import CURVE_11A
+from tests.conftest import CURVE_11A, CURVE_33A, seq_items
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +141,13 @@ def test_euler_ints_displayed_identity():
 
 def test_sequence_xmax_1(reg_spec):
     seq = lift_sequence(reg_spec, 1)
-    assert seq.values == {1: 1.0}
+    assert seq.index.tolist() == [1] and seq.values.tolist() == [0.0, 1.0]
 
 
 def test_sequence_indices_coprime(reg_seq):
     N = reg_seq.spec.N
-    assert all(math.gcd(n, N) == 1 for n in reg_seq.values)
+    assert all(math.gcd(n, N) == 1 for n in reg_seq.index.tolist())
+    assert reg_seq.index.tolist() == [n for n in range(1, reg_seq.xmax + 1) if math.gcd(n, N) == 1]
     assert reg_seq.values[1] == 1.0
 
 
@@ -161,54 +163,67 @@ def test_sequence_doubled_pair():
 
 def test_sequence_multiplicativity(reg_seq):
     vals = reg_seq.values
+    stored = set(reg_seq.index.tolist())
     for m in range(2, 100):
-        if m not in vals:
+        if m not in stored:
             continue
         for n in range(2, 10**4 // m + 1):
-            if n in vals and math.gcd(m, n) == 1:
+            if n in stored and math.gcd(m, n) == 1:
                 assert vals[m * n] == pytest.approx(vals[m] * vals[n], abs=1e-10)
 
 
 def test_sequence_exact_multiplicativity(reg_seq):
-    sc = reg_seq.scaled
+    sc = reg_seq.scaled.tolist()
+    stored = set(reg_seq.index.tolist())
     for m in range(2, 100):
-        if m not in sc:
+        if m not in stored:
             continue
         for n in range(2, 10**4 // m + 1):
-            if n in sc and math.gcd(m, n) == 1:
+            if n in stored and math.gcd(m, n) == 1:
                 assert sc[m * n] == sc[m] * sc[n]
 
 
 def test_sequence_exact_vs_float_signs(reg_seq):
-    for n, v in reg_seq.values.items():
+    for n, v in seq_items(reg_seq):
         if abs(v) > 1e-9:
             assert reg_seq.sign(n) == (1 if v > 0 else -1)
 
 
-def test_sequence_weight4_exact_channel():
-    # synthetic Deligne-bounded integer tables: f of weight 4 and level 11,
-    # g of weight 2 and level 33, with w_11 = -1 on both sides
-    rng = np.random.default_rng(4)
-    xmax = 3000
+def _synthetic_pair(k, xmax, seed):
+    """Deligne-bounded random integer tables: f of weight k and level 11, g of
+    weight 2 and level 33, with w_11 = -1 on both sides."""
+    rng = np.random.default_rng(seed)
     ps = primes_up_to(xmax).tolist()
-    fa = {p: int(rng.integers(-math.isqrt(4 * p**3), math.isqrt(4 * p**3) + 1)) for p in ps}
-    ga = {p: int(rng.integers(-math.isqrt(4 * p), math.isqrt(4 * p) + 1)) for p in ps}
-    fa[11], ga[3], ga[11] = 11, -1, 1
-    f = NewformCoeffs(level=11, weight=4, coeffs=fa)
+
+    def draw(bound):  # an integer in [-bound, bound]; numpy's stop at int64
+        if bound < 2**62:
+            return int(rng.integers(-bound, bound + 1))
+        return int(rng.integers(-(2**62), 2**62)) * bound // 2**62
+
+    fa = {p: draw(math.isqrt(4 * p ** (k - 1))) for p in ps}
+    ga = {p: draw(math.isqrt(4 * p)) for p in ps}
+    fa[11], ga[3], ga[11] = 11 ** ((k - 2) // 2), -1, 1
+    f = NewformCoeffs(level=11, weight=k, coeffs=fa)
     g = NewformCoeffs(level=33, weight=2, coeffs=ga)
-    seq = lift_sequence(validate_pair(f, g), xmax)
-    sc = seq.scaled
-    assert sc is not None and sc.keys() == seq.values.keys()
+    return validate_pair(f, g)
+
+
+def test_sequence_weight4_exact_channel():
+    xmax = 3000
+    seq = lift_sequence(_synthetic_pair(4, xmax, 4), xmax)
+    sc = seq.scaled.tolist()
+    assert seq.scaled.shape == seq.values.shape
+    stored = set(seq.index.tolist())
     for m in range(2, 60):
         for n in range(2, xmax // m + 1):
-            if m in sc and n in sc and math.gcd(m, n) == 1:
+            if m in stored and n in stored and math.gcd(m, n) == 1:
                 assert sc[m * n] == sc[m] * sc[n]
     checked = 0
-    for n, v in seq.values.items():
+    for n, v in seq_items(seq):
         if abs(v) > 1e-9:
             checked += 1
             assert seq.sign(n) == (1 if v > 0 else -1), n
-    assert checked > 0.9 * len(sc)
+    assert checked > 0.9 * seq.index.size
 
 
 def test_sequence_square_identity_in_data(reg_seq):
@@ -315,3 +330,150 @@ def test_sequence_rejects_exact_on_normalized():
     assert seq.scaled is None  # normalized tables get no exact channel
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
     assert seq.sign(2) is None  # inside the sign tolerance
+
+
+# ---------------------------------------------------------------------------
+# dense arrays against the per-n dict assembly
+# ---------------------------------------------------------------------------
+
+def dict_lift_reference(spec, xmax):
+    """The per-n dict assembly that the dense arrays replace.
+
+    Euler coefficients per prime from lift_euler_coeffs / lift_euler_ints,
+    then for every n coprime to N, in ascending order,
+    lambda_F(n) = c(p^e) lambda_F(n / p^e) with p the smallest prime factor.
+    Returns ({n: float}, {n: int} or None).
+    """
+    exact = not (spec.f.normalized or spec.g.normalized)
+    N = spec.N
+    ps = primes_up_to(xmax)
+    pw_float, pw_int = {}, {}
+    for p in ps.tolist():
+        if N % p == 0:
+            continue
+        rmax, q = 1, p
+        while q * p <= xmax:
+            q *= p
+            rmax += 1
+        pw_float[p] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)
+        if exact:
+            pw_int[p] = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, spec.weight)
+    spf = np.zeros(xmax + 1, dtype=np.int64)
+    for p in ps.tolist():
+        block = spf[p::p]
+        block[block == 0] = p
+    values = {1: 1.0}
+    scaled = {1: 1} if exact else None
+    for n in range(2, xmax + 1):
+        if math.gcd(n, N) != 1:
+            continue
+        p = int(spf[n])
+        m, e = n, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        values[n] = pw_float[p][e] * values[m]
+        if exact:
+            scaled[n] = pw_int[p][e] * scaled[m]
+    return values, scaled
+
+
+def _assert_matches_reference(seq):
+    values, scaled = dict_lift_reference(seq.spec, seq.xmax)
+    assert seq.index.tolist() == list(values)
+    # bit for bit: compare the binary64 patterns, so -0.0 != 0.0 here
+    got = seq.values[seq.index]
+    assert np.array_equal(got.view(np.uint64), np.array(list(values.values())).view(np.uint64))
+    if scaled is None:
+        assert seq.scaled is None
+    else:
+        assert seq.scaled[seq.index].tolist() == list(scaled.values())
+
+
+def test_dense_sequence_matches_dict_reference_11a_33a():
+    xmax = 2 * 10**4
+    spec = validate_pair(ap_table(CURVE_11A, xmax), ap_table(CURVE_33A, xmax))
+    seq = lift_sequence(spec, xmax)
+    assert seq.scaled.dtype == np.int64
+    _assert_matches_reference(seq)
+
+
+def test_dense_sequence_matches_dict_reference_weight4():
+    xmax = 3000
+    _assert_matches_reference(lift_sequence(_synthetic_pair(4, xmax, 4), xmax))
+
+
+def test_dense_sequence_matches_dict_reference_normalized_zeros():
+    # (-0.0) + (-0.0) is -0.0 but the two-term fsum gives 0.0; p = 13, 17, 19
+    # lie above sqrt(200), where lambda_F(p) is one array add
+    ps = primes_up_to(200).tolist()
+    fc = {p: (-0.0 if p in (13, 17, 19) else 0.3) for p in ps}
+    gc = {p: (-0.0 if p in (13, 17, 19) else -0.7) for p in ps}
+    fc[11], gc[3], gc[11] = 0.3, -0.5, 0.3
+    f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
+    g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
+    seq = lift_sequence(validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1}), 200)
+    assert math.copysign(1.0, seq.values[13]) == 1.0
+    _assert_matches_reference(seq)
+
+
+def test_scaled_overflow_falls_back_to_python_ints():
+    # weight 12: lambda_F(n) n^(11/2) passes 2^63 below xmax, so the int64
+    # channel must switch to Python ints instead of wrapping
+    xmax = 1800
+    seq = lift_sequence(_synthetic_pair(12, xmax, 1), xmax)
+    assert seq.scaled.dtype == object
+    sc = seq.scaled.tolist()
+    # every Euler coefficient (scaled[p^e]) fits int64, so the assembly starts
+    # in int64 and meets the overflow only in a product
+    assert 16 * xmax**11 < 2**126
+    assert max(abs(sc[q]) for q in seq.index.tolist() if len(factorize(q)) == 1) < 2**62
+    assert max(abs(v) for v in seq.scaled[seq.index].tolist()) >= 2**63
+    _assert_matches_reference(seq)
+    assert seq.signs().tolist() == [seq.sign(n) for n in seq.index.tolist()]
+    for n, v in seq_items(seq):
+        if abs(v) > 1e-9:
+            assert seq.sign(n) == (1 if v > 0 else -1), n
+
+
+def test_signs_array_matches_scalar_rule(reg_seq):
+    assert reg_seq.signs().tolist() == [reg_seq.sign(n) for n in reg_seq.index.tolist()]
+    f = NewformCoeffs(level=11, weight=2, coeffs={2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 0.3},
+                      normalized=True)
+    g = NewformCoeffs(level=33, weight=2, coeffs={2: 0.5, 3: 0.5, 5: 0.0, 7: 0.2, 11: 0.3},
+                      normalized=True)
+    seq = lift_sequence(validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1}), 10)
+    codes = seq.signs().tolist()
+    assert codes == [UNCERTAIN if seq.sign(n) is None else seq.sign(n)
+                     for n in seq.index.tolist()]
+    assert UNCERTAIN in codes
+
+
+def test_sign_rejects_n_outside_sequence(reg_seq):
+    for n in (0, 3, 11, 33, 99, reg_seq.xmax + 1, -1):
+        with pytest.raises(ValidationError, match="not in the sequence"):
+            reg_seq.sign(n)
+    assert reg_seq.sign(reg_seq.index[-1].item()) in (-1, 0, 1)
+
+
+def test_lam_array_bit_identical_to_lam():
+    for k, seed in ((2, 2), (4, 4), (12, 12)):
+        spec = _synthetic_pair(k, 3000, seed)
+        for h in (spec.f, spec.g):
+            want = np.array([h.lam(p) for p in h.primes()])
+            assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
+            assert h.prime_array.tolist() == h.primes()
+
+
+def test_sequence_rejects_nan_above_sqrt_xmax():
+    ps = primes_up_to(100).tolist()
+    fc = {p: 0.1 for p in ps}
+    gc = {p: 0.2 for p in ps}
+    fc[11], gc[3], gc[11] = 0.3, -0.5, 0.3
+    fc[97] = math.nan
+    f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
+    g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
+    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
+    with pytest.raises(ValidationError, match="finite"):
+        lift_sequence(spec, 100)
+    assert lift_sequence(spec, 96).values[89] == pytest.approx(0.3)

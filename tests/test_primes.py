@@ -57,3 +57,19 @@ def test_factorize_and_squarefree():
     assert squarefree_divisors(1) == [1]
     assert squarefree_divisors(6) == [1, 2, 3, 6]
     assert squarefree_divisors(33) == [1, 3, 11, 33]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and to every prime base up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+    # above the deterministic bound the test still sees a Mersenne prime
+    assert is_prime(2**127 - 1) and not is_prime(2**127 + 1)
+
+
+def test_is_prime_matches_sieve_in_a_window():
+    lo = 10**6
+    flags = prime_sieve(lo + 5000)
+    assert [n for n in range(lo, lo + 5001) if is_prime(n)] == (np.flatnonzero(flags[lo:]) + lo).tolist()

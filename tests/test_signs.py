@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from yoshida.errors import SignUncertainError, ValidationError
@@ -18,11 +19,12 @@ from yoshida.signs import (
     first_negative,
     invert_xlog_bound,
     lower_bound_witness,
-    pi_restricted,
     q_hat_g,
     v_density,
     weighted_sum,
 )
+
+from tests.conftest import seq_items
 
 
 def _flat_table(level, pmax, lam):
@@ -35,42 +37,19 @@ def _flat_table(level, pmax, lam):
 
 
 # ---------------------------------------------------------------------------
-# pi_restricted
-# ---------------------------------------------------------------------------
-
-def test_pi_restricted_examples():
-    assert pi_restricted(10, 1) == 4
-    assert pi_restricted(10, 6) == 2
-    assert pi_restricted(100, 11) == 24
-
-
-def test_pi_restricted_identity_small():
-    # pi(y, L) = pi(y, 1) - #{p | L : p <= y}, exhaustive for squarefree L <= 210
-    for L in (1, 2, 6, 30, 105, 210, 11, 33):
-        for y in (0, 1, 2, 10, 100, 1000, 10**4):
-            drop = sum(1 for p in primes_up_to(y).tolist() if L % p == 0)
-            assert pi_restricted(y, L) == pi_restricted(y, 1) - drop
-
-
-def test_pi_restricted_log_floor():
-    for y in (10, 100, 1000):
-        for L in (6, 30, 33, 210):
-            assert pi_restricted(y, L) >= pi_restricted(y, 1) - math.log(L) / math.log(2)
-
-
-def test_pi_restricted_validation():
-    with pytest.raises(ValidationError):
-        pi_restricted(-1, 1)
-    with pytest.raises(ValidationError):
-        pi_restricted(10, 0)
-
-
-# ---------------------------------------------------------------------------
 # weighted_sum / first_negative
 # ---------------------------------------------------------------------------
 
 def _seq_from_values(values, xmax, scaled=None):
-    return EigenSequence(spec=None, xmax=xmax, values=values, scaled=scaled)
+    """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: scaled}) entries."""
+    index = np.array(sorted(values), dtype=np.int64)
+    dense = np.zeros(xmax + 1)
+    dense[index] = [values[n] for n in index.tolist()]
+    dense_scaled = None
+    if scaled is not None:
+        dense_scaled = np.zeros(xmax + 1, dtype=np.int64)
+        dense_scaled[list(scaled)] = list(scaled.values())
+    return EigenSequence(spec=None, xmax=xmax, index=index, values=dense, scaled=dense_scaled)
 
 
 def test_weighted_sum_x1():
@@ -86,7 +65,7 @@ def test_weighted_sum_only_n1():
 def test_weighted_sum_order_insensitive(reg_seq):
     x = 4096.0
     base = weighted_sum(reg_seq, x)
-    items = [(n, v) for n, v in reg_seq.values.items() if n <= x]
+    items = [(n, v) for n, v in seq_items(reg_seq) if n <= x]
     rng = random.Random(123)
     lx = math.log(x)
     for _ in range(5):
@@ -109,7 +88,7 @@ def test_first_negative_minimality():
     seq = _seq_from_values({1: 1.0, 2: 0.1, 5: 0.0, 7: -0.5, 11: -2.0}, 11)
     n = first_negative(seq)
     assert n == 7
-    assert all(v >= 0 for m, v in seq.values.items() if m < n)
+    assert all(v >= 0 for m, v in seq_items(seq) if m < n)
 
 
 def test_first_negative_uncertain_band():
@@ -301,7 +280,7 @@ def test_witness_branch_bounds_verified(reg_seq, reg_spec):
     rep = lower_bound_witness(reg_seq, reg_spec, 10**4)
     assert rep.bound_failures == []
     total = sum(rep.counts.values())
-    assert total == pi_restricted(100, reg_spec.N)
+    assert total == sum(1 for p in primes_up_to(100).tolist() if reg_spec.N % p != 0)
     assert rep.pair_count == rep.active_count * (rep.active_count - 1)
     assert rep.first_negative_n == 2
     assert not rep.nonnegative_up_to_x
@@ -310,3 +289,37 @@ def test_witness_branch_bounds_verified(reg_seq, reg_spec):
 def test_witness_range_error(reg_seq, reg_spec):
     with pytest.raises(ValidationError):
         lower_bound_witness(reg_seq, reg_spec, reg_seq.xmax + 1)
+
+
+# ---------------------------------------------------------------------------
+# array forms against the per-n / per-prime loops they replace
+# ---------------------------------------------------------------------------
+
+def test_weighted_sum_bit_identical_to_per_n_loop(reg_seq):
+    for x in (1.5, 2.0, 100.0, 4096.0, 9999.5, float(reg_seq.xmax)):
+        lx = math.log(x)
+        loop = math.fsum(v * (lx - math.log(n)) for n, v in seq_items(reg_seq) if n <= x)
+        assert weighted_sum(reg_seq, x).hex() == loop.hex()
+
+
+def test_prime_statistics_bit_identical_to_per_prime_loop(table_11a, table_33a):
+    from yoshida.hecke import hecke_power
+    for h in (table_11a, table_33a):
+        for y in (2, 100, 10**4):
+            lams = [h.lam(p) for p in h.primes() if p <= y and h.level % p != 0]
+            st = abs_sum_ratio(h, y)
+            n = len(lams)
+            assert st.pi_yL == n and type(st.pi_yL) is int
+            assert st.ratio_abs.hex() == (math.fsum(abs(v) for v in lams) / n).hex()
+            assert st.ratio_sym2.hex() == (abs(math.fsum(hecke_power(v, 2) for v in lams)) / n).hex()
+            assert st.ratio_sym4.hex() == (abs(math.fsum(hecke_power(v, 4) for v in lams)) / n).hex()
+            for gamma in (19 / 20, 13 / 10):
+                d = v_density(h, y, gamma)
+                assert type(d) is float and d == sum(1 for v in lams if abs(v) <= gamma) / n
+
+
+def test_abs_sum_ratio_rejects_nan():
+    coeffs = {2: 0.5, 3: 0.5, 5: 0.5, 7: math.nan}  # abs(nan) > 2 is False: loads
+    t = NewformCoeffs(level=1, weight=2, coeffs=coeffs, normalized=True)
+    with pytest.raises(ValidationError, match="finite"):
+        abs_sum_ratio(t, 10)
