@@ -9,12 +9,7 @@ certifies/optimizes the quartic majorant of |lambda(p)|.
 
 from .curves import WeierstrassCurve, ap_table, count_ap, load_coeffs, write_coeffs
 from .errors import AdditiveReductionError, ComputationError, SignUncertainError, ValidationError
-from .hecke import (
-    NewformCoeffs,
-    hecke_power,
-    infer_atkin_lehner,
-    normalize_coeff,
-)
+from .hecke import NewformCoeffs, infer_atkin_lehner
 from .lift import (
     EigenSequence,
     LiftSpec,
@@ -28,7 +23,6 @@ from .majorant import (
     MajorantParams,
     feasible_numeric,
     feasible_sufficient,
-    lemma_sum_bound,
     optimize_delta,
     q_eval,
     r_eval,

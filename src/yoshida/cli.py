@@ -95,8 +95,6 @@ def _load_pair(args):
 
 def _build_sequence(args):
     spec = _load_pair(args)
-    if args.xmax < 1:
-        raise ValidationError("xmax must be >= 1")
     seq = lift.lift_sequence(spec, args.xmax)
     return spec, seq
 

@@ -288,9 +288,8 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
 # then "<p> <value>" rows with primes strictly ascending; "#" starts a comment.
 # ---------------------------------------------------------------------------
 
-def load_coeffs(path, *, level: int | None = None, weight: int | None = None,
-                normalized: bool | None = None) -> NewformCoeffs:
-    """Read a coefficient file; keyword options override header fields.
+def load_coeffs(path) -> NewformCoeffs:
+    """Read a coefficient file.
 
     All table invariants (squarefree level, Deligne bound, gap-free primes)
     are re-validated on load.  Parse errors carry 1-based line numbers.
@@ -310,16 +309,13 @@ def load_coeffs(path, *, level: int | None = None, weight: int | None = None,
         else:
             flags.add(tok)
     try:
-        if level is None:
-            level = int(fields["level"])
-        if weight is None:
-            weight = int(fields["weight"])
+        level = int(fields["level"])
+        weight = int(fields["weight"])
     except KeyError as exc:
         raise ValidationError(f"{path}: missing header field {exc.args[0]!r} (line 1)") from None
     except ValueError:
         raise ValidationError(f"{path}: malformed header field (line 1)") from None
-    if normalized is None:
-        normalized = "normalized" in flags
+    normalized = "normalized" in flags
 
     coeffs: dict[int, int | float] = {}
     last_p = 0

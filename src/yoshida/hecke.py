@@ -39,25 +39,6 @@ from .primes import factorize, is_prime, is_squarefree, nth_prime_bound, primes_
 _FLOAT_BOUND_SLACK = 1e-9
 
 
-def normalize_coeff(a_p: int, p: int, k: int) -> float:
-    """a_p / p^((k-1)/2): the analytic normalisation in which the functional
-    equation relates s and 1-s.  For k = 2 this is a_p / sqrt(p)."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if k < 2 or k % 2 != 0:
-        raise ValidationError(f"weight must be an even integer >= 2, got {k}")
-    return a_p / (p ** ((k - 2) // 2) * math.sqrt(p))
-
-
-def hecke_power(lam_p: float, r: int) -> float:
-    """lambda(p^r) at a good prime via the three-term Hecke recurrence.
-
-    The recurrence is used instead of the Chebyshev closed forms to avoid
-    cancellation for lambda near +-2.
-    """
-    return hecke_power_seq(lam_p, r)[r]
-
-
 def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     """[c(p^0), ..., c(p^rmax)] at a good prime from the Hecke recurrence
     c(p^(r+1)) = c(p) c(p^r) - step c(p^(r-1)).
@@ -65,6 +46,8 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     step = 1 with the float lambda(p) gives the normalised eigenvalues
     lambda(p^r); step = p^(k-1) with the integer a_p of a weight-k form gives
     the unnormalised a(p^r) = lambda(p^r) p^(r(k-1)/2) in exact integers.
+    The recurrence is used instead of the Chebyshev closed forms to avoid
+    cancellation for lambda near +-2.
     """
     if rmax < 0:
         raise ValidationError(f"prime-power exponent must be >= 0, got {rmax}")
@@ -78,13 +61,6 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     for _ in range(rmax - 1):
         seq.append(c * seq[-1] - step * seq[-2])
     return seq[: rmax + 1]
-
-
-def require_finite(lams: np.ndarray) -> None:
-    """Reject a non-finite eigenvalue in lams as hecke_power_seq does."""
-    bad = lams[~np.isfinite(lams)]
-    if bad.size:
-        raise ValidationError(f"eigenvalue must be finite, got {float(bad[0])!r}")
 
 
 def infer_atkin_lehner(a_p: int, p: int, k: int) -> int:
@@ -111,8 +87,8 @@ class NewformCoeffs:
     """Prime-indexed coefficient table of a newform of squarefree level.
 
     coeffs maps p -> a_p (exact integers) when normalized is False, or
-    p -> lambda(p) (binary64) when normalized is True.  Keys must be exactly
-    the primes up to pmax (gap-free).  Exact tables are the authoritative
+    p -> lambda(p) (finite binary64) when normalized is True.  Keys must be
+    exactly the primes up to pmax (gap-free).  Exact tables are the authoritative
     representation wherever sign decisions matter; lam() derives the float
     normalisation on demand.
     """
@@ -152,8 +128,9 @@ class NewformCoeffs:
         k = self.weight
         if self.level % p == 0:
             if self.normalized:
-                if abs(v) > 1.0 + _FLOAT_BOUND_SLACK:
-                    raise ValidationError(f"bad-prime bound violated at p={p}: |{v!r}| > 1")
+                if not abs(v) <= 1.0 + _FLOAT_BOUND_SLACK:
+                    raise ValidationError(f"bad-prime bound violated at p={p}: "
+                                          f"need |lambda| <= 1, got {v!r}")
             elif k == 2:
                 if v not in (-1, 0, 1):
                     raise ValidationError(f"bad-prime coefficient at p={p} must be in {{-1,0,1}}, got {v}")
@@ -161,13 +138,11 @@ class NewformCoeffs:
                 raise ValidationError(f"bad-prime bound violated at p={p}: a_p={v}")
         else:
             if self.normalized:
-                if abs(v) > 2.0 + _FLOAT_BOUND_SLACK:
-                    raise ValidationError(f"Deligne bound violated at p={p}: |{v!r}| > 2")
+                if not abs(v) <= 2.0 + _FLOAT_BOUND_SLACK:
+                    raise ValidationError(f"Deligne bound violated at p={p}: "
+                                          f"need |lambda| <= 2, got {v!r}")
             elif v * v > 4 * p ** (k - 1):
                 raise ValidationError(f"Deligne bound violated at p={p}: a_p={v}")
-
-    def primes(self) -> list[int]:
-        return list(self.coeffs.keys())
 
     @cached_property
     def prime_array(self) -> np.ndarray:
@@ -211,12 +186,15 @@ class NewformCoeffs:
         return self.coeffs[p]
 
     def first_missing_prime(self, y: int) -> int | None:
-        """Smallest prime <= y absent from the table, or None if covered."""
-        if y <= self.pmax:
-            return None
-        for q in primes_up_to(y).tolist():
-            if q > self.pmax:
+        """Smallest prime <= y absent from the table, or None if covered.
+
+        A gap-free table holds every prime up to pmax, so this is the first
+        prime above pmax, found by stepping up from pmax + 1."""
+        q = self.pmax + 1
+        while q <= y:
+            if is_prime(q):
                 return q
+            q += 1
         return None
 
     def require_cover(self, y: int) -> None:

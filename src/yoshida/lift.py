@@ -51,7 +51,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ValidationError
-from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner, require_finite
+from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
 from .primes import factorize, primes_up_to
 
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
@@ -176,7 +176,6 @@ class EigenSequence:
     array of Python ints (weight k > 2 outgrows int64 fast); otherwise None.
     """
 
-    spec: LiftSpec
     xmax: int
     index: np.ndarray
     values: np.ndarray
@@ -258,8 +257,6 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     good = N % ps != 0
     large = good & (ps > root)
     lam_f, lam_g = spec.f.lam_array[: ps.size][large], spec.g.lam_array[: ps.size][large]
-    require_finite(lam_f)
-    require_finite(lam_g)
 
     # Euler coefficients indexed by q = p^e.  Above sqrt(xmax) the two-term
     # fsum of lift_euler_coeffs is one IEEE add; + 0.0 turns the -0.0 of
@@ -321,4 +318,4 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         done[n] = True
         todo = todo[~ready]
 
-    return EigenSequence(spec=spec, xmax=xmax, index=index, values=values, scaled=scaled)
+    return EigenSequence(xmax=xmax, index=index, values=values, scaled=scaled)

@@ -35,7 +35,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .hecke import NewformCoeffs, hecke_power
 
 
 def _as_fraction(x) -> Fraction:
@@ -156,9 +155,9 @@ def _r_grid(params: MajorantParams, grid_step: float) -> tuple[np.ndarray, np.nd
 def feasible_numeric(params: MajorantParams, grid_step: float) -> GridCertificate:
     """Certify r > 0 on [0, 2]: grid minimum must clear Lip * grid_step / 2,
     which bounds any dip between adjacent grid points."""
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValidationError(f"grid_step must be > 0, got {grid_step}")
-    if grid_step >= 1:
+    if not grid_step < 1:
         raise ValidationError(f"grid_step {grid_step} too coarse for a certificate")
     ts, r = _r_grid(params, grid_step)
     i = int(np.argmin(r))
@@ -176,19 +175,16 @@ class DeltaOptimum:
     certificate: GridCertificate
 
 
-def optimize_delta(grid_step: float, refine: bool = False,
-                   alpha_fixed: float | None = None,
-                   beta_fixed: float | None = None) -> DeltaOptimum:
+def optimize_delta(grid_step: float, refine: bool = False) -> DeltaOptimum:
     """Minimize delta subject to delta + alpha P(t) + beta Q(t) >= t on the
     grid (P = t^4 - 3t^2 + 1, Q = t^2 - 1), then certify delta + Lip*grid_step.
 
     Plain dense LP over the grid (deterministic dual simplex); refine=True
     runs a few exchange rounds that append the worst points of a 16x finer
-    grid, pushing the optimum toward the continuum value.  alpha_fixed /
-    beta_fixed pin coefficients (degenerate variants for testing).
+    grid, pushing the optimum toward the continuum value.
     """
-    if grid_step > 1e-3:
-        raise ValidationError(f"grid_step must be <= 1e-3, got {grid_step}")
+    if not 0 < grid_step <= 1e-3:
+        raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     # scipy.optimize takes most of a second to import; only this LP needs it
     from scipy.optimize import linprog
 
@@ -199,10 +195,8 @@ def optimize_delta(grid_step: float, refine: bool = False,
         P = points**4 - 3 * points**2 + 1
         Q = points**2 - 1
         A = np.column_stack([-np.ones_like(points), -P, -Q])
-        bounds = [(None, None),
-                  (alpha_fixed, alpha_fixed) if alpha_fixed is not None else (None, None),
-                  (beta_fixed, beta_fixed) if beta_fixed is not None else (None, None)]
-        res = linprog(c=[1.0, 0.0, 0.0], A_ub=A, b_ub=-points, bounds=bounds, method="highs")
+        res = linprog(c=[1.0, 0.0, 0.0], A_ub=A, b_ub=-points, bounds=[(None, None)] * 3,
+                      method="highs")
         if not res.success:
             raise ComputationError(f"majorant LP failed: {res.message}")
         return res.x
@@ -228,37 +222,6 @@ def optimize_delta(grid_step: float, refine: bool = False,
     cert = feasible_numeric(lifted, grid_step)
     if not cert.ok:
         raise ComputationError("lifted optimum failed its own grid certificate")
-    if alpha_fixed is None and beta_fixed is None and float(lifted.delta) >= 11 / 10:
+    if float(lifted.delta) >= 11 / 10:
         raise ComputationError(f"optimizer did not beat the reference delta: {lifted.delta!r}")
     return DeltaOptimum(params=lifted, grid_delta=delta_g, lift=lip * grid_step, certificate=cert)
-
-
-@dataclass
-class LemmaSumBound:
-    lhs: float
-    rhs: float
-    pointwise_ok: bool
-    violations: list
-
-
-def lemma_sum_bound(h: NewformCoeffs, y: int, params: MajorantParams) -> LemmaSumBound:
-    """sum |lambda(p)| vs sum (delta + alpha lambda(p^4) + beta lambda(p^2))
-    over p <= y away from the level, with the per-prime domination recorded.
-
-    Callers should pass certified-feasible params; for those the pointwise
-    check can only fail by float noise (slack 1e-12)."""
-    h.require_cover(y)
-    d, a, _ = params.as_floats()
-    b = float(params.beta)
-    lhs_terms, rhs_terms, violations = [], [], []
-    for p in h.primes():
-        if p > y or h.level % p == 0:
-            continue
-        v = abs(h.lam(p))
-        rhs_p = d + a * hecke_power(v, 4) + b * hecke_power(v, 2)
-        lhs_terms.append(v)
-        rhs_terms.append(rhs_p)
-        if v > rhs_p + 1e-12:
-            violations.append((p, v, rhs_p))
-    return LemmaSumBound(lhs=math.fsum(lhs_terms), rhs=math.fsum(rhs_terms),
-                         pointwise_ok=not violations, violations=violations)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SignUncertainError, ValidationError
-from .hecke import NewformCoeffs, require_finite
+from .hecke import NewformCoeffs
 from .lift import UNCERTAIN, EigenSequence, LiftSpec
 from .primes import primes_up_to, squarefree_divisors
 
@@ -44,10 +44,11 @@ class BoundConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta < 0.25:
             raise ValidationError(f"theta must lie in [0, 1/4), got {self.theta}")
-        if self.epsilon < 0.0:
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.conductor_constant <= 0.0:
-            raise ValidationError(f"conductor_constant must be > 0, got {self.conductor_constant}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 0.0 < self.conductor_constant < math.inf:
+            raise ValidationError(f"conductor_constant must be finite and > 0, "
+                                  f"got {self.conductor_constant}")
 
 
 @dataclass
@@ -186,7 +187,6 @@ def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
     piyL = lams.size
     if piyL == 0:
         return AbsSumStats(0.0, 0.0, 0.0, 0)
-    require_finite(lams)
     # the float operations of hecke_power_seq, one array at a time
     u2 = lams * lams - 1.0
     u3 = lams * u2 - lams

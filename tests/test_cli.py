@@ -101,9 +101,50 @@ def test_exact_flag_changes_nothing(pair_files, tmp_path):
 
 
 def test_lift_xmax_zero_is_usage_error(pair_files, capsys):
+    # every subcommand that builds a sequence gets lift_sequence's own check
     f, g = pair_files
-    assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "0"]) == 1
-    assert "xmax must be >= 1" in capsys.readouterr().err
+    pair = ["--f", str(f), "--g", str(g)]
+    for argv in (["lift", *pair, "--xmax", "0"], ["search", *pair, "--xmax", "0"],
+                 ["report", *pair, "--xmax", "0"], ["witness", *pair, "--x", "0"]):
+        assert run(argv) == 1, argv
+        assert "xmax must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["majorant", "verify", "--grid-step", "nan"],
+    ["majorant", "optimize", "--grid-step", "nan"],
+    ["majorant", "optimize", "--grid-step", "-1"],
+    ["search", "--epsilon", "nan"],
+    ["search", "--epsilon", "inf"],
+    ["report", "--epsilon", "nan"],
+    ["search", "--conductor-constant", "nan"],
+    ["report", "--conductor-constant", "nan"],
+    ["search", "--conductor-constant", "inf"],
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_nonfinite_or_nonpositive_flag_exits_1(argv, pair_files, tmp_path, capsys):
+    f, g = pair_files
+    if argv[0] != "majorant":
+        argv = [*argv, "--f", str(f), "--g", str(g), "--xmax", "100"]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["lift", "stats"])
+def test_nan_at_level_prime_exits_1(cmd, tmp_path, capsys):
+    # lambda(11) = nan at the level prime: abs(nan) <= 1 is False, so the
+    # table is refused when it is loaded
+    f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+    f.write_text("# level=11 weight=2 normalized\n2 -0.5\n3 0.25\n5 0.0\n7 0.1\n11 nan\n")
+    g.write_text("# level=33 weight=2 normalized\n2 0.5\n3 0.57735\n5 0.0\n7 0.2\n11 0.301511\n")
+    out = tmp_path / "out"
+    argv = {"lift": ["lift", "--f", str(f), "--g", str(g), "--xmax", "10"],
+            "stats": ["stats", "--form", str(f), "--y", "10"]}[cmd]
+    # an exception cli.run does not catch would propagate here, not return 1
+    assert run([*argv, "--out", str(out)]) == 1
+    assert "error: bad-prime bound violated at p=11" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_1(capsys):

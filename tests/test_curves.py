@@ -243,8 +243,8 @@ def test_load_coeffs_missing_header(tmp_path):
 
 def test_load_coeffs_comments_and_overrides(tmp_path):
     path = tmp_path / "t.txt"
-    path.write_text("# level=11 weight=2\n# a comment\n2 -2  # trailing\n\n3 -1\n")
-    nf = load_coeffs(path, level=33)
+    path.write_text("# level=33 weight=2\n# a comment\n2 -2  # trailing\n\n3 -1\n")
+    nf = load_coeffs(path)
     assert nf.level == 33 and nf.coeffs == {2: -2, 3: -1}
 
 

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from yoshida.errors import ValidationError
-from yoshida.hecke import (
-    NewformCoeffs,
-    hecke_power,
-    hecke_power_seq,
-    infer_atkin_lehner,
-    normalize_coeff,
-)
+from yoshida.hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
 from yoshida.primes import primes_up_to
 
 
@@ -23,43 +17,20 @@ def chebyshev_u(r, x):
 
 
 # ---------------------------------------------------------------------------
-# normalize_coeff
-# ---------------------------------------------------------------------------
-
-def test_normalize_zero():
-    assert normalize_coeff(0, 7, 2) == 0.0
-
-
-def test_normalize_weight2():
-    assert normalize_coeff(-2, 2, 2) == pytest.approx(-math.sqrt(2), abs=1e-15)
-
-
-def test_normalize_weight12_discriminant_form():
-    # tau(2) = -24 for the weight-12 cusp form
-    assert normalize_coeff(-24, 2, 12) == pytest.approx(-24 / 2**5.5, abs=1e-12)
-
-
-@pytest.mark.parametrize("p,k", [(4, 2), (6, 2), (2, 3), (2, 0), (1, 2)])
-def test_normalize_rejects_bad_args(p, k):
-    with pytest.raises(ValidationError):
-        normalize_coeff(1, p, k)
-
-
-# ---------------------------------------------------------------------------
-# hecke_power
+# hecke_power_seq
 # ---------------------------------------------------------------------------
 
 def test_power_examples():
-    assert hecke_power(0.0, 2) == -1.0
-    assert hecke_power(2.0, 3) == 4.0
-    assert hecke_power(1.0, 4) == -1.0  # 1 - 3 + 1
+    assert hecke_power_seq(0.0, 2)[2] == -1.0
+    assert hecke_power_seq(2.0, 3)[3] == 4.0
+    assert hecke_power_seq(1.0, 4)[4] == -1.0  # 1 - 3 + 1
 
 
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValidationError):
-        hecke_power(0.5, -1)
+        hecke_power_seq(0.5, -1)
     with pytest.raises(ValidationError):
-        hecke_power(float("nan"), 2)
+        hecke_power_seq(float("nan"), 2)
 
 
 def test_power_matches_chebyshev_on_grid():
@@ -81,7 +52,7 @@ def test_power_exact_float_agreement():
     # unnormalised integer recurrence a(p^(r+1)) = a a(p^r) - p a(p^(r-1)),
     # then divide by p^(r/2) exactly via Fractions and sqrt at the end
     for p, a_p in [(2, -2), (3, -1), (5, 1), (7, -2), (13, 4)]:
-        lam = normalize_coeff(a_p, p, 2)
+        lam = a_p / math.sqrt(p)
         seq = hecke_power_seq(lam, 8)
         A = [1, a_p]
         for _ in range(7):
@@ -173,3 +144,11 @@ def test_cover_reporting():
     assert nf.first_missing_prime(11) == 11
     with pytest.raises(ValidationError, match="missing p=11"):
         nf.require_cover(20)
+    # the first prime above pmax is found by stepping from pmax + 1, with no
+    # sieve up to y
+    big = NewformCoeffs(level=11, weight=2, coeffs={p: 0 for p in primes_up_to(199).tolist()})
+    t0 = time.perf_counter()
+    assert big.first_missing_prime(10**8) == 211
+    with pytest.raises(ValidationError, match="missing p=211"):
+        big.require_cover(10**8)
+    assert time.perf_counter() - t0 < 0.5

@@ -144,8 +144,8 @@ def test_sequence_xmax_1(reg_spec):
     assert seq.index.tolist() == [1] and seq.values.tolist() == [0.0, 1.0]
 
 
-def test_sequence_indices_coprime(reg_seq):
-    N = reg_seq.spec.N
+def test_sequence_indices_coprime(reg_spec, reg_seq):
+    N = reg_spec.N
     assert all(math.gcd(n, N) == 1 for n in reg_seq.index.tolist())
     assert reg_seq.index.tolist() == [n for n in range(1, reg_seq.xmax + 1) if math.gcd(n, N) == 1]
     assert reg_seq.values[1] == 1.0
@@ -226,8 +226,8 @@ def test_sequence_weight4_exact_channel():
     assert checked > 0.9 * seq.index.size
 
 
-def test_sequence_square_identity_in_data(reg_seq):
-    spec = reg_seq.spec
+def test_sequence_square_identity_in_data(reg_spec, reg_seq):
+    spec = reg_spec
     for p in primes_up_to(100).tolist():
         if spec.N % p == 0:
             continue
@@ -236,9 +236,9 @@ def test_sequence_square_identity_in_data(reg_seq):
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_sequence_prime_power_bound(reg_seq):
+def test_sequence_prime_power_bound(reg_spec, reg_seq):
     # coarse product bound (r+1)^2 + (r-1)^2 on stored prime powers
-    N = reg_seq.spec.N
+    N = reg_spec.N
     for p in primes_up_to(100).tolist():
         if N % p == 0:
             continue
@@ -378,8 +378,8 @@ def dict_lift_reference(spec, xmax):
     return values, scaled
 
 
-def _assert_matches_reference(seq):
-    values, scaled = dict_lift_reference(seq.spec, seq.xmax)
+def _assert_matches_reference(spec, seq):
+    values, scaled = dict_lift_reference(spec, seq.xmax)
     assert seq.index.tolist() == list(values)
     # bit for bit: compare the binary64 patterns, so -0.0 != 0.0 here
     got = seq.values[seq.index]
@@ -395,12 +395,13 @@ def test_dense_sequence_matches_dict_reference_11a_33a():
     spec = validate_pair(ap_table(CURVE_11A, xmax), ap_table(CURVE_33A, xmax))
     seq = lift_sequence(spec, xmax)
     assert seq.scaled.dtype == np.int64
-    _assert_matches_reference(seq)
+    _assert_matches_reference(spec, seq)
 
 
 def test_dense_sequence_matches_dict_reference_weight4():
     xmax = 3000
-    _assert_matches_reference(lift_sequence(_synthetic_pair(4, xmax, 4), xmax))
+    spec = _synthetic_pair(4, xmax, 4)
+    _assert_matches_reference(spec, lift_sequence(spec, xmax))
 
 
 def test_dense_sequence_matches_dict_reference_normalized_zeros():
@@ -412,16 +413,18 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
     fc[11], gc[3], gc[11] = 0.3, -0.5, 0.3
     f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
     g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
-    seq = lift_sequence(validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1}), 200)
+    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
+    seq = lift_sequence(spec, 200)
     assert math.copysign(1.0, seq.values[13]) == 1.0
-    _assert_matches_reference(seq)
+    _assert_matches_reference(spec, seq)
 
 
 def test_scaled_overflow_falls_back_to_python_ints():
     # weight 12: lambda_F(n) n^(11/2) passes 2^63 below xmax, so the int64
     # channel must switch to Python ints instead of wrapping
     xmax = 1800
-    seq = lift_sequence(_synthetic_pair(12, xmax, 1), xmax)
+    spec = _synthetic_pair(12, xmax, 1)
+    seq = lift_sequence(spec, xmax)
     assert seq.scaled.dtype == object
     sc = seq.scaled.tolist()
     # every Euler coefficient (scaled[p^e]) fits int64, so the assembly starts
@@ -429,7 +432,7 @@ def test_scaled_overflow_falls_back_to_python_ints():
     assert 16 * xmax**11 < 2**126
     assert max(abs(sc[q]) for q in seq.index.tolist() if len(factorize(q)) == 1) < 2**62
     assert max(abs(v) for v in seq.scaled[seq.index].tolist()) >= 2**63
-    _assert_matches_reference(seq)
+    _assert_matches_reference(spec, seq)
     assert seq.signs().tolist() == [seq.sign(n) for n in seq.index.tolist()]
     for n, v in seq_items(seq):
         if abs(v) > 1e-9:
@@ -460,20 +463,17 @@ def test_lam_array_bit_identical_to_lam():
     for k, seed in ((2, 2), (4, 4), (12, 12)):
         spec = _synthetic_pair(k, 3000, seed)
         for h in (spec.f, spec.g):
-            want = np.array([h.lam(p) for p in h.primes()])
+            want = np.array([h.lam(p) for p in h.coeffs])
             assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
-            assert h.prime_array.tolist() == h.primes()
+            assert h.prime_array.tolist() == list(h.coeffs)
 
 
 def test_sequence_rejects_nan_above_sqrt_xmax():
-    ps = primes_up_to(100).tolist()
-    fc = {p: 0.1 for p in ps}
-    gc = {p: 0.2 for p in ps}
-    fc[11], gc[3], gc[11] = 0.3, -0.5, 0.3
-    fc[97] = math.nan
-    f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
-    g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
-    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
-    with pytest.raises(ValidationError, match="finite"):
-        lift_sequence(spec, 100)
-    assert lift_sequence(spec, 96).values[89] == pytest.approx(0.3)
+    # a non-finite lambda(p) is refused when the table is built, before any
+    # sequence reaches it; the array path above sqrt(xmax) has no check of its own
+    fc = {p: 0.1 for p in primes_up_to(100).tolist()}
+    fc[11] = 0.3
+    for bad in (math.nan, math.inf, -math.inf):
+        fc[97] = bad
+        with pytest.raises(ValidationError, match=r"p=97: need \|lambda\| <= 2"):
+            NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)

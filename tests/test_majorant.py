@@ -6,19 +6,16 @@ import pytest
 from scipy.optimize import linprog
 
 from yoshida.errors import ValidationError
-from yoshida.hecke import NewformCoeffs
 from yoshida.majorant import (
     REFERENCE_PARAMS,
     MajorantParams,
     feasible_numeric,
     feasible_sufficient,
-    lemma_sum_bound,
     lipschitz_bound,
     optimize_delta,
     q_eval,
     r_eval,
 )
-from yoshida.primes import primes_up_to
 
 # Optimum of the 1e-5-grid LP oracle (dense linprog over 200001 points),
 # frozen at first build; re-derived live in test_optimize_against_dense_oracle.
@@ -205,47 +202,6 @@ def test_optimize_refine_tightens():
     assert ref.certificate.ok
 
 
-def test_optimize_degenerate_constant_majorant():
-    opt = optimize_delta(1e-3, alpha_fixed=0.0, beta_fixed=0.0)
-    # best constant majorant of t on [0, 2] is 2, plus the certificate lift
-    assert opt.grid_delta == pytest.approx(2.0, abs=1e-9)
-    assert float(opt.params.delta) == pytest.approx(2.0 + opt.lift, abs=1e-12)
-    assert opt.certificate.ok
-
-
 def test_optimize_rejects_coarse_grid():
     with pytest.raises(ValidationError):
         optimize_delta(1e-2)
-
-
-# ---------------------------------------------------------------------------
-# lemma_sum_bound
-# ---------------------------------------------------------------------------
-
-def _flat_table(level, pmax, lam):
-    coeffs = {int(p): float(lam) for p in primes_up_to(pmax)}
-    return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=True)
-
-
-def test_lemma_sum_all_zero_table():
-    t = _flat_table(1, 100, 0.0)
-    out = lemma_sum_bound(t, 10, REFERENCE_PARAMS)
-    # per-prime majorant value at lambda = 0: 1.1 - 0.057 - 0.399 = 0.644
-    assert out.rhs == pytest.approx(0.644 * 4, abs=1e-12)
-    assert out.lhs == 0.0
-    assert out.pointwise_ok
-
-
-def test_lemma_sum_edge_table():
-    t = _flat_table(1, 100, 2.0)
-    out = lemma_sum_bound(t, 10, REFERENCE_PARAMS)
-    # at the Ramanujan edge: 1.1 - 0.057*5 + 0.399*3 = 2.012 >= 2
-    assert out.rhs == pytest.approx(2.012 * 4, abs=1e-12)
-    assert out.lhs == pytest.approx(2.0 * 4)
-    assert out.pointwise_ok
-
-
-def test_lemma_sum_fixture_table(table_11a):
-    out = lemma_sum_bound(table_11a, 10**4, REFERENCE_PARAMS)
-    assert out.pointwise_ok
-    assert out.lhs <= out.rhs

@@ -49,7 +49,7 @@ def _seq_from_values(values, xmax, scaled=None):
     if scaled is not None:
         dense_scaled = np.zeros(xmax + 1, dtype=np.int64)
         dense_scaled[list(scaled)] = list(scaled.values())
-    return EigenSequence(spec=None, xmax=xmax, index=index, values=dense, scaled=dense_scaled)
+    return EigenSequence(xmax=xmax, index=index, values=dense, scaled=dense_scaled)
 
 
 def test_weighted_sum_x1():
@@ -303,23 +303,26 @@ def test_weighted_sum_bit_identical_to_per_n_loop(reg_seq):
 
 
 def test_prime_statistics_bit_identical_to_per_prime_loop(table_11a, table_33a):
-    from yoshida.hecke import hecke_power
+    from yoshida.hecke import hecke_power_seq
     for h in (table_11a, table_33a):
         for y in (2, 100, 10**4):
-            lams = [h.lam(p) for p in h.primes() if p <= y and h.level % p != 0]
+            lams = [h.lam(p) for p in h.coeffs if p <= y and h.level % p != 0]
             st = abs_sum_ratio(h, y)
             n = len(lams)
             assert st.pi_yL == n and type(st.pi_yL) is int
             assert st.ratio_abs.hex() == (math.fsum(abs(v) for v in lams) / n).hex()
-            assert st.ratio_sym2.hex() == (abs(math.fsum(hecke_power(v, 2) for v in lams)) / n).hex()
-            assert st.ratio_sym4.hex() == (abs(math.fsum(hecke_power(v, 4) for v in lams)) / n).hex()
+            powers = [hecke_power_seq(v, 4) for v in lams]
+            assert st.ratio_sym2.hex() == (abs(math.fsum(c[2] for c in powers)) / n).hex()
+            assert st.ratio_sym4.hex() == (abs(math.fsum(c[4] for c in powers)) / n).hex()
             for gamma in (19 / 20, 13 / 10):
                 d = v_density(h, y, gamma)
                 assert type(d) is float and d == sum(1 for v in lams if abs(v) <= gamma) / n
 
 
 def test_abs_sum_ratio_rejects_nan():
-    coeffs = {2: 0.5, 3: 0.5, 5: 0.5, 7: math.nan}  # abs(nan) > 2 is False: loads
-    t = NewformCoeffs(level=1, weight=2, coeffs=coeffs, normalized=True)
-    with pytest.raises(ValidationError, match="finite"):
-        abs_sum_ratio(t, 10)
+    # abs(nan) > 2 is False, so the table itself must refuse nan before any
+    # statistic (or the bad-factor bound, at the level prime 7) reads it
+    for level in (1, 7):
+        coeffs = {2: 0.5, 3: 0.5, 5: 0.5, 7: math.nan}
+        with pytest.raises(ValidationError, match="p=7: need"):
+            NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=True)
