@@ -158,6 +158,11 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+def _certificate_line(cert) -> str:
+    return (f"r > 0 on [0, 2] (exact, Sturm): {cert.ok}; grid step {cert.grid_step:g}: "
+            f"min_r={_fmt(cert.min_r)} at t={_fmt(cert.argmin)}")
+
+
 def _cmd_majorant(args) -> int:
     if args.action == "verify":
         params = majorant.MajorantParams(args.delta, args.alpha, args.upsilon)
@@ -166,16 +171,15 @@ def _cmd_majorant(args) -> int:
         print(f"feasible_sufficient: {suff.ok}")
         for name, chk in suff.checks.items():
             print(f"  {name}: {chk.lhs} < {chk.rhs} -> {chk.ok} (slack {chk.slack})")
-        print(f"feasible_numeric(step={args.grid_step:g}): {cert.ok} "
-              f"min_r={_fmt(cert.min_r)} at t={_fmt(cert.argmin)} margin={_fmt(cert.margin)}")
+        print(_certificate_line(cert))
         if args.out:
-            _write_report({"sufficient": suff, "numeric": cert}, args.out, args.format)
+            _write_report({"sufficient": suff, "certificate": cert}, args.out, args.format)
     else:
-        opt = majorant.optimize_delta(args.grid_step, refine=args.refine)
+        opt = majorant.optimize_delta(args.grid_step)
         d, a, u = opt.params.as_floats()
         print(f"delta={_fmt(d)} alpha={_fmt(a)} upsilon={_fmt(u)} "
-              f"(grid optimum {_fmt(opt.grid_delta)}, lift {_fmt(opt.lift)})")
-        print(f"certificate: min_r={_fmt(opt.certificate.min_r)} at t={_fmt(opt.certificate.argmin)}")
+              f"(optimum delta* = 1/5 + 3 sqrt(6)/10 = {_fmt(opt.grid_delta)})")
+        print(_certificate_line(opt.certificate))
         if args.out:
             _write_report(opt, args.out, args.format)
     return 0
@@ -208,6 +212,17 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _prime_range(text: str) -> int:
+    """--y: primes p <= y are counted, so y < 2 would count none."""
+    try:
+        y = int(text)
+    except ValueError:
+        y = None
+    if y is None or y < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return y
+
 
 def _add_pair_args(sp, with_xmax=True):
     sp.add_argument("--f", required=True, help="coefficient file of the first form")
@@ -255,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="prime statistics of one form")
     p.add_argument("--form", required=True, help="coefficient file")
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--y", type=_prime_range, required=True)
     _add_out_args(p)
     p.set_defaults(fn=_cmd_stats)
 
@@ -271,15 +286,18 @@ def build_parser() -> _Parser:
                    help="decimal string, parsed exactly (default 11/10)")
     p.add_argument("--alpha", type=Fraction, default=Fraction(-57, 1000))
     p.add_argument("--upsilon", type=Fraction, default=Fraction(-7))
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-4)
-    p.add_argument("--refine", action="store_true")
+    p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-4,
+                   help="grid of the reported minimum of r; the certificate itself is exact")
+    p.add_argument("--refine", action="store_true",
+                   help="accepted and ignored: the optimum is in closed form")
     _add_out_args(p)
     p.set_defaults(fn=_cmd_majorant)
 
     p = sub.add_parser("report", help="full JSON bundle for a pair")
     _add_pair_args(p)
     _add_bound_args(p)
-    p.add_argument("--y", type=int, default=None, help="prime statistics range (default xmax)")
+    p.add_argument("--y", type=_prime_range, default=None,
+                   help="prime statistics range, >= 2 (default xmax)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_report)
     return ap

@@ -19,12 +19,26 @@ checked in exact rational arithmetic (the cube/square clearing keeps the
 first condition rational).  The reference feasible point is
 delta = 11/10, alpha = -57/1000, Upsilon = -7.
 
-Grid feasibility certificates bound inter-grid dips by the Lipschitz
-constant of r on [0, 2]: |r'(t)| <= 1 + |alpha| (4 * 2^3 + 2 |Upsilon - 3| * 2).
-The optimizer solves the discretized semi-infinite LP (minimize delta over
-(delta, alpha, beta) subject to the grid constraints), lifts delta by
-Lip * grid_step, and certifies the lifted point; exact root isolation of the
-quartic is deliberately out of scope.
+The certificate decides r > 0 on [0, 2] exactly.  Each parameter is read as
+a Fraction (a float as its exact binary value); r > 0 on [0, 2] holds iff
+r(0) > 0, r(2) > 0 and the Sturm sequence of the quartic r has as many sign
+changes at 0 as at 2, i.e. r has no root in between (Sturm's theorem).  No
+grid, tolerance or solver is involved; the grid minimum of r is reported
+beside it for display only.
+
+The optimum is in closed form.  At the least delta the majorant touches t
+twice: tangentially at t0 and at t = 2 (semi-infinite LP duality: the dual
+weights sit on the contact points).  The weights force
+P(t0)/Q(t0) = P(2)/Q(2) = 5/3 with P = t^4 - 3 t^2 + 1, Q = t^2 - 1, that is
+3 t0^4 - 14 t0^2 + 8 = 0, so t0 = sqrt(2/3).  The contact equations
+r(t0) = r'(t0) = r(2) = 0 are then linear in (delta, alpha, beta):
+
+    delta* = 1/5 + 3 sqrt(6)/10,  alpha* = 9/50 - 21 sqrt(6)/200,
+    beta* = 3/10 + 3 sqrt(6)/40,
+
+and r = alpha* (t - t0)^2 (t - 2) (t + 2 + 2 t0) >= 0 on [0, 2] since
+alpha* < 0.  optimize_delta returns delta* with the binary64 point
+(delta* + 1e-12, alpha*, Upsilon*), which the exact certificate accepts.
 """
 
 import math
@@ -65,6 +79,14 @@ class MajorantParams:
 
 
 REFERENCE_PARAMS = MajorantParams(Fraction(11, 10), Fraction(-57, 1000), Fraction(-7))
+
+DELTA_STAR = 1 / 5 + 3 * math.sqrt(6) / 10
+_ALPHA_STAR = 9 / 50 - 21 * math.sqrt(6) / 200
+_BETA_STAR = 3 / 10 + 3 * math.sqrt(6) / 40
+# delta* is raised so that rounding alpha* and Upsilon* to binary64 cannot
+# open a dip below zero at the contact points; the float delta* itself fails
+# the exact certificate
+OPTIMUM_PARAMS = MajorantParams(DELTA_STAR + 1e-12, _ALPHA_STAR, _BETA_STAR / _ALPHA_STAR)
 
 
 def q_eval(params: MajorantParams, t):
@@ -125,19 +147,59 @@ def feasible_sufficient(params: MajorantParams) -> FeasibilityCheck:
     return FeasibilityCheck(ok=all(c.ok for c in checks.values()), checks=checks)
 
 
-def lipschitz_bound(params: MajorantParams) -> float:
-    """Upper bound for |r'| on [0, 2] from r'(t) = 4 a t^3 + 2 a t (U - 3) - 1."""
-    _, a, u = params.as_floats()
-    return 1.0 + abs(a) * (4.0 * 8.0 + 2.0 * abs(u - 3.0) * 2.0)
+# Polynomials below are coefficient lists, highest degree first, with no
+# leading zero; [] is the zero polynomial.
+
+def _trim(p: list) -> list:
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _horner(p: list, x):
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _rem(num: list, den: list) -> list:
+    """Remainder of num divided by den (den nonzero)."""
+    num = list(num)
+    while len(num) >= len(den):
+        f = num[0] / den[0]
+        for i in range(1, len(den)):
+            num[i] -= f * den[i]
+        num.pop(0)
+    return _trim(num)
+
+
+def _sign_changes(chain: list, x) -> int:
+    signs = [v > 0 for v in (_horner(p, x) for p in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def r_positive(params: MajorantParams) -> bool:
+    """r > 0 on [0, 2], decided exactly: positive at both ends and, by
+    Sturm's theorem, no root strictly between them."""
+    d, a, u = (_as_fraction(v) for v in (params.delta, params.alpha, params.upsilon))
+    r = _trim([a, Fraction(0), a * (u - 3), Fraction(-1), d + a * (1 - u)])
+    if not (_horner(r, 0) > 0 and _horner(r, 2) > 0):
+        return False
+    n = len(r) - 1
+    chain = [r, [c * (n - i) for i, c in enumerate(r[:-1])]]  # r has degree >= 1
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
+    return _sign_changes(chain, 0) == _sign_changes(chain, 2)
 
 
 @dataclass
-class GridCertificate:
-    ok: bool
-    min_r: float
+class Certificate:
+    ok: bool         # r > 0 on [0, 2], decided exactly by r_positive
+    min_r: float     # grid minimum of r, for display only
     argmin: float
-    lipschitz: float
-    margin: float
     grid_step: float
 
     def __bool__(self) -> bool:
@@ -152,76 +214,33 @@ def _r_grid(params: MajorantParams, grid_step: float) -> tuple[np.ndarray, np.nd
     return ts, d + a * (t2 * t2 + (u - 3.0) * t2 + (1.0 - u)) - ts
 
 
-def feasible_numeric(params: MajorantParams, grid_step: float) -> GridCertificate:
-    """Certify r > 0 on [0, 2]: grid minimum must clear Lip * grid_step / 2,
-    which bounds any dip between adjacent grid points."""
+def feasible_numeric(params: MajorantParams, grid_step: float) -> Certificate:
+    """Certify r > 0 on [0, 2] exactly (r_positive), and report the minimum
+    of r over the grid of step grid_step beside the decision."""
     if not grid_step > 0:
         raise ValidationError(f"grid_step must be > 0, got {grid_step}")
     if not grid_step < 1:
         raise ValidationError(f"grid_step {grid_step} too coarse for a certificate")
     ts, r = _r_grid(params, grid_step)
     i = int(np.argmin(r))
-    lip = lipschitz_bound(params)
-    margin = lip * grid_step / 2.0
-    return GridCertificate(ok=bool(r[i] > margin), min_r=float(r[i]), argmin=float(ts[i]),
-                           lipschitz=lip, margin=margin, grid_step=grid_step)
+    return Certificate(ok=r_positive(params), min_r=float(r[i]), argmin=float(ts[i]),
+                       grid_step=grid_step)
 
 
 @dataclass
 class DeltaOptimum:
-    params: MajorantParams  # certified (lifted) point
-    grid_delta: float       # raw optimum of the discretized LP
-    lift: float
-    certificate: GridCertificate
+    params: MajorantParams  # certified binary64 point just above the optimum
+    grid_delta: float       # the optimum delta* = 1/5 + 3 sqrt(6)/10
+    certificate: Certificate
 
 
-def optimize_delta(grid_step: float, refine: bool = False) -> DeltaOptimum:
-    """Minimize delta subject to delta + alpha P(t) + beta Q(t) >= t on the
-    grid (P = t^4 - 3t^2 + 1, Q = t^2 - 1), then certify delta + Lip*grid_step.
-
-    Plain dense LP over the grid (deterministic dual simplex); refine=True
-    runs a few exchange rounds that append the worst points of a 16x finer
-    grid, pushing the optimum toward the continuum value.
-    """
+def optimize_delta(grid_step: float) -> DeltaOptimum:
+    """The least delta (closed form, see the module docstring) and a certified
+    point (delta* + 1e-12, alpha*, Upsilon*); grid_step sets the grid of the
+    certificate's reported minimum."""
     if not 0 < grid_step <= 1e-3:
         raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    # scipy.optimize takes most of a second to import; only this LP needs it
-    from scipy.optimize import linprog
-
-    n = max(1, math.ceil(2.0 / grid_step))
-    ts = np.linspace(0.0, 2.0, n + 1)
-
-    def solve(points: np.ndarray):
-        P = points**4 - 3 * points**2 + 1
-        Q = points**2 - 1
-        A = np.column_stack([-np.ones_like(points), -P, -Q])
-        res = linprog(c=[1.0, 0.0, 0.0], A_ub=A, b_ub=-points, bounds=[(None, None)] * 3,
-                      method="highs")
-        if not res.success:
-            raise ComputationError(f"majorant LP failed: {res.message}")
-        return res.x
-
-    pts = ts
-    x = solve(pts)
-    if refine:
-        fine = np.linspace(0.0, 2.0, 16 * n + 1)
-        Pf = fine**4 - 3 * fine**2 + 1
-        Qf = fine**2 - 1
-        for _ in range(20):
-            r = x[0] + x[1] * Pf + x[2] * Qf - fine
-            worst = np.argsort(r)[:8]
-            if r[worst[0]] >= -1e-14:
-                break
-            pts = np.unique(np.concatenate([pts, fine[worst]]))
-            x = solve(pts)
-
-    delta_g, alpha, beta = (float(v) for v in x)
-    upsilon = beta / alpha if alpha != 0.0 else 0.0
-    lip = lipschitz_bound(MajorantParams(delta_g, alpha, upsilon))
-    lifted = MajorantParams(delta_g + lip * grid_step, alpha, upsilon)
-    cert = feasible_numeric(lifted, grid_step)
+    cert = feasible_numeric(OPTIMUM_PARAMS, grid_step)
     if not cert.ok:
-        raise ComputationError("lifted optimum failed its own grid certificate")
-    if float(lifted.delta) >= 11 / 10:
-        raise ComputationError(f"optimizer did not beat the reference delta: {lifted.delta!r}")
-    return DeltaOptimum(params=lifted, grid_delta=delta_g, lift=lip * grid_step, certificate=cert)
+        raise ComputationError("the closed-form optimum failed its exact certificate")
+    return DeltaOptimum(params=OPTIMUM_PARAMS, grid_delta=DELTA_STAR, certificate=cert)

@@ -120,6 +120,8 @@ def test_lift_xmax_zero_is_usage_error(pair_files, capsys):
     ["search", "--conductor-constant", "nan"],
     ["report", "--conductor-constant", "nan"],
     ["search", "--conductor-constant", "inf"],
+    ["report", "--y", "0"],
+    ["report", "--y", "1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_nonfinite_or_nonpositive_flag_exits_1(argv, pair_files, tmp_path, capsys):
     f, g = pair_files
@@ -129,6 +131,17 @@ def test_nonfinite_or_nonpositive_flag_exits_1(argv, pair_files, tmp_path, capsy
     assert run([*argv, "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("y", ["-5", "0", "1"])
+def test_stats_y_below_2_exits_1(y, pair_files, tmp_path, capsys):
+    # no prime is <= y, so the statistics would all read zero
+    _, g = pair_files
+    out = tmp_path / "out"
+    assert run(["stats", "--form", str(g), "--y", y, "--out", str(out)]) == 1
+    assert "error: argument --y: expected an integer >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["stats", "--form", str(g), "--y", "2", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("cmd", ["lift", "stats"])
@@ -172,6 +185,7 @@ def test_import_and_majorant_verify_leave_scipy_unloaded():
     code = ("import sys, yoshida\n"
             "from yoshida.cli import run\n"
             "assert run(['majorant', 'verify']) == 0\n"
+            "assert run(['majorant', 'optimize', '--grid-step', '1e-4', '--refine']) == 0\n"
             "sys.exit(3 if 'scipy' in sys.modules else 0)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(yoshida.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -298,6 +312,28 @@ def test_outputs_match_frozen_digests(table_11a, table_33a, tmp_path):
         assert run([*argv, "--out", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == FROZEN_DIGESTS
+
+
+# SHA-256 of the majorant commands' stdout and --out JSON: the exact
+# certificate of the reference point, and the closed-form optimum
+FROZEN_MAJORANT_DIGESTS = {
+    "verify.stdout": "1756e16c1e20f62640aa60f5085104e9bac90b0d7bfd35e4523dca934e03e327",
+    "verify.json": "b43f33d3e30576d0d59b18669b46621d0c423da44489a6af7292dce29f80e596",
+    "optimize.stdout": "681b294fb4a40bc2949f66a4b5834d99a48d02db002da16081fc46ae11558a55",
+    "optimize.json": "e2432055d4bfd3f4501571c89bfca4437a98db3d6640b57a603b823a97fe0412",
+}
+
+
+def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
+    import hashlib
+
+    got = {}
+    for action, argv in (("verify", []), ("optimize", ["--grid-step", "1e-4"])):
+        out = tmp_path / f"{action}.json"
+        assert run(["majorant", action, *argv, "--out", str(out)]) == 0
+        got[f"{action}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        got[f"{action}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == FROZEN_MAJORANT_DIGESTS
 
 
 def test_huge_prime_row_rejected_fast(tmp_path, capsys):

@@ -11,7 +11,6 @@ from yoshida.majorant import (
     MajorantParams,
     feasible_numeric,
     feasible_sufficient,
-    lipschitz_bound,
     optimize_delta,
     q_eval,
     r_eval,
@@ -123,6 +122,57 @@ def test_feasible_numeric_rejects_coarse_grid():
         feasible_numeric(REFERENCE_PARAMS, 0.0)
 
 
+def test_certificate_accepts_optimum_below_grid_margin():
+    # grid min_r is about 1e-12 at t = 2; a Lipschitz grid margin
+    # (1 + |a| (32 + 4 |U - 3|)) * step / 2 ~ 3e-4 could never certify it
+    params = optimize_delta(1e-4).params
+    cert = feasible_numeric(params, 1e-4)
+    assert cert.ok
+    assert 0 < cert.min_r < 1e-11
+
+
+def test_certificate_rejects_dip_between_grid_points():
+    # r has a double root at s = 0.81655, midway between grid points of step
+    # 1e-4; lowering delta by 1e-12 splits it into two roots with r < 0
+    # between them, while r stays about +1.5e-9 at every grid point
+    a, s = Fraction(-1, 200), Fraction(16331, 20000)
+    u = 3 + (1 / a - 4 * s**3) / (2 * s)  # r'(s) = 0
+    d = s - q_eval(MajorantParams(Fraction(0), a, u), s)  # r(s) = 0
+    assert r_eval(MajorantParams(d, a, u), s) == 0
+    cert = feasible_numeric(MajorantParams(d - Fraction(1, 10**12), a, u), 1e-4)
+    assert not cert.ok
+    assert 0 < cert.min_r < 1e-8
+    assert cert.argmin == pytest.approx(0.8166)
+    assert not feasible_numeric(MajorantParams(d, a, u), 1e-4).ok  # r(s) = 0 is not > 0
+
+
+def test_no_delta_below_optimum_certifies():
+    # delta* is the least delta: lowering it by 1e-9 leaves r < 0 somewhere
+    opt = optimize_delta(1e-4)
+    p = opt.params
+    assert not feasible_numeric(MajorantParams(opt.grid_delta - 1e-9, p.alpha, p.upsilon), 1e-4).ok
+    assert opt.grid_delta == pytest.approx(0.2 + 0.3 * math.sqrt(6), abs=1e-15)
+
+
+def test_certificate_agrees_with_dense_grid():
+    """Oracle: a triple with r < 0 at a grid point is rejected, and one whose
+    grid minimum clears the largest possible dip between grid points is
+    accepted."""
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 2.0, 20001)
+    t2 = ts * ts
+    seen = {True: 0, False: 0}
+    for d, a, u in zip(rng.uniform(0.5, 2.5, 400), rng.uniform(-0.3, 0.3, 400),
+                       rng.uniform(-12.0, 6.0, 400)):
+        min_r = float((d + a * (t2 * t2 + (u - 3.0) * t2 + (1.0 - u)) - ts).min())
+        lip = 1.0 + abs(a) * (32.0 + 4.0 * abs(u - 3.0))
+        if min_r < -1e-9 or min_r > lip * 1e-4:
+            ok = feasible_numeric(MajorantParams(d, a, u), 1e-4).ok
+            assert ok == (min_r > 0), (d, a, u, min_r)
+            seen[ok] += 1
+    assert seen[True] > 20 and seen[False] > 20
+
+
 def test_sufficient_implies_grid_positive():
     """Soundness: triples passing the sufficient conditions have r > 0 on the
     whole grid, and the certificate passes whenever the endpoint slack clears
@@ -186,20 +236,6 @@ def test_optimize_against_dense_oracle():
     assert x[0] == pytest.approx(DENSE_ORACLE_DELTA, abs=1e-7)
     opt = optimize_delta(1e-4)
     assert opt.grid_delta <= x[0] + 1e-6  # coarser grid can only relax
-
-
-def test_optimize_monotone_in_grid():
-    coarse = optimize_delta(1e-3)
-    fine = optimize_delta(1e-4)
-    lip = lipschitz_bound(coarse.params)
-    assert fine.grid_delta <= coarse.grid_delta + lip * 1e-3
-
-
-def test_optimize_refine_tightens():
-    base = optimize_delta(1e-3)
-    ref = optimize_delta(1e-3, refine=True)
-    assert ref.grid_delta >= base.grid_delta - 1e-12
-    assert ref.certificate.ok
 
 
 def test_optimize_rejects_coarse_grid():
