@@ -134,11 +134,12 @@ def _cmd_search(args) -> int:
 
 
 def _stats_record(form, y: int):
+    cor = signs.corollary_check(form, y)  # its d1, d2 are the densities at 19/20, 13/10
     return {
         "abs_sum": signs.abs_sum_ratio(form, y),
-        "v_density_19_20": signs.v_density(form, y, 19 / 20),
-        "v_density_13_10": signs.v_density(form, y, 13 / 10),
-        "corollary": signs.corollary_check(form, y),
+        "v_density_19_20": cor.d1,
+        "v_density_13_10": cor.d2,
+        "corollary": cor,
         "bad_factor": signs.bad_factor_bound(form),
         "y": y,
     }

@@ -4,7 +4,10 @@ A long Weierstrass curve y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with
 integer coefficients yields a_p = p + 1 - #E(F_p) at good primes and
 a_p = p - #E_ns(F_p) in {+1, -1} at multiplicative primes (the nonsingular
 locus is a form of G_m there; a cusp gives #E_ns = p, i.e. a_p = 0, which is
-rejected as additive reduction).
+rejected as additive reduction).  The reduction is singular exactly when p
+divides the discriminant, and then it has exactly one singular point, which
+is F_p-rational and affine (Silverman, AEC, Prop. III.1.4); so #E_ns is the
+affine count plus the point at infinity less [p | disc], with no search.
 
 At good primes p > MESTRE_MIN_P, #E(F_p) is found by Mestre's baby-step
 giant-step method on the short model y^2 = x^3 + A x + B: each point found
@@ -17,10 +20,12 @@ single N survives a fixed number of points are counted by a full enumeration
 over x with a squares table for the y-count; p = 2, 3 enumerate all (x, y)
 pairs directly since completing the square is not available there.
 
-Conductors are never computed: the user declares the level (validated for
-squarefreeness), or |disc| is used with a warning.  Models should be
-globally minimal; a non-minimal model shows up as spurious additive
-reduction and is rejected.
+Conductors are never computed: the user declares the level, or |disc| is
+used with a warning.  A declared level must be squarefree, divide the
+discriminant, and be divisible by every prime p <= pmax that divides the
+discriminant (each is multiplicative once counting has passed it).  Models
+should be globally minimal; a non-minimal model shows up as spurious
+additive reduction and is rejected.
 """
 
 import math
@@ -81,25 +86,20 @@ class WeierstrassCurve:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def _count_affine_brute(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """(#affine points, #affine singular points) by a full (x, y) double loop."""
+def _count_affine_brute(curve: WeierstrassCurve, p: int) -> int:
+    """#affine points by a full (x, y) double loop."""
     a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     naff = 0
-    nsing = 0
     for x in range(p):
         rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
         for y in range(p):
             if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
                 naff += 1
-                fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
-                fy = (2 * y + a1 * x + a3) % p
-                if fx == 0 and fy == 0:
-                    nsing += 1
-    return naff, nsing
+    return naff
 
 
-def _count_affine_fast(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """(#affine, #affine singular) for odd p via a squares table.
+def _count_affine_fast(curve: WeierstrassCurve, p: int) -> int:
+    """#affine points for odd p via a squares table.
 
     For each x the y-equation y^2 + h y = f (h = a1 x + a3) completes to
     (y + h/2)^2 = f + h^2/4, so the y-count is the number of square roots of
@@ -113,16 +113,7 @@ def _count_affine_fast(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     inv4 = pow(4, -1, p)
     t = (f + h * h % p * inv4) % p
     sq_count = np.bincount(x2, minlength=p)
-    naff = int(sq_count[t].sum())
-
-    nsing = 0
-    if curve.discriminant % p == 0:
-        inv2 = pow(2, -1, p)
-        ys = (-h * inv2) % p
-        on_curve = (ys * ys + a1 * x % p * ys + a3 * ys - f) % p == 0
-        fx_zero = (a1 * ys - (3 * x2 + 2 * a2 * x + a4)) % p == 0
-        nsing = int(np.count_nonzero(on_curve & fx_zero))
-    return naff, nsing
+    return int(sq_count[t].sum())
 
 
 def _ec_add(P, Q, a: int, p: int):
@@ -242,20 +233,25 @@ def _order_mestre(A: int, B: int, p: int, tally: Counter | None = None) -> int |
 
 def count_ap(curve: WeierstrassCurve, p: int) -> int:
     """a_p by point counting: p + 1 - #E(F_p) at good p, p - #E_ns(F_p) at
-    multiplicative p.  Raises AdditiveReductionError at a cusp."""
+    multiplicative p.  Raises ValidationError if p is not prime and
+    AdditiveReductionError at a cusp."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    return _count_ap(curve, p)
+
+
+def _count_ap(curve: WeierstrassCurve, p: int) -> int:
+    """count_ap at a p already known to be prime."""
     good = curve.discriminant % p != 0
     n = _order_mestre(*_short_model(curve, p), p) if good and p > MESTRE_MIN_P else None
     if n is None:
-        naff, nsing = (_count_affine_brute if p <= 3 else _count_affine_fast)(curve, p)
-        n = naff - nsing + 1  # nonsingular points, with the point at infinity
+        # nonsingular points: affine ones and O, less the one singular point if p | disc
+        n = (_count_affine_brute if p <= 3 else _count_affine_fast)(curve, p) + good
     if good:
         a = p + 1 - n
         if a * a > 4 * p:
             raise ComputationError(f"Hasse bound violated at p={p}: a_p={a}")
         return a
-    # singular reduction; the unique singular point is F_p-rational
     a = p - n
     if a == 0:
         raise AdditiveReductionError(p)
@@ -268,19 +264,25 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
     """Exact a_p for every prime p <= pmax, as a weight-2 table.
 
     Level is the declared level when given, else |discriminant| with a
-    warning.
+    warning.  A declared level must divide the discriminant and every prime
+    p <= pmax dividing it (multiplicative, as counting showed); this is
+    checked after counting, so additive reduction is reported first.
     """
     if pmax < 1:
         raise ValidationError(f"pmax must be >= 1, got {pmax}")
-    pairs = [(p, count_ap(curve, p)) for p in primes_up_to(pmax).tolist()]
-    level = curve.declared_level
+    ps = primes_up_to(pmax).tolist()
+    coeffs = {p: _count_ap(curve, p) for p in ps}
+    disc, level = curve.discriminant, curve.declared_level
     if level is None:
-        level = abs(curve.discriminant)
+        level = abs(disc)
         warnings.warn(
             f"no declared level; using |discriminant| = {level} (conductor not computed)",
             stacklevel=2,
         )
-    return NewformCoeffs(level=level, weight=2, coeffs=dict(pairs), normalized=False)
+    elif disc % level or any(disc % p == 0 and level % p for p in ps):
+        raise ValidationError(f"declared level {level} contradicts the model: it must divide "
+                              f"the discriminant {disc} and share its prime factors up to {pmax}")
+    return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=False)
 
 
 # ---------------------------------------------------------------------------

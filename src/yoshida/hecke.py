@@ -46,17 +46,21 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     step = 1 with the float lambda(p) gives the normalised eigenvalues
     lambda(p^r); step = p^(k-1) with the integer a_p of a weight-k form gives
     the unnormalised a(p^r) = lambda(p^r) p^(r(k-1)/2) in exact integers.
-    The recurrence is used instead of the Chebyshev closed forms to avoid
-    cancellation for lambda near +-2.
+    lam_p may also be a float array, checked finite as a whole; each entry
+    after c(p^0) = 1.0 is then an array of the per-element results, bit for
+    bit (1 * x is exact).  The recurrence is used instead of the Chebyshev
+    closed forms to avoid cancellation for lambda near +-2.
     """
     if rmax < 0:
         raise ValidationError(f"prime-power exponent must be >= 0, got {rmax}")
     if isinstance(lam_p, (int, np.integer)):
         c, one = int(lam_p), 1
-    elif math.isfinite(lam_p):
-        c, one = float(lam_p), 1.0
     else:
-        raise ValidationError(f"eigenvalue must be finite, got {lam_p!r}")
+        c, one = np.asarray(lam_p, dtype=np.float64), 1.0
+        if not np.isfinite(c).all():
+            raise ValidationError("eigenvalues must be finite")
+        if c.ndim == 0:
+            c = float(c)
     seq = [one, c]
     for _ in range(rmax - 1):
         seq.append(c * seq[-1] - step * seq[-2])

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
-from .primes import factorize, primes_up_to
+from .primes import primes_up_to
 
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
 # exceeds this; the exact channel is the only certified source of zero signs.
@@ -99,32 +99,23 @@ class LiftSpec:
         return self.f.weight
 
 
-def validate_pair(f: NewformCoeffs, g: NewformCoeffs,
-                  al_f: dict | None = None, al_g: dict | None = None) -> LiftSpec:
+def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
     """Check the lift setting: squarefree levels with gcd > 1, g of weight 2,
     and coinciding Atkin-Lehner signs at every prime dividing the gcd.
 
-    Missing sign maps are inferred from the tables' bad-prime coefficients.
+    The signs are inferred from each table's coefficients at its level
+    primes, w_p = -a_p / p^((k-2)/2).
     """
     # NewformCoeffs construction already enforces squarefree levels
     if g.weight != 2:
         raise ValidationError(f"g must have weight 2, got {g.weight}")
-    M = math.gcd(f.level, g.level)
-    if M == 1:
+    if math.gcd(f.level, g.level) == 1:
         raise ValidationError(f"levels coprime: gcd({f.level}, {g.level}) = 1")
-    if al_f is None:
-        al_f = _infer_al_map(f)
-    if al_g is None:
-        al_g = _infer_al_map(g)
-    for p, _ in factorize(M):
-        sf, sg = al_f.get(p), al_g.get(p)
-        if sf is None or sg is None:
-            raise ValidationError(f"Atkin-Lehner sign missing at p={p}")
-        if sf not in (1, -1) or sg not in (1, -1):
-            raise ValidationError(f"Atkin-Lehner signs must be +-1 at p={p}")
-        if sf != sg:
-            raise ValidationError(f"Atkin-Lehner mismatch at p={p}: {sf} vs {sg}")
-    return LiftSpec(f=f, g=g, al_f=dict(al_f), al_g=dict(al_g))
+    al_f, al_g = _infer_al_map(f), _infer_al_map(g)
+    for p in al_f:
+        if p in al_g and al_f[p] != al_g[p]:
+            raise ValidationError(f"Atkin-Lehner mismatch at p={p}: {al_f[p]} vs {al_g[p]}")
+    return LiftSpec(f=f, g=g, al_f=al_f, al_g=al_g)
 
 
 def lift_euler_coeffs(lam_f: float, lam_g: float, p: int, rmax: int) -> list[float]:
@@ -182,31 +173,33 @@ class EigenSequence:
     scaled: np.ndarray | None = None
 
     def sign(self, n: int) -> int | None:
-        """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain.
-
-        Exact from scaled when present; otherwise +-1 from the float value
-        when |lambda_F(n)| > SIGN_TOL, and None inside that band.  Raises
-        ValidationError for n outside index.
-        """
+        """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain:
+        n's entry of signs().  Raises ValidationError for n outside index."""
         i = int(np.searchsorted(self.index, n))
         if i == self.index.size or self.index[i] != n:
             raise ValidationError(f"lambda_F({n}) is not in the sequence: "
                                   f"n must lie in [1, {self.xmax}] and be coprime to N")
-        if self.scaled is not None:
-            s = int(self.scaled[n])
-            return (s > 0) - (s < 0)
-        v = float(self.values[n])
-        if abs(v) <= SIGN_TOL:
-            return None
-        return 1 if v > 0 else -1
+        s = int(self.signs()[i])
+        return None if s == UNCERTAIN else s
 
     def signs(self) -> np.ndarray:
-        """sign(n) for every n in index as an int8 array, UNCERTAIN where
-        sign(n) is None."""
+        """The certified sign of lambda_F(n) for every n in index, as one
+        read-only int8 array, built on first use and the same object after.
+
+        Exact from scaled when present; otherwise +-1 from the float value
+        when |lambda_F(n)| > SIGN_TOL, and UNCERTAIN inside that band.
+        """
+        return self._sign_codes
+
+    @cached_property
+    def _sign_codes(self) -> np.ndarray:
         if self.scaled is not None:
-            return np.sign(self.scaled[self.index]).astype(np.int8)
-        v = self.values[self.index]
-        return np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
+            codes = np.sign(self.scaled[self.index]).astype(np.int8)
+        else:
+            v = self.values[self.index]
+            codes = np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
+        codes.flags.writeable = False
+        return codes
 
     @cached_property
     def log_index(self) -> np.ndarray:
@@ -235,11 +228,11 @@ def _spf_power(xmax: int, small_primes: np.ndarray) -> np.ndarray:
 def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.
 
-    Euler coefficients are tabulated by prime power q = p^e <= xmax.  Primes
-    p <= sqrt(xmax) use lift_euler_coeffs / lift_euler_ints; above sqrt(xmax)
-    only lambda_F(p) = lambda_f(p) + lambda_g(p) and I_1 = a_f(p) +
-    a_g(p) p^((k-2)/2) are needed, taken as array operations with the same
-    roundings.  Then lambda_F(n) = c(q) lambda_F(n/q) with q the power of the
+    Euler coefficients are tabulated by prime power q = p^e <= xmax.  At every
+    good prime, lambda_F(p) = lambda_f(p) + lambda_g(p) and I_1 = a_f(p) +
+    a_g(p) p^((k-2)/2) are array operations with the roundings of
+    lift_euler_coeffs / lift_euler_ints; those two fill only the p^e with
+    e >= 2.  Then lambda_F(n) = c(q) lambda_F(n/q) with q the power of the
     smallest prime factor of n, one gather-multiply round per number of
     distinct prime factors: the per-n float product of the textbook
     recurrence, so the bits do not depend on the assembly.  The exact integer
@@ -255,39 +248,37 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     ps = primes_up_to(xmax)
     root = math.isqrt(xmax)
     good = N % ps != 0
-    large = good & (ps > root)
-    lam_f, lam_g = spec.f.lam_array[: ps.size][large], spec.g.lam_array[: ps.size][large]
+    lam_f, lam_g = spec.f.lam_array[: ps.size][good], spec.g.lam_array[: ps.size][good]
 
-    # Euler coefficients indexed by q = p^e.  Above sqrt(xmax) the two-term
-    # fsum of lift_euler_coeffs is one IEEE add; + 0.0 turns the -0.0 of
+    # Euler coefficients indexed by q = p^e.  The two-term fsum of
+    # lift_euler_coeffs at r = 1 is one IEEE add; + 0.0 turns the -0.0 of
     # (-0.0) + (-0.0) into fsum's 0.0.
     euler = np.zeros(xmax + 1)
-    euler[ps[large]] = (lam_f + lam_g) + 0.0
-    small_q, small_ints = [], []
-    for p in ps[good & ~large].tolist():
-        rmax, q = 1, p
-        while q * p <= xmax:
-            q *= p
-            rmax += 1
-        qs = [p**e for e in range(1, rmax + 1)]
-        euler[qs] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)[1:]
-        small_q += qs
+    euler[ps[good]] = (lam_f + lam_g) + 0.0
+    high_q, high_ints = [], []
+    for p in ps[good & (ps <= root)].tolist():
+        qs = [p * p]
+        while qs[-1] * p <= xmax:
+            qs.append(qs[-1] * p)
+        rmax = len(qs) + 1
+        euler[qs] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)[2:]
+        high_q += qs
         if exact:
-            small_ints += lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[1:]
+            high_ints += lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[2:]
 
     if exact:
         # |I_1| <= 4 p^((k-1)/2) fits int64 when 16 xmax^(k-1) < 2^126
-        wide = 16 * xmax ** (k - 1) >= 2**126 or any(abs(v) >= 2**63 for v in small_ints)
+        wide = 16 * xmax ** (k - 1) >= 2**126 or any(abs(v) >= 2**63 for v in high_ints)
         dtype = object if wide else np.int64
-        a_f, a_g = (np.array(list(islice(h.coeffs.values(), ps.size)), dtype=dtype)[large]
+        a_f, a_g = (np.array(list(islice(h.coeffs.values(), ps.size)), dtype=dtype)[good]
                     for h in (spec.f, spec.g))
         euler_int = np.zeros(xmax + 1, dtype=dtype)
-        euler_int[ps[large]] = a_f + a_g * ps[large].astype(dtype) ** ((k - 2) // 2)
-        euler_int[small_q] = np.array(small_ints, dtype=dtype)
+        euler_int[ps[good]] = a_f + a_g * ps[good].astype(dtype) ** ((k - 2) // 2)
+        euler_int[high_q] = np.array(high_ints, dtype=dtype)
 
     coprime = np.ones(xmax + 1, dtype=bool)
     coprime[0] = False
-    for p, _ in factorize(N):
+    for p in spec.al_f.keys() | spec.al_g.keys():  # the primes dividing N
         coprime[::p] = False
     index = np.flatnonzero(coprime)
     spf_q = _spf_power(xmax, ps[ps <= root])

@@ -1,6 +1,6 @@
 """Prime enumeration and small factorization utilities: an Eratosthenes
-sieve, a bound on the n-th prime, Miller-Rabin primality, factorization and
-squarefree divisors."""
+sieve, a bound on the n-th prime, Miller-Rabin primality, factorization by
+trial division up to a fixed limit, and squarefree divisors."""
 
 import math
 
@@ -70,14 +70,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# factorize trial-divides no further than this
+TRIAL_LIMIT = 2**20
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (p, exponent) pairs, ascending."""
+    """Prime factorization of n >= 1 as (p, exponent) pairs, ascending.
+
+    Trial division stops at TRIAL_LIMIT; a cofactor left above it is kept as
+    a prime only if is_prime accepts it, and otherwise n is refused with a
+    ValidationError, so a huge level costs a bounded time.
+    """
     if n < 1:
         raise ValidationError(f"cannot factorize {n}")
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= TRIAL_LIMIT:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -86,6 +95,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
         p += 1 if p == 2 else 2
     if m > 1:
+        if p * p <= m and not is_prime(m):
+            raise ValidationError(f"cannot factorize {n}: the cofactor {m} has no prime "
+                                  f"factor up to {TRIAL_LIMIT} and is not prime")
         out.append((m, 1))
     return out
 

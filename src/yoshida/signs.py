@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SignUncertainError, ValidationError
-from .hecke import NewformCoeffs
+from .hecke import NewformCoeffs, hecke_power_seq
 from .lift import UNCERTAIN, EigenSequence, LiftSpec
 from .primes import primes_up_to, squarefree_divisors
 
@@ -187,13 +187,10 @@ def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
     piyL = lams.size
     if piyL == 0:
         return AbsSumStats(0.0, 0.0, 0.0, 0)
-    # the float operations of hecke_power_seq, one array at a time
-    u2 = lams * lams - 1.0
-    u3 = lams * u2 - lams
-    u4 = lams * u3 - u2
+    u = hecke_power_seq(lams, 4)
     s_abs = math.fsum(np.abs(lams).tolist())
-    s2 = math.fsum(u2.tolist())
-    s4 = math.fsum(u4.tolist())
+    s2 = math.fsum(u[2].tolist())
+    s4 = math.fsum(u[4].tolist())
     return AbsSumStats(s_abs / piyL, abs(s2) / piyL, abs(s4) / piyL, piyL)
 
 

@@ -160,6 +160,29 @@ def test_nan_at_level_prime_exits_1(cmd, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,level,err", [
+    # 33a has disc 3^6 11^2: a declared level 11 misses the multiplicative prime 3
+    (["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--level", "11"], None,
+     "level 11 contradicts the model"),
+    (["ap", "--curve", "0,-1,1,0,0", "--pmax", "10", "--level", "1000000000000000003"], None,
+     "must divide the discriminant -11"),
+    # a huge prime level is accepted after bounded trial division, then lacks its row
+    (["stats", "--y", "3"], 10**18 + 3, "missing bad-prime coefficient"),
+    (["stats", "--y", "3"], (10**9 + 7) * (10**9 + 9), "cannot factorize"),
+], ids=["ap_level_misses_3", "ap_huge_level", "stats_huge_prime_level", "stats_unfactorable_level"])
+def test_contradicting_or_huge_level_exits_1_fast(argv, level, err, tmp_path, capsys):
+    if level is not None:
+        form = tmp_path / "form.txt"
+        form.write_text(f"# level={level} weight=2\n2 1\n3 1\n")
+        argv = [*argv, "--form", str(form)]
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert run([*argv, "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run(["--nonsense"]) == 1
     assert "usage" in capsys.readouterr().err

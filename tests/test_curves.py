@@ -111,13 +111,35 @@ def test_mestre_tables_match_full_count_up_to_1e4(monkeypatch):
         assert fast[c] == {p: count_ap(c, p) for p in _good_primes(c, 10**4)}, c
 
 
+def singular_points(curve, p):
+    """Slow oracle: the affine points of the curve over F_p where F and both
+    partial derivatives vanish, by a full (x, y) double loop."""
+    a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    out = []
+    for x in range(p):
+        for y in range(p):
+            F = y * y + a1 * x * y + a3 * y - (x * x * x + a2 * x * x + a4 * x + a6)
+            Fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
+            Fy = 2 * y + a1 * x + a3
+            if F % p == Fx % p == Fy % p == 0:
+                out.append((x, y))
+    return out
+
+
+def test_one_affine_singular_point_exactly_at_primes_of_disc():
+    # count_ap counts the nonsingular points as naff + [p does not divide disc]
+    for c in (*ORACLE_CURVES, WeierstrassCurve(0, 0, 0, 5, 0)):
+        for p in primes_up_to(50).tolist():
+            assert len(singular_points(c, p)) == (c.discriminant % p == 0), (c, p)
+
+
 def test_mestre_runs_twist_and_small_order_branches():
     for c in ORACLE_CURVES[3:]:
         tally = Counter()
         for p in _good_primes(c, 3000):
             if p > curves.MESTRE_MIN_P:
                 n = curves._order_mestre(*curves._short_model(c, p), p, tally)
-                assert n == curves._count_affine_fast(c, p)[0] + 1, (c, p)
+                assert n == curves._count_affine_fast(c, p) + 1, (c, p)
         assert tally["twist"] > 0 and tally["small_order"] > 0, (c, tally)
 
 
@@ -168,6 +190,21 @@ def test_ap_table_level_defaults_to_disc_with_warning():
     with pytest.warns(UserWarning, match="discriminant"):
         t = ap_table(c, 10)
     assert t.level == 11
+
+
+def test_ap_table_refuses_level_the_model_contradicts():
+    # 33a has disc 3^6 11^2: 11 misses the multiplicative prime 3, 7 does not divide
+    for level in (11, 33 * 7):
+        with pytest.raises(ValidationError, match=f"level {level} contradicts the model"):
+            ap_table(WeierstrassCurve(1, 1, 0, -11, 0, declared_level=level), 100)
+
+
+def test_ap_table_tests_no_sieve_prime_for_primality(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+    want = ap_table(CURVE_33A, 500).coeffs
+    monkeypatch.setattr(curves, "is_prime", refuse)
+    assert ap_table(CURVE_33A, 500).coeffs == want
 
 
 def test_ap_table_propagates_additive_error():

@@ -33,6 +33,18 @@ def test_power_rejects_negative_exponent():
         hecke_power_seq(float("nan"), 2)
 
 
+def test_power_array_bit_identical_to_scalar_calls():
+    lams = np.random.default_rng(5).uniform(-2.0, 2.0, size=500)
+    lams[:4] = (-2.0, 2.0, 0.0, -0.0)
+    arr = hecke_power_seq(lams, 6)
+    for r in range(1, 7):
+        want = np.array([hecke_power_seq(float(v), 6)[r] for v in lams])
+        assert np.array_equal(arr[r].view(np.uint64), want.view(np.uint64)), r
+    assert arr[0] == 1.0
+    with pytest.raises(ValidationError, match="finite"):
+        hecke_power_seq(np.array([0.5, math.nan, 1.0]), 4)
+
+
 def test_power_matches_chebyshev_on_grid():
     # recurrence vs direct polynomial evaluation, 1e-3 grid, all r <= 8
     for lam in np.arange(-2.0, 2.0 + 1e-9, 1e-3):

@@ -46,8 +46,9 @@ def test_validate_pair_nonsquarefree_level_cannot_exist():
 
 
 def test_validate_pair_al_mismatch(table_11a, table_33a):
+    f = NewformCoeffs(level=11, weight=2, coeffs={**table_11a.coeffs, 11: -1})
     with pytest.raises(ValidationError, match="Atkin-Lehner mismatch at p=11"):
-        validate_pair(table_11a, table_33a, al_f={11: 1}, al_g={11: -1})
+        validate_pair(f, table_33a)
 
 
 def test_validate_pair_rejects_non_weight2_g(table_11a):
@@ -321,11 +322,12 @@ def test_sequence_table_too_short(table_11a, table_33a):
 
 
 def test_sequence_rejects_exact_on_normalized():
-    f = NewformCoeffs(level=11, weight=2, coeffs={2: -0.7, 3: -0.5, 5: 0.4, 7: -0.7, 11: 0.3},
-                      normalized=True)
+    f = NewformCoeffs(level=11, weight=2,
+                      coeffs={2: -0.7, 3: -0.5, 5: 0.4, 7: -0.7, 11: 11**-0.5}, normalized=True)
     g = NewformCoeffs(level=33, weight=2,
-                      coeffs={2: 0.7, 3: -0.5, 5: -0.9, 7: 1.5, 11: 0.3}, normalized=True)
-    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
+                      coeffs={2: 0.7, 3: -(3**-0.5), 5: -0.9, 7: 1.5, 11: 11**-0.5},
+                      normalized=True)
+    spec = validate_pair(f, g)
     seq = lift_sequence(spec, 10)
     assert seq.scaled is None  # normalized tables get no exact channel
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
@@ -410,10 +412,10 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
     ps = primes_up_to(200).tolist()
     fc = {p: (-0.0 if p in (13, 17, 19) else 0.3) for p in ps}
     gc = {p: (-0.0 if p in (13, 17, 19) else -0.7) for p in ps}
-    fc[11], gc[3], gc[11] = 0.3, -0.5, 0.3
+    fc[11], gc[3], gc[11] = 11**-0.5, -(3**-0.5), 11**-0.5
     f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
     g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
-    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
+    spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
     assert math.copysign(1.0, seq.values[13]) == 1.0
     _assert_matches_reference(spec, seq)
@@ -441,15 +443,24 @@ def test_scaled_overflow_falls_back_to_python_ints():
 
 def test_signs_array_matches_scalar_rule(reg_seq):
     assert reg_seq.signs().tolist() == [reg_seq.sign(n) for n in reg_seq.index.tolist()]
-    f = NewformCoeffs(level=11, weight=2, coeffs={2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 0.3},
+    f = NewformCoeffs(level=11, weight=2,
+                      coeffs={2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
+    g = NewformCoeffs(level=33, weight=2,
+                      coeffs={2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5},
                       normalized=True)
-    g = NewformCoeffs(level=33, weight=2, coeffs={2: 0.5, 3: 0.5, 5: 0.0, 7: 0.2, 11: 0.3},
-                      normalized=True)
-    seq = lift_sequence(validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1}), 10)
+    seq = lift_sequence(validate_pair(f, g), 10)
     codes = seq.signs().tolist()
     assert codes == [UNCERTAIN if seq.sign(n) is None else seq.sign(n)
                      for n in seq.index.tolist()]
     assert UNCERTAIN in codes
+
+
+def test_signs_array_is_one_read_only_object(reg_spec):
+    seq = lift_sequence(reg_spec, 500)
+    codes = seq.signs()
+    assert seq.signs() is codes and not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0] = -1
 
 
 def test_sign_rejects_n_outside_sequence(reg_seq):

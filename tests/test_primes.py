@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from yoshida.errors import ValidationError
 from yoshida.primes import (
     factorize,
     is_prime,
@@ -73,3 +76,18 @@ def test_is_prime_matches_sieve_in_a_window():
     lo = 10**6
     flags = prime_sieve(lo + 5000)
     assert [n for n in range(lo, lo + 5001) if is_prime(n)] == (np.flatnonzero(flags[lo:]) + lo).tolist()
+
+
+def test_factorize_bounded_trial_division():
+    P = 10**18 + 3
+    t0 = time.perf_counter()
+    assert factorize(P) == [(P, 1)]
+    assert factorize(6 * P) == [(2, 1), (3, 1), (P, 1)]
+    assert factorize(1000003 * 1048583) == [(1000003, 1), (1048583, 1)]
+    # no factor up to the limit and not prime: refused instead of trial-divided to 1e9
+    for n in ((10**9 + 7) * (10**9 + 9), 1048583**2):
+        with pytest.raises(ValidationError, match="cannot factorize"):
+            factorize(n)
+    assert time.perf_counter() - t0 < 2.0
+    # two primes below the limit of 2^20 are both found by trial division
+    assert factorize(1048573 * 1048571) == [(1048571, 1), (1048573, 1)]

@@ -264,11 +264,13 @@ def test_witness_empty_below_4(reg_spec, reg_seq):
 
 
 def test_witness_all_zero_tables_hypothesis_violated():
-    # lambda_f = lambda_g = 0 everywhere: lambda_F(p^2) = -2 - 1/p < 0, so
+    # lambda_f = lambda_g = 0 at every good prime: lambda_F(p^2) = -2 - 1/p < 0, so
     # every prime lands in the violated list, none in the branches
-    f = _flat_table(11, 200, 0.0)
-    g = _flat_table(33, 200, 0.0)
-    spec = validate_pair(f, g, al_f={11: -1}, al_g={3: 1, 11: -1})
+    zeros = {p: 0.0 for p in primes_up_to(200).tolist()}
+    f = NewformCoeffs(level=11, weight=2, coeffs={**zeros, 11: 11**-0.5}, normalized=True)
+    g = NewformCoeffs(level=33, weight=2, coeffs={**zeros, 3: -(3**-0.5), 11: 11**-0.5},
+                      normalized=True)
+    spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
     rep = lower_bound_witness(seq, spec, 196)
     assert rep.counts["v1"] == rep.counts["case_i"] == rep.counts["case_ii"] == 0
