@@ -254,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--level", type=int, default=None,
-                   help="declared level (default |discriminant|, with a warning)")
+                   help="asserted: must equal the conductor computed from the model")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_ap)
 

@@ -20,16 +20,14 @@ single N survives a fixed number of points are counted by a full enumeration
 over x with a squares table for the y-count; p = 2, 3 enumerate all (x, y)
 pairs directly since completing the square is not available there.
 
-Conductors are never computed: the user declares the level, or |disc| is
-used with a warning.  A declared level must be squarefree, divide the
-discriminant, and be divisible by every prime p <= pmax that divides the
-discriminant (each is multiplicative once counting has passed it).  Models
-should be globally minimal; a non-minimal model shows up as spurious
-additive reduction and is rejected.
+The level is the conductor, computed from the model: at p | disc the
+reduction is multiplicative exactly when p does not divide c4 (Silverman,
+AEC, Prop. VII.5.1, at every p), so a curve with gcd(disc, c4) = 1 has
+conductor rad(disc) and any other is refused as additive (or non-minimal:
+models should be globally minimal).  A declared level must equal it.
 """
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +36,7 @@ import numpy as np
 
 from .errors import AdditiveReductionError, ComputationError, ValidationError
 from .hecke import NewformCoeffs
-from .primes import is_prime, nth_prime_bound, prime_sieve, primes_up_to
+from .primes import factorize, is_prime, nth_prime_bound, prime_sieve, primes_up_to
 
 # Mestre: for p > 229, E or its quadratic twist has a point whose order has a
 # single multiple in the Hasse interval, so the candidate sets can shrink to one.
@@ -61,8 +59,6 @@ class WeierstrassCurve:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             if not isinstance(getattr(self, name), int):
                 raise ValidationError(f"coefficient {name} must be an integer")
-        if self.declared_level is not None and self.declared_level < 1:
-            raise ValidationError("declared level must be positive")
         if self.discriminant == 0:
             raise ValidationError("curve is singular (discriminant 0)")
 
@@ -79,6 +75,10 @@ class WeierstrassCurve:
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         return b2, b4, b6, b8
+
+    def c_invariants(self) -> tuple[int, int]:
+        b2, b4, b6, _ = self.b_invariants()
+        return b2 * b2 - 24 * b4, -b2**3 + 36 * b2 * b4 - 216 * b6
 
     @cached_property
     def discriminant(self) -> int:
@@ -194,9 +194,7 @@ def _hasse_multiples(P, a: int, p: int, w: int) -> tuple[list[int], bool]:
 def _short_model(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     """(A, B) mod p of y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6: a model
     of the curve over F_p for p > 3."""
-    b2, b4, b6, _ = curve.b_invariants()
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    c4, c6 = curve.c_invariants()
     return -27 * c4 % p, -54 * c6 % p
 
 
@@ -260,28 +258,31 @@ def _count_ap(curve: WeierstrassCurve, p: int) -> int:
     return a
 
 
-def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
-    """Exact a_p for every prime p <= pmax, as a weight-2 table.
+def conductor(curve: WeierstrassCurve) -> int:
+    """The product of the primes dividing the discriminant, which is the
+    conductor when every one of them is multiplicative.  Raises
+    AdditiveReductionError at the smallest prime dividing both the
+    discriminant and c4 (additive reduction, or a model not minimal there)."""
+    disc_primes = [p for p, _ in factorize(abs(curve.discriminant))]
+    c4, _ = curve.c_invariants()
+    for p in disc_primes:
+        if c4 % p == 0:
+            raise AdditiveReductionError(p)
+    return math.prod(disc_primes)
 
-    Level is the declared level when given, else |discriminant| with a
-    warning.  A declared level must divide the discriminant and every prime
-    p <= pmax dividing it (multiplicative, as counting showed); this is
-    checked after counting, so additive reduction is reported first.
-    """
+
+def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
+    """Exact a_p for every prime p <= pmax, as a weight-2 table at the
+    conductor.  An additive curve, then a declared level other than the
+    conductor, is refused before any prime is counted."""
     if pmax < 1:
         raise ValidationError(f"pmax must be >= 1, got {pmax}")
-    ps = primes_up_to(pmax).tolist()
-    coeffs = {p: _count_ap(curve, p) for p in ps}
-    disc, level = curve.discriminant, curve.declared_level
-    if level is None:
-        level = abs(disc)
-        warnings.warn(
-            f"no declared level; using |discriminant| = {level} (conductor not computed)",
-            stacklevel=2,
-        )
-    elif disc % level or any(disc % p == 0 and level % p for p in ps):
-        raise ValidationError(f"declared level {level} contradicts the model: it must divide "
-                              f"the discriminant {disc} and share its prime factors up to {pmax}")
+    level = conductor(curve)
+    if curve.declared_level not in (None, level):
+        raise ValidationError(f"declared level {curve.declared_level} contradicts the model: "
+                              f"it must divide the discriminant {curve.discriminant} and share "
+                              f"its prime factors; the conductor is {level}")
+    coeffs = {p: _count_ap(curve, p) for p in primes_up_to(pmax).tolist()}
     return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=False)
 
 

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .primes import factorize, is_prime, is_squarefree, nth_prime_bound, primes_up_to
+from .primes import factorize, is_prime, nth_prime_bound, primes_up_to
 
 # Normalised float tables may carry rounding in their last digit; exact
 # integer tables are checked with no slack.
@@ -92,9 +92,10 @@ class NewformCoeffs:
 
     coeffs maps p -> a_p (exact integers) when normalized is False, or
     p -> lambda(p) (finite binary64) when normalized is True.  Keys must be
-    exactly the primes up to pmax (gap-free).  Exact tables are the authoritative
-    representation wherever sign decisions matter; lam() derives the float
-    normalisation on demand.
+    exactly the primes up to pmax (gap-free).  level_primes holds the level's
+    primes, ascending, from its one factorization.  Exact tables are the
+    authoritative representation wherever sign decisions matter; lam()
+    derives the float normalisation on demand.
     """
 
     level: int
@@ -102,16 +103,19 @@ class NewformCoeffs:
     coeffs: dict
     normalized: bool = False
     pmax: int = field(init=False, default=0)
+    level_primes: tuple = field(init=False, default=())
 
     def __post_init__(self):
-        if self.level < 1 or not is_squarefree(self.level):
+        factors = factorize(self.level) if self.level >= 1 else None
+        if factors is None or any(e > 1 for _, e in factors):
             raise ValidationError(f"level {self.level} is not squarefree")
+        object.__setattr__(self, "level_primes", tuple(p for p, _ in factors))
         if self.weight < 2 or self.weight % 2 != 0:
             raise ValidationError(f"weight must be an even integer >= 2, got {self.weight}")
         keys = list(self.coeffs.keys())
         if sorted(keys) != keys:
             raise ValidationError("table primes are not strictly ascending")
-        pmax = keys[-1] if keys else 0
+        pmax = int(keys[-1]) if keys else 0
         # a gap-free table of n primes ends at p_n <= limit: sieve no further
         limit = nth_prime_bound(len(keys))
         expected = primes_up_to(min(pmax, limit)).tolist()
@@ -125,6 +129,13 @@ class NewformCoeffs:
             missing = next(p for p in expected if p not in key_set)
             raise ValidationError(f"prime table has a gap: missing p={missing}")
         object.__setattr__(self, "pmax", pmax)
+        k = self.weight
+        # lam() divides a_p by p^((k-2)/2) sqrt(p) in binary64, finite while
+        # pmax^(k-1) < 2^2046; the bit-length test refuses a huge k unpowered
+        if not self.normalized and (
+                (k - 1) * (pmax.bit_length() - 1) >= 2046 or pmax ** (k - 1) >= 2**2046):
+            raise ValidationError(f"weight {k} is too large for an integer table up to "
+                                  f"p={pmax}: p^(k-1) must stay below 2^2046")
         for p, v in self.coeffs.items():
             self._check_bound(p, v)
 
@@ -172,9 +183,6 @@ class NewformCoeffs:
         a = np.fromiter(self.coeffs.values(), dtype=np.int64, count=n)
         scale = (ps ** ((k - 2) // 2)).astype(np.float64) * np.sqrt(ps.astype(np.float64))
         return a.astype(np.float64) / scale
-
-    def level_primes(self) -> list[int]:
-        return [p for p, _ in factorize(self.level)]
 
     def lam(self, p: int) -> float:
         """Normalised eigenvalue lambda(p)."""

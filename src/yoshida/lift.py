@@ -63,7 +63,7 @@ UNCERTAIN = 2
 
 def _infer_al_map(nf: NewformCoeffs) -> dict[int, int]:
     out = {}
-    for p in nf.level_primes():
+    for p in nf.level_primes:
         if p not in nf.coeffs:
             raise ValidationError(f"cannot infer Atkin-Lehner sign: no coefficient at p={p}")
         if nf.normalized:

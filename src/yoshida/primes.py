@@ -102,14 +102,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for _, e in factorize(n))
-
-
-def squarefree_divisors(n: int) -> list[int]:
-    """All divisors of squarefree n (the full divisor lattice), ascending."""
+def squarefree_divisors(primes) -> list[int]:
+    """All divisors of the product of the distinct primes given (a squarefree
+    number, whose divisor lattice this is), ascending."""
     divs = [1]
-    for p, _ in factorize(n):
+    for p in primes:
         divs += [d * p for d in divs]
     return sorted(divs)
-

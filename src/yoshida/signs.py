@@ -354,11 +354,11 @@ def bad_factor_bound(h: NewformCoeffs) -> BadFactorBound:
     The inequality follows from |lambda(p)| <= 1 at bad primes by expanding
     the product into the divisor sum, and is asserted with 1e-12 slack."""
     lhs = 1.0
-    for p in h.level_primes():
+    for p in h.level_primes:
         if p not in h.coeffs:
             raise ValidationError(f"missing bad-prime coefficient at p={p}")
         lhs *= 1.0 + abs(h.lam(p)) / math.sqrt(p)
-    rhs = math.fsum(1.0 / math.sqrt(d) for d in squarefree_divisors(h.level))
+    rhs = math.fsum(1.0 / math.sqrt(d) for d in squarefree_divisors(h.level_primes))
     if lhs > rhs + 1e-12:
         raise ValidationError(f"bad-factor bound violated: {lhs!r} > {rhs!r}")
     return BadFactorBound(lhs=lhs, rhs=rhs)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import yoshida
+from yoshida import primes
 from yoshida.cli import run
 from yoshida.curves import load_coeffs
 
@@ -164,12 +165,16 @@ def test_nan_at_level_prime_exits_1(cmd, tmp_path, capsys):
     # 33a has disc 3^6 11^2: a declared level 11 misses the multiplicative prime 3
     (["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--level", "11"], None,
      "level 11 contradicts the model"),
+    # ... and 3 drops the multiplicative prime 11 above pmax
+    (["ap", "--curve", "1,1,0,-11,0", "--pmax", "7", "--level", "3"], None,
+     "share its prime factors; the conductor is 33"),
     (["ap", "--curve", "0,-1,1,0,0", "--pmax", "10", "--level", "1000000000000000003"], None,
      "must divide the discriminant -11"),
     # a huge prime level is accepted after bounded trial division, then lacks its row
     (["stats", "--y", "3"], 10**18 + 3, "missing bad-prime coefficient"),
     (["stats", "--y", "3"], (10**9 + 7) * (10**9 + 9), "cannot factorize"),
-], ids=["ap_level_misses_3", "ap_huge_level", "stats_huge_prime_level", "stats_unfactorable_level"])
+], ids=["ap_level_misses_3", "ap_level_misses_11", "ap_huge_level", "stats_huge_prime_level",
+        "stats_unfactorable_level"])
 def test_contradicting_or_huge_level_exits_1_fast(argv, level, err, tmp_path, capsys):
     if level is not None:
         form = tmp_path / "form.txt"
@@ -217,10 +222,53 @@ def test_import_and_majorant_verify_leave_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_additive_reduction_exits_2(tmp_path, capsys):
-    assert run(["ap", "--curve", "0,0,0,5,0", "--pmax", "10", "--level", "10",
-                "--out", str(tmp_path / "x.txt")]) == 2
-    assert "additive reduction" in capsys.readouterr().err
+@pytest.mark.parametrize("curve,pmax,level,p", [
+    ("0,0,0,5,0", "10", "10", 2),
+    # additive only at 7 > pmax: refused before any prime is counted
+    ("0,-1,1,-2,-1", "5", "3", 7),
+], ids=["cusp_at_2", "cusp_at_7_above_pmax"])
+def test_additive_reduction_exits_2(curve, pmax, level, p, tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert run(["ap", "--curve", curve, "--pmax", pmax, "--level", level, "--out", str(out)]) == 2
+    assert f"additive reduction at p={p}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_ap_without_level_writes_the_conductor(tmp_path):
+    out = tmp_path / "g33.txt"
+    assert run(["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "# level=33 weight=2"
+
+
+def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
+    real, calls = primes.factorize, []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "yoshida"]:
+        if getattr(mod, "factorize", None) is real:
+            monkeypatch.setattr(mod, "factorize", counting)
+    _, g = pair_files
+    assert run(["stats", "--form", str(g), "--y", "100", "--out", str(tmp_path / "s.json")]) == 0
+    assert calls == [33]
+
+
+@pytest.mark.parametrize("header,rows,y", [
+    # p^((k-2)/2) at p near 500 is beyond binary64: lam() would raise OverflowError
+    ("level=11 weight=240", {**dict.fromkeys(primes.primes_up_to(600).tolist(), 0),
+                             11: 11**119}, "500"),
+    # 11^296 sqrt(11) is inf in binary64: lam(11) would be -0.0, not -11^(-1/2)
+    ("level=11 weight=594", {2: 0, 3: 0, 5: 0, 7: 0, 11: -11**296}, "11"),
+], ids=["overflow_error", "inf_scale"])
+def test_integer_table_beyond_binary64_exits_1(header, rows, y, tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text(f"# {header}\n" + "".join(f"{p} {v}\n" for p, v in sorted(rows.items())))
+    out = tmp_path / "out"
+    assert run(["stats", "--form", str(form), "--y", y, "--out", str(out)]) == 1
+    assert "p^(k-1) must stay below 2^2046" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_json(pair_files, tmp_path):

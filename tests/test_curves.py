@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from yoshida import curves
-from yoshida.curves import WeierstrassCurve, ap_table, count_ap, load_coeffs, write_coeffs
+from yoshida.curves import (WeierstrassCurve, ap_table, conductor, count_ap, load_coeffs,
+                            write_coeffs)
 from yoshida.errors import AdditiveReductionError, ValidationError
 from yoshida.primes import primes_up_to
 from tests.conftest import CURVE_11A, CURVE_33A
@@ -185,11 +186,24 @@ def test_ap_table_empty_below_first_prime():
     assert t.coeffs == {}
 
 
-def test_ap_table_level_defaults_to_disc_with_warning():
-    c = WeierstrassCurve(0, -1, 1, 0, 0)
-    with pytest.warns(UserWarning, match="discriminant"):
-        t = ap_table(c, 10)
-    assert t.level == 11
+@pytest.mark.parametrize("ai,want", [
+    ((0, -1, 1, 0, 0), 11),
+    ((1, 1, 0, -11, 0), 33),
+    ((0, 0, 1, -1, 0), 37),
+    ((1, 1, 1, -10, -10), 15),
+    ((1, 0, 1, -19, 26), 30),
+    # gcd(disc, c4) > 1: refused at its smallest prime (disc -147 = -3 7^2, c4 = 112)
+    ((0, 0, 0, -1, 0), "additive reduction at p=2"),
+    ((0, 0, 0, 5, 0), "additive reduction at p=2"),
+    ((0, -1, 1, -2, -1), "additive reduction at p=7"),
+])
+def test_conductor(ai, want):
+    c = WeierstrassCurve(*ai)
+    if isinstance(want, str):
+        with pytest.raises(AdditiveReductionError, match=f"^{want}$"):
+            conductor(c)
+    else:
+        assert conductor(c) == want
 
 
 def test_ap_table_refuses_level_the_model_contradicts():

@@ -100,12 +100,23 @@ def test_table_accepts_valid():
     assert nf.pmax == 11
     assert nf.lam(2) == pytest.approx(-math.sqrt(2))
     assert nf.a_exact(11) == 1
-    assert nf.level_primes() == [11]
+    assert nf.level_primes == (11,)
 
 
 def test_table_rejects_nonsquarefree_level():
     with pytest.raises(ValidationError, match="squarefree"):
         NewformCoeffs(level=12, weight=2, coeffs={2: 0})
+
+
+def test_integer_table_weight_bound_is_exact():
+    # 2^(k-1) < 2^2046 at k = 2046: the largest a_2 still gives a finite lambda
+    nf = NewformCoeffs(level=1, weight=2046, coeffs={2: -(2**1023)})
+    assert nf.lam(2) == -2 / math.sqrt(2)
+    for k in (2048, 10**6):
+        with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
+            NewformCoeffs(level=1, weight=k, coeffs={2: 0})
+    # normalized tables hold lambda itself and are not bounded
+    assert NewformCoeffs(level=1, weight=2048, coeffs={2: 1.0}, normalized=True).lam(2) == 1.0
 
 
 def test_table_rejects_odd_weight():

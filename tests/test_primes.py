@@ -7,7 +7,6 @@ from yoshida.errors import ValidationError
 from yoshida.primes import (
     factorize,
     is_prime,
-    is_squarefree,
     nth_prime_bound,
     prime_sieve,
     primes_up_to,
@@ -56,10 +55,9 @@ def test_factorize_and_squarefree():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(33) == [(3, 1), (11, 1)]
-    assert is_squarefree(33) and not is_squarefree(12)
-    assert squarefree_divisors(1) == [1]
-    assert squarefree_divisors(6) == [1, 2, 3, 6]
-    assert squarefree_divisors(33) == [1, 3, 11, 33]
+    assert squarefree_divisors([]) == [1]
+    assert squarefree_divisors([2, 3]) == [1, 2, 3, 6]
+    assert squarefree_divisors([3, 11]) == [1, 3, 11, 33]
 
 
 def test_is_prime_rejects_strong_pseudoprimes():
