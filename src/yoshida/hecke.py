@@ -130,11 +130,11 @@ class NewformCoeffs:
             raise ValidationError(f"prime table has a gap: missing p={missing}")
         object.__setattr__(self, "pmax", pmax)
         k = self.weight
-        # lam() divides a_p by p^((k-2)/2) sqrt(p) in binary64, finite while
-        # pmax^(k-1) < 2^2046; the bit-length test refuses a huge k unpowered
-        if not self.normalized and (
-                (k - 1) * (pmax.bit_length() - 1) >= 2046 or pmax ** (k - 1) >= 2**2046):
-            raise ValidationError(f"weight {k} is too large for an integer table up to "
+        # lam() divides a_p by p^((k-2)/2) sqrt(p) in binary64, and a normalized
+        # table's a_p = lambda(p) p^((k-1)/2) is formed the same way: finite
+        # while pmax^(k-1) < 2^2046; the bit-length test refuses a huge k unpowered
+        if (k - 1) * (pmax.bit_length() - 1) >= 2046 or pmax ** (k - 1) >= 2**2046:
+            raise ValidationError(f"weight {k} is too large for a table up to "
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
         for p, v in self.coeffs.items():
             self._check_bound(p, v)
@@ -165,24 +165,33 @@ class NewformCoeffs:
         return np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
 
     @cached_property
+    def a_array(self) -> np.ndarray:
+        """The exact a_p of every table prime, in table order; refuses
+        normalized tables.
+
+        int64 while 16 pmax^(k-1) < 2^126, so that p^((k-2)/2) and, for the
+        f of a lift, |a_f(p)| + |a_g(p)| p^((k-2)/2) <= 4 p^((k-1)/2) fit as
+        well; beyond that an object array of Python ints.  This is the one
+        integer-width decision of the program.
+        """
+        if self.normalized:
+            raise ValidationError("table holds normalised floats, exact a_p unavailable")
+        dtype = np.int64 if 16 * self.pmax ** (self.weight - 1) < 2**126 else object
+        return np.fromiter(self.coeffs.values(), dtype=dtype, count=len(self.coeffs))
+
+    @cached_property
     def lam_array(self) -> np.ndarray:
         """lam(p) for every table prime, in table order, bit for bit.
 
-        Array operations repeat lam()'s roundings (int to binary64, the
-        correctly rounded sqrt, one multiply, one divide) while int64 holds
-        every a_p and p^((k-2)/2), i.e. while 4 pmax^(k-1) < 2^126; beyond
-        that lam() runs per prime.
+        One formula over a_array, in its dtype, with lam()'s roundings: int to
+        binary64 (correctly rounded for int64 and Python ints alike), the
+        correctly rounded sqrt, one multiply, one divide.
         """
-        n = len(self.coeffs)
         if self.normalized:
-            return np.fromiter(self.coeffs.values(), dtype=np.float64, count=n)
-        k = self.weight
-        if 4 * self.pmax ** (k - 1) >= 2**126:
-            return np.fromiter((self.lam(p) for p in self.coeffs), dtype=np.float64, count=n)
-        ps = self.prime_array
-        a = np.fromiter(self.coeffs.values(), dtype=np.int64, count=n)
-        scale = (ps ** ((k - 2) // 2)).astype(np.float64) * np.sqrt(ps.astype(np.float64))
-        return a.astype(np.float64) / scale
+            return np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
+        a, ps = self.a_array, self.prime_array
+        scale = ps.astype(a.dtype) ** ((self.weight - 2) // 2)
+        return a.astype(np.float64) / (scale.astype(np.float64) * np.sqrt(ps.astype(np.float64)))
 
     def lam(self, p: int) -> float:
         """Normalised eigenvalue lambda(p)."""

@@ -37,16 +37,14 @@ Normalized float tables get float signs, certified only outside
 An EigenSequence holds both channels as dense numpy arrays indexed by n,
 assembled without a per-n Python loop but with the same float operations as
 the per-n recurrence, so every printed bit is that of the textbook loop.  The
-exact channel is int64 while every product provably fits and switches to
-Python ints (an object array) at the first one that might not; in weight
-k > 2 that happens early, since lambda_F(n) n^((k-1)/2) grows like
-n^((k-1)/2).
+exact channel holds signs only: the sign of the integer at each prime power
+q is taken exactly, and sign(n) = sign(q) sign(n/q) by multiplicativity, so
+no per-n integer (which grows like n^((k-1)/2)) is ever formed.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -162,15 +160,15 @@ class EigenSequence:
 
     index holds those n in ascending order.  values[n] is the binary64
     lambda_F(n) for n in index; every other slot holds 0.0 and is never read.
-    When both tables hold integers, scaled[n] is the integer
-    lambda_F(n) n^((k-1)/2): int64 while every product fits, else an object
-    array of Python ints (weight k > 2 outgrows int64 fast); otherwise None.
+    When both tables hold integers, exact_sign[n] is the exact sign in
+    {-1, 0, +1} of the integer lambda_F(n) n^((k-1)/2), as int8; otherwise
+    None.
     """
 
     xmax: int
     index: np.ndarray
     values: np.ndarray
-    scaled: np.ndarray | None = None
+    exact_sign: np.ndarray | None = None
 
     def sign(self, n: int) -> int | None:
         """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain:
@@ -186,15 +184,15 @@ class EigenSequence:
         """The certified sign of lambda_F(n) for every n in index, as one
         read-only int8 array, built on first use and the same object after.
 
-        Exact from scaled when present; otherwise +-1 from the float value
+        exact_sign when present; otherwise +-1 from the float value
         when |lambda_F(n)| > SIGN_TOL, and UNCERTAIN inside that band.
         """
         return self._sign_codes
 
     @cached_property
     def _sign_codes(self) -> np.ndarray:
-        if self.scaled is not None:
-            codes = np.sign(self.scaled[self.index]).astype(np.int8)
+        if self.exact_sign is not None:
+            codes = self.exact_sign[self.index]
         else:
             v = self.values[self.index]
             codes = np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
@@ -229,14 +227,15 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.
 
     Euler coefficients are tabulated by prime power q = p^e <= xmax.  At every
-    good prime, lambda_F(p) = lambda_f(p) + lambda_g(p) and I_1 = a_f(p) +
-    a_g(p) p^((k-2)/2) are array operations with the roundings of
-    lift_euler_coeffs / lift_euler_ints; those two fill only the p^e with
+    good prime, lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 =
+    a_f(p) + a_g(p) p^((k-2)/2) are array operations, the latter in the dtype
+    of f's a_array; lift_euler_coeffs / lift_euler_ints fill only the p^e with
     e >= 2.  Then lambda_F(n) = c(q) lambda_F(n/q) with q the power of the
     smallest prime factor of n, one gather-multiply round per number of
     distinct prime factors: the per-n float product of the textbook
-    recurrence, so the bits do not depend on the assembly.  The exact integer
-    channel is built whenever neither table is normalized.
+    recurrence, so the bits do not depend on the assembly.  The exact sign
+    channel, sign(n) = sign(I(q)) sign(n/q) in int8, rides in the same rounds
+    whenever neither table is normalized.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -255,26 +254,20 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     # (-0.0) + (-0.0) into fsum's 0.0.
     euler = np.zeros(xmax + 1)
     euler[ps[good]] = (lam_f + lam_g) + 0.0
-    high_q, high_ints = [], []
+    if exact:
+        # sign of I(q) = lambda_F(q) q^((k-1)/2); a_array's dtype holds I_1
+        a_f, a_g = spec.f.a_array[: ps.size][good], spec.g.a_array[: ps.size][good]
+        euler_sign = np.zeros(xmax + 1, dtype=np.int8)
+        euler_sign[ps[good]] = np.sign(a_f + a_g * ps[good].astype(a_f.dtype) ** ((k - 2) // 2))
     for p in ps[good & (ps <= root)].tolist():
         qs = [p * p]
         while qs[-1] * p <= xmax:
             qs.append(qs[-1] * p)
         rmax = len(qs) + 1
         euler[qs] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)[2:]
-        high_q += qs
         if exact:
-            high_ints += lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[2:]
-
-    if exact:
-        # |I_1| <= 4 p^((k-1)/2) fits int64 when 16 xmax^(k-1) < 2^126
-        wide = 16 * xmax ** (k - 1) >= 2**126 or any(abs(v) >= 2**63 for v in high_ints)
-        dtype = object if wide else np.int64
-        a_f, a_g = (np.array(list(islice(h.coeffs.values(), ps.size)), dtype=dtype)[good]
-                    for h in (spec.f, spec.g))
-        euler_int = np.zeros(xmax + 1, dtype=dtype)
-        euler_int[ps[good]] = a_f + a_g * ps[good].astype(dtype) ** ((k - 2) // 2)
-        euler_int[high_q] = np.array(high_ints, dtype=dtype)
+            ints = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[2:]
+            euler_sign[qs] = [(v > 0) - (v < 0) for v in ints]
 
     coprime = np.ones(xmax + 1, dtype=bool)
     coprime[0] = False
@@ -285,10 +278,10 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
 
     values = np.zeros(xmax + 1)
     values[1] = 1.0
-    scaled = None
+    sign = None
     if exact:
-        scaled = np.zeros(xmax + 1, dtype=euler_int.dtype)
-        scaled[1] = 1
+        sign = np.zeros(xmax + 1, dtype=np.int8)
+        sign[1] = 1
     done = np.zeros(xmax + 1, dtype=bool)
     done[1] = True
     todo = index[1:]
@@ -299,14 +292,8 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         n, q, m = todo[ready], q[ready], m[ready]
         values[n] = euler[q] * values[m]
         if exact:
-            a, b = euler_int[q], scaled[m]
-            if scaled.dtype != object and np.any(
-                    np.abs(a.astype(float)) * np.abs(b.astype(float)) >= 2.0**62):
-                # some product may pass 2^63: continue in Python ints
-                euler_int, scaled = euler_int.astype(object), scaled.astype(object)
-                a, b = euler_int[q], scaled[m]
-            scaled[n] = a * b
+            sign[n] = euler_sign[q] * sign[m]
         done[n] = True
         todo = todo[~ready]
 
-    return EigenSequence(xmax=xmax, index=index, values=values, scaled=scaled)
+    return EigenSequence(xmax=xmax, index=index, values=values, exact_sign=sign)

@@ -261,14 +261,22 @@ def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
                              11: 11**119}, "500"),
     # 11^296 sqrt(11) is inf in binary64: lam(11) would be -0.0, not -11^(-1/2)
     ("level=11 weight=594", {2: 0, 3: 0, 5: 0, 7: 0, 11: -11**296}, "11"),
-], ids=["overflow_error", "inf_scale"])
+    # lambda(11) 11^399 sqrt(11) is beyond binary64: inferring w_11 overflowed
+    ("level=11 weight=800 normalized", {2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: 0.5}, "11"),
+], ids=["overflow_error", "inf_scale", "normalized"])
 def test_integer_table_beyond_binary64_exits_1(header, rows, y, tmp_path, capsys):
-    form = tmp_path / "form.txt"
+    form, g = tmp_path / "form.txt", tmp_path / "g.txt"
     form.write_text(f"# {header}\n" + "".join(f"{p} {v}\n" for p, v in sorted(rows.items())))
+    g.write_text("# level=33 weight=2 normalized\n2 0.5\n3 0.57735\n5 0.0\n7 0.2\n11 0.301511\n")
     out = tmp_path / "out"
-    assert run(["stats", "--form", str(form), "--y", y, "--out", str(out)]) == 1
-    assert "p^(k-1) must stay below 2^2046" in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (["stats", "--form", str(form), "--y", y],
+                 ["lift", "--f", str(form), "--g", str(g), "--xmax", y]):
+        # an exception cli.run does not catch would propagate here, not return 1
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "p^(k-1) must stay below 2^2046" in err
+        assert not out.exists()
 
 
 def test_search_json(pair_files, tmp_path):
@@ -383,6 +391,37 @@ def test_outputs_match_frozen_digests(table_11a, table_33a, tmp_path):
         assert run([*argv, "--out", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == FROZEN_DIGESTS
+
+
+# SHA-256 of the lift CSV and the report JSON on the seeded integer pairs of
+# weight 4 (xmax 3000) and weight 12 (xmax 1800), frozen before the exact
+# channel carried signs instead of integers: the exact signs above weight 2,
+# where lambda_F(n) n^((k-1)/2) passes 2^63
+FROZEN_EXACT_DIGESTS = {
+    "k4.lift": "150cdd6a01287ae6092d7e3b38446331a4c39108d97029f8ae4a6767792e8554",
+    "k4.report": "397b35fe270b35c5be98e911e0265448cd6a475f80afd8ca62fb37bdcf88ba4a",
+    "k12.lift": "b0192fb2eb342d8c98ae0fe63a2caa87d9def9fa45256f966e3219945e569ed8",
+    "k12.report": "9032b54c60a926ec196e67f66f372c2dca05b3a26090734f13524d881fbeea1c",
+}
+
+
+def test_exact_channel_outputs_match_frozen_digests(tmp_path):
+    import hashlib
+
+    from yoshida.curves import write_coeffs
+    from tests.test_lift import _synthetic_pair
+    got = {}
+    for k, xmax, seed in ((4, 3000, 4), (12, 1800, 1)):
+        spec = _synthetic_pair(k, xmax, seed)
+        f, g = tmp_path / f"f{k}.txt", tmp_path / f"g{k}.txt"
+        write_coeffs(spec.f, f)
+        write_coeffs(spec.g, g)
+        for name in ("lift", "report"):
+            out = tmp_path / f"k{k}.{name}"
+            assert run([name, "--f", str(f), "--g", str(g), "--xmax", str(xmax),
+                        "--out", str(out)]) == 0
+            got[f"k{k}.{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == FROZEN_EXACT_DIGESTS
 
 
 # SHA-256 of the majorant commands' stdout and --out JSON: the exact

@@ -115,8 +115,10 @@ def test_integer_table_weight_bound_is_exact():
     for k in (2048, 10**6):
         with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
             NewformCoeffs(level=1, weight=k, coeffs={2: 0})
-    # normalized tables hold lambda itself and are not bounded
-    assert NewformCoeffs(level=1, weight=2048, coeffs={2: 1.0}, normalized=True).lam(2) == 1.0
+    # normalized tables are bounded alike: a_p = lambda(p) p^((k-1)/2) must be finite
+    assert NewformCoeffs(level=1, weight=2046, coeffs={2: 1.0}, normalized=True).lam(2) == 1.0
+    with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
+        NewformCoeffs(level=1, weight=2048, coeffs={2: 1.0}, normalized=True)
 
 
 def test_table_rejects_odd_weight():

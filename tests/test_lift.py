@@ -174,7 +174,7 @@ def test_sequence_multiplicativity(reg_seq):
 
 
 def test_sequence_exact_multiplicativity(reg_seq):
-    sc = reg_seq.scaled.tolist()
+    sc = reg_seq.exact_sign.tolist()
     stored = set(reg_seq.index.tolist())
     for m in range(2, 100):
         if m not in stored:
@@ -212,8 +212,8 @@ def _synthetic_pair(k, xmax, seed):
 def test_sequence_weight4_exact_channel():
     xmax = 3000
     seq = lift_sequence(_synthetic_pair(4, xmax, 4), xmax)
-    sc = seq.scaled.tolist()
-    assert seq.scaled.shape == seq.values.shape
+    sc = seq.exact_sign.tolist()
+    assert seq.exact_sign.shape == seq.values.shape
     stored = set(seq.index.tolist())
     for m in range(2, 60):
         for n in range(2, xmax // m + 1):
@@ -329,7 +329,7 @@ def test_sequence_rejects_exact_on_normalized():
                       normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 10)
-    assert seq.scaled is None  # normalized tables get no exact channel
+    assert seq.exact_sign is None  # normalized tables get no exact channel
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
     assert seq.sign(2) is None  # inside the sign tolerance
 
@@ -387,22 +387,32 @@ def _assert_matches_reference(spec, seq):
     got = seq.values[seq.index]
     assert np.array_equal(got.view(np.uint64), np.array(list(values.values())).view(np.uint64))
     if scaled is None:
-        assert seq.scaled is None
+        assert seq.exact_sign is None
     else:
-        assert seq.scaled[seq.index].tolist() == list(scaled.values())
+        # the signs of the reference's Python-int products
+        assert seq.signs().tolist() == [(v > 0) - (v < 0) for v in scaled.values()]
 
 
 def test_dense_sequence_matches_dict_reference_11a_33a():
     xmax = 2 * 10**4
     spec = validate_pair(ap_table(CURVE_11A, xmax), ap_table(CURVE_33A, xmax))
     seq = lift_sequence(spec, xmax)
-    assert seq.scaled.dtype == np.int64
+    assert spec.f.a_array.dtype == np.int64
     _assert_matches_reference(spec, seq)
 
 
 def test_dense_sequence_matches_dict_reference_weight4():
     xmax = 3000
     spec = _synthetic_pair(4, xmax, 4)
+    _assert_matches_reference(spec, lift_sequence(spec, xmax))
+
+
+def test_dense_sequence_matches_dict_reference_python_int_table():
+    # 16 pmax^11 >= 2^126 at weight 12 and pmax 3000: the sign of I_1 is
+    # taken over a_array's Python ints
+    xmax = 3000
+    spec = _synthetic_pair(12, xmax, 12)
+    assert spec.f.a_array.dtype == object
     _assert_matches_reference(spec, lift_sequence(spec, xmax))
 
 
@@ -422,18 +432,17 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
 
 
 def test_scaled_overflow_falls_back_to_python_ints():
-    # weight 12: lambda_F(n) n^(11/2) passes 2^63 below xmax, so the int64
-    # channel must switch to Python ints instead of wrapping
+    # weight 12: lambda_F(n) n^(11/2) passes 2^63 below xmax while the tables
+    # fit int64, so a per-n int64 product would wrap; the exact signs must
+    # still be those of the reference's Python-int products
     xmax = 1800
     spec = _synthetic_pair(12, xmax, 1)
     seq = lift_sequence(spec, xmax)
-    assert seq.scaled.dtype == object
-    sc = seq.scaled.tolist()
-    # every Euler coefficient (scaled[p^e]) fits int64, so the assembly starts
-    # in int64 and meets the overflow only in a product
-    assert 16 * xmax**11 < 2**126
-    assert max(abs(sc[q]) for q in seq.index.tolist() if len(factorize(q)) == 1) < 2**62
-    assert max(abs(v) for v in seq.scaled[seq.index].tolist()) >= 2**63
+    assert spec.f.a_array.dtype == np.int64
+    _, scaled = dict_lift_reference(spec, xmax)
+    # every Euler coefficient I(p^e) fits int64; the overflow is in the products
+    assert max(abs(v) for n, v in scaled.items() if len(factorize(n)) == 1) < 2**62
+    assert max(abs(v) for v in scaled.values()) >= 2**63
     _assert_matches_reference(spec, seq)
     assert seq.signs().tolist() == [seq.sign(n) for n in seq.index.tolist()]
     for n, v in seq_items(seq):
@@ -471,10 +480,12 @@ def test_sign_rejects_n_outside_sequence(reg_seq):
 
 
 def test_lam_array_bit_identical_to_lam():
-    for k, seed in ((2, 2), (4, 4), (12, 12)):
+    # int64 a_array at weights 2 and 4, Python ints from weight 12 on
+    for k, seed in ((2, 2), (4, 4), (12, 12), (24, 24), (100, 100)):
         spec = _synthetic_pair(k, 3000, seed)
         for h in (spec.f, spec.g):
             want = np.array([h.lam(p) for p in h.coeffs])
+            assert h.a_array.dtype == (object if h.weight >= 12 else np.int64)
             assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
             assert h.prime_array.tolist() == list(h.coeffs)
 

@@ -40,16 +40,16 @@ def _flat_table(level, pmax, lam):
 # weighted_sum / first_negative
 # ---------------------------------------------------------------------------
 
-def _seq_from_values(values, xmax, scaled=None):
-    """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: scaled}) entries."""
+def _seq_from_values(values, xmax, exact_sign=None):
+    """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: exact sign}) entries."""
     index = np.array(sorted(values), dtype=np.int64)
     dense = np.zeros(xmax + 1)
     dense[index] = [values[n] for n in index.tolist()]
-    dense_scaled = None
-    if scaled is not None:
-        dense_scaled = np.zeros(xmax + 1, dtype=np.int64)
-        dense_scaled[list(scaled)] = list(scaled.values())
-    return EigenSequence(xmax=xmax, index=index, values=dense, scaled=dense_scaled)
+    dense_sign = None
+    if exact_sign is not None:
+        dense_sign = np.zeros(xmax + 1, dtype=np.int8)
+        dense_sign[list(exact_sign)] = list(exact_sign.values())
+    return EigenSequence(xmax=xmax, index=index, values=dense, exact_sign=dense_sign)
 
 
 def test_weighted_sum_x1():
@@ -99,7 +99,7 @@ def test_first_negative_uncertain_band():
 
 def test_first_negative_exact_channel_overrides_floats():
     # tiny float value, but the exact channel certifies the sign
-    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, scaled={1: 1, 2: -1})
+    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, exact_sign={1: 1, 2: -1})
     assert first_negative(seq) == 2
 
 
