@@ -117,9 +117,9 @@ def _cmd_ap(args) -> int:
 def _cmd_lift(args) -> int:
     _, seq = _build_sequence(args)
     lines = ["n,lambda,sign"]
-    # tolist() hands _fmt Python floats: numpy 2 reprs np.float64 differently
+    # tolist() gives Python floats: numpy 2 reprs np.float64 differently
     for n, v, s in zip(seq.index.tolist(), seq.values[seq.index].tolist(), seq.signs().tolist()):
-        lines.append(f"{n},{_fmt(v)},{_SIGN_CHARS[s]}")
+        lines.append(f"{n},{v!r},{_SIGN_CHARS[s]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -283,10 +283,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("majorant", help="verify or optimize the quartic majorant")
     p.add_argument("action", choices=("verify", "optimize"))
-    p.add_argument("--delta", type=Fraction, default=Fraction(11, 10),
-                   help="decimal string, parsed exactly (default 11/10)")
-    p.add_argument("--alpha", type=Fraction, default=Fraction(-57, 1000))
-    p.add_argument("--upsilon", type=Fraction, default=Fraction(-7))
+    ref = majorant.REFERENCE_PARAMS
+    p.add_argument("--delta", type=Fraction, default=ref.delta,
+                   help=f"decimal string, parsed exactly (default {ref.delta})")
+    p.add_argument("--alpha", type=Fraction, default=ref.alpha)
+    p.add_argument("--upsilon", type=Fraction, default=ref.upsilon)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-4,
                    help="grid of the reported minimum of r; the certificate itself is exact")
     p.add_argument("--refine", action="store_true",

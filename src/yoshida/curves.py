@@ -297,8 +297,12 @@ def load_coeffs(path) -> NewformCoeffs:
     All table invariants (squarefree level, Deligne bound, gap-free primes)
     are re-validated on load.  Parse errors carry 1-based line numbers.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (cannot decode byte "
+                              f"{exc.object[exc.start]:#04x})") from None
     if not lines or not lines[0].startswith("#"):
         raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
 

@@ -35,11 +35,12 @@ Normalized float tables get float signs, certified only outside
 |lambda_F(n)| <= SIGN_TOL.
 
 An EigenSequence holds both channels as dense numpy arrays indexed by n,
-assembled without a per-n Python loop but with the same float operations as
-the per-n recurrence, so every printed bit is that of the textbook loop.  The
-exact channel holds signs only: the sign of the integer at each prime power
-q is taken exactly, and sign(n) = sign(q) sign(n/q) by multiplicativity, so
-no per-n integer (which grows like n^((k-1)/2)) is ever formed.
+assembled one good prime at a time, largest first, without a per-n Python
+loop but with the same float operations as the per-n recurrence, so every
+printed bit is that of the textbook loop.  The exact channel holds signs
+only: the sign of the integer at each prime power q is taken exactly, and
+sign(n) = sign(q) sign(n/q) by multiplicativity, so no per-n integer (which
+grows like n^((k-1)/2)) is ever formed.
 """
 
 import math
@@ -207,35 +208,22 @@ class EigenSequence:
                            count=self.index.size)
 
 
-def _spf_power(xmax: int, small_primes: np.ndarray) -> np.ndarray:
-    """q[n] = p^e with p the smallest prime factor of n and p^e exactly
-    dividing n (q[n] = n for n <= 1); small_primes are the primes <= sqrt(xmax)."""
-    spf = np.arange(xmax + 1)
-    for p in small_primes[::-1].tolist():  # descending: the smallest p writes last
-        spf[p * p :: p] = p
-    q = spf.copy()
-    for p in small_primes.tolist():
-        pe = p * p
-        while pe <= xmax:
-            block = q[pe::pe]
-            block[spf[pe::pe] == p] = pe
-            pe *= p
-    return q
-
-
 def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.
 
-    Euler coefficients are tabulated by prime power q = p^e <= xmax.  At every
-    good prime, lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 =
-    a_f(p) + a_g(p) p^((k-2)/2) are array operations, the latter in the dtype
-    of f's a_array; lift_euler_coeffs / lift_euler_ints fill only the p^e with
-    e >= 2.  Then lambda_F(n) = c(q) lambda_F(n/q) with q the power of the
-    smallest prime factor of n, one gather-multiply round per number of
-    distinct prime factors: the per-n float product of the textbook
-    recurrence, so the bits do not depend on the assembly.  The exact sign
-    channel, sign(n) = sign(I(q)) sign(n/q) in int8, rides in the same rounds
-    whenever neither table is normalized.
+    Such an n > 1 is q m with q = p^e the full power of its smallest prime p
+    and every prime of m above p, so lambda_F(n) = c(q) lambda_F(m): the
+    per-n float product of the textbook recurrence, so the bits do not depend
+    on the assembly.  A good prime p > sqrt(xmax) occurs only as n = p, where
+    lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 = a_f(p) +
+    a_g(p) p^((k-2)/2) are array operations, the latter in the dtype of f's
+    a_array.  The good primes p <= sqrt(xmax) follow from the largest down:
+    done marks the n built so far, all of whose primes exceed p, and each
+    power q of p multiplies c(q) from lift_euler_coeffs into every done
+    m <= xmax / q at once.  Multiples of the primes dividing N are never
+    marked, so done ends as the index.  The exact sign channel, sign(n) =
+    sign(I(q)) sign(m) in int8 with sign(I(q)) from lift_euler_ints, rides
+    along whenever neither table is normalized.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -247,53 +235,41 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     ps = primes_up_to(xmax)
     root = math.isqrt(xmax)
     good = N % ps != 0
-    lam_f, lam_g = spec.f.lam_array[: ps.size][good], spec.g.lam_array[: ps.size][good]
-
-    # Euler coefficients indexed by q = p^e.  The two-term fsum of
-    # lift_euler_coeffs at r = 1 is one IEEE add; + 0.0 turns the -0.0 of
-    # (-0.0) + (-0.0) into fsum's 0.0.
-    euler = np.zeros(xmax + 1)
-    euler[ps[good]] = (lam_f + lam_g) + 0.0
-    if exact:
-        # sign of I(q) = lambda_F(q) q^((k-1)/2); a_array's dtype holds I_1
-        a_f, a_g = spec.f.a_array[: ps.size][good], spec.g.a_array[: ps.size][good]
-        euler_sign = np.zeros(xmax + 1, dtype=np.int8)
-        euler_sign[ps[good]] = np.sign(a_f + a_g * ps[good].astype(a_f.dtype) ** ((k - 2) // 2))
-    for p in ps[good & (ps <= root)].tolist():
-        qs = [p * p]
-        while qs[-1] * p <= xmax:
-            qs.append(qs[-1] * p)
-        rmax = len(qs) + 1
-        euler[qs] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)[2:]
-        if exact:
-            ints = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, k)[2:]
-            euler_sign[qs] = [(v > 0) - (v < 0) for v in ints]
-
-    coprime = np.ones(xmax + 1, dtype=bool)
-    coprime[0] = False
-    for p in spec.al_f.keys() | spec.al_g.keys():  # the primes dividing N
-        coprime[::p] = False
-    index = np.flatnonzero(coprime)
-    spf_q = _spf_power(xmax, ps[ps <= root])
-
-    values = np.zeros(xmax + 1)
-    values[1] = 1.0
-    sign = None
-    if exact:
-        sign = np.zeros(xmax + 1, dtype=np.int8)
-        sign[1] = 1
+    big = good & (ps > root)
+    big_ps = ps[big]
     done = np.zeros(xmax + 1, dtype=bool)
     done[1] = True
-    todo = index[1:]
-    while todo.size:
-        q = spf_q[todo]
-        m = todo // q
-        ready = done[m]
-        n, q, m = todo[ready], q[ready], m[ready]
-        values[n] = euler[q] * values[m]
-        if exact:
-            sign[n] = euler_sign[q] * sign[m]
-        done[n] = True
-        todo = todo[~ready]
+    done[big_ps] = True
+    values = np.zeros(xmax + 1)
+    values[1] = 1.0
+    # The two-term fsum of lift_euler_coeffs at r = 1 is one IEEE add; + 0.0
+    # turns the -0.0 of (-0.0) + (-0.0) into fsum's 0.0.
+    values[big_ps] = (spec.f.lam_array[: ps.size][big] + spec.g.lam_array[: ps.size][big]) + 0.0
+    sign = None
+    if exact:
+        # sign of I_1 = lambda_F(p) p^((k-1)/2); a_array's dtype holds I_1
+        a_f, a_g = spec.f.a_array[: ps.size][big], spec.g.a_array[: ps.size][big]
+        sign = np.zeros(xmax + 1, dtype=np.int8)
+        sign[1] = 1
+        sign[big_ps] = np.sign(a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2))
 
-    return EigenSequence(xmax=xmax, index=index, values=values, exact_sign=sign)
+    for p in ps[good & (ps <= root)][::-1].tolist():
+        qs = [p]
+        while qs[-1] * p <= xmax:
+            qs.append(qs[-1] * p)
+        coeffs = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, len(qs))[1:]
+        if exact:
+            ints = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, len(qs), k)[1:]
+        built = []
+        for e, q in enumerate(qs):
+            m = np.flatnonzero(done[: xmax // q + 1])
+            n = q * m
+            values[n] = coeffs[e] * values[m]
+            if exact:
+                # a Python int times int8 stays int8
+                sign[n] = ((ints[e] > 0) - (ints[e] < 0)) * sign[m]
+            built.append(n)
+        for n in built:  # only now, so that no power of p reads another
+            done[n] = True
+
+    return EigenSequence(xmax=xmax, index=np.flatnonzero(done), values=values, exact_sign=sign)

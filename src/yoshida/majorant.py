@@ -52,18 +52,17 @@ from .errors import ComputationError, ValidationError
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, numbers.Integral):
-        return Fraction(int(x))
-    return Fraction(x)  # exact binary value of the float
+    # Fraction(np.int64(n)) keeps the numpy integer as its numerator, whose
+    # products then wrap around at 2^63
+    return Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
 @dataclass(frozen=True)
 class MajorantParams:
     """(delta, alpha, Upsilon) with beta = alpha * Upsilon derived on access.
 
-    Fields may be Fractions (exact feasibility checks) or floats.
+    Fields may be Fractions, integers or floats; the exact checks read each
+    as a Fraction, a float as its exact binary value.
     """
 
     delta: object
@@ -94,7 +93,7 @@ def q_eval(params: MajorantParams, t):
     params and t are Fractions."""
     d, a, u = params.delta, params.alpha, params.upsilon
     t2 = t * t
-    return d + a * (t2 * t2 + (u - 3) * t2 + 1 - u)
+    return d + a * (t2 * t2 + (u - 3) * t2 + (1 - u))
 
 
 def r_eval(params: MajorantParams, t):
@@ -133,9 +132,7 @@ def feasible_sufficient(params: MajorantParams) -> FeasibilityCheck:
     The derivative condition is squared/cleared to (-8 alpha)^2 (3-Upsilon)^3
     < 216 so no irrational roots appear.
     """
-    d = _as_fraction(params.delta)
-    a = _as_fraction(params.alpha)
-    u = _as_fraction(params.upsilon)
+    d, a, u = (_as_fraction(v) for v in (params.delta, params.alpha, params.upsilon))
     checks = {
         "alpha_negative": InequalityCheck("alpha < 0", a, Fraction(0)),
         "upsilon_below_3": InequalityCheck("Upsilon < 3", u, Fraction(3)),
@@ -206,22 +203,14 @@ class Certificate:
         return self.ok
 
 
-def _r_grid(params: MajorantParams, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    n = max(1, math.ceil(2.0 / grid_step))
-    ts = np.linspace(0.0, 2.0, n + 1)
-    d, a, u = params.as_floats()
-    t2 = ts * ts
-    return ts, d + a * (t2 * t2 + (u - 3.0) * t2 + (1.0 - u)) - ts
-
-
 def feasible_numeric(params: MajorantParams, grid_step: float) -> Certificate:
     """Certify r > 0 on [0, 2] exactly (r_positive), and report the minimum
-    of r over the grid of step grid_step beside the decision."""
-    if not grid_step > 0:
-        raise ValidationError(f"grid_step must be > 0, got {grid_step}")
-    if not grid_step < 1:
-        raise ValidationError(f"grid_step {grid_step} too coarse for a certificate")
-    ts, r = _r_grid(params, grid_step)
+    of r over the grid of step grid_step beside the decision.  The floor
+    1e-6 caps that grid, which is only displayed, at 2e6 + 1 points."""
+    if not 1e-6 <= grid_step < 1:
+        raise ValidationError(f"grid_step must lie in [1e-6, 1), got {grid_step}")
+    ts = np.linspace(0.0, 2.0, math.ceil(2.0 / grid_step) + 1)
+    r = r_eval(MajorantParams(*params.as_floats()), ts)
     i = int(np.argmin(r))
     return Certificate(ok=r_positive(params), min_r=float(r[i]), argmin=float(ts[i]),
                        grid_step=grid_step)
@@ -238,8 +227,8 @@ def optimize_delta(grid_step: float) -> DeltaOptimum:
     """The least delta (closed form, see the module docstring) and a certified
     point (delta* + 1e-12, alpha*, Upsilon*); grid_step sets the grid of the
     certificate's reported minimum."""
-    if not 0 < grid_step <= 1e-3:
-        raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+    if not 1e-6 <= grid_step <= 1e-3:
+        raise ValidationError(f"grid_step must lie in [1e-6, 1e-3], got {grid_step}")
     cert = feasible_numeric(OPTIMUM_PARAMS, grid_step)
     if not cert.ok:
         raise ComputationError("the closed-form optimum failed its exact certificate")

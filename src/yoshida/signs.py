@@ -104,11 +104,19 @@ def conductor_proxy(spec: LiftSpec, cfg: BoundConfig) -> float:
 def bound_report(seq: EigenSequence, spec: LiftSpec, cfg: BoundConfig) -> SignReport:
     """First negative, bound value Q^_F^(1/2 - 2 theta + epsilon), their ratio,
     and S(F, x) samples on a geometric grid (with the sqrt(x)-normalised value
-    alongside, for empirical inspection; nothing asymptotic is asserted)."""
+    alongside, for empirical inspection; nothing asymptotic is asserted).
+    Q^_F and both of its powers must be finite positive binary64."""
     qf = conductor_proxy(spec, cfg)
-    bound = qf ** (0.5 - 2.0 * cfg.theta + cfg.epsilon)
+    try:
+        bound = qf ** (0.5 - 2.0 * cfg.theta + cfg.epsilon)
+        q_norm = qf ** (0.25 - cfg.theta + cfg.epsilon)
+    except OverflowError:
+        bound = q_norm = math.inf
+    if not all(0.0 < v < math.inf for v in (qf, bound, q_norm)):
+        raise ValidationError(f"Q^_F = {qf!r} (theta={cfg.theta}, epsilon={cfg.epsilon}): "
+                              "Q^_F, Q^_F^(1/2-2theta+epsilon) and Q^_F^(1/4-theta+epsilon) "
+                              "must be finite and positive")
     n0 = first_negative(seq)
-    norm_exp = 0.25 - cfg.theta + cfg.epsilon
     samples = []
     x = 2.0
     grid = []
@@ -118,7 +126,7 @@ def bound_report(seq: EigenSequence, spec: LiftSpec, cfg: BoundConfig) -> SignRe
     grid.append(float(seq.xmax))
     for xg in grid:
         s = weighted_sum(seq, xg)
-        samples.append((xg, s, s / (qf**norm_exp * math.sqrt(xg))))
+        samples.append((xg, s, s / (q_norm * math.sqrt(xg))))
     return SignReport(
         first_negative_n=n0,
         x_searched=seq.xmax,

@@ -115,12 +115,21 @@ def test_lift_xmax_zero_is_usage_error(pair_files, capsys):
     ["majorant", "verify", "--grid-step", "nan"],
     ["majorant", "optimize", "--grid-step", "nan"],
     ["majorant", "optimize", "--grid-step", "-1"],
+    # below the 1e-6 floor the displayed grid's memory has no bound
+    ["majorant", "verify", "--grid-step", "1e-7"],
+    ["majorant", "optimize", "--grid-step", "1e-7"],
     ["search", "--epsilon", "nan"],
     ["search", "--epsilon", "inf"],
     ["report", "--epsilon", "nan"],
     ["search", "--conductor-constant", "nan"],
     ["report", "--conductor-constant", "nan"],
     ["search", "--conductor-constant", "inf"],
+    # finite flags whose Q^_F, or one of its two powers, is not finite positive
+    ["search", "--epsilon", "1e308"],
+    ["search", "--conductor-constant", "1e308"],
+    ["report", "--conductor-constant", "1e308"],
+    ["search", "--conductor-constant", "1e-300", "--epsilon", "10"],
+    ["report", "--conductor-constant", "1e-300", "--epsilon", "10"],
     ["report", "--y", "0"],
     ["report", "--y", "1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
@@ -185,6 +194,22 @@ def test_contradicting_or_huge_level_exits_1_fast(argv, level, err, tmp_path, ca
     assert run([*argv, "--out", str(out)]) == 1
     assert time.perf_counter() - t0 < 5.0
     assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["lift", "stats"])
+def test_non_utf8_table_exits_1(cmd, pair_files, tmp_path, capsys):
+    _, g = pair_files
+    f = tmp_path / "f.txt"
+    f.write_bytes(b"# level=11 weight=2\n2 -2\n3 \xff\n")
+    out = tmp_path / "out"
+    argv = {"lift": ["lift", "--f", str(f), "--g", str(g), "--xmax", "10"],
+            "stats": ["stats", "--form", str(f), "--y", "3"]}[cmd]
+    # an exception cli.run does not catch would propagate here, not return 1
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "not UTF-8 text" in err
     assert not out.exists()
 
 

@@ -399,6 +399,10 @@ def test_dense_sequence_matches_dict_reference_11a_33a():
     seq = lift_sequence(spec, xmax)
     assert spec.f.a_array.dtype == np.int64
     _assert_matches_reference(spec, seq)
+    # every small xmax, among them those where the level prime 11 lies above
+    # sqrt(xmax) and no multiple of it may be built
+    for x in range(1, 151):
+        _assert_matches_reference(spec, lift_sequence(spec, x))
 
 
 def test_dense_sequence_matches_dict_reference_weight4():

@@ -14,6 +14,7 @@ from yoshida.majorant import (
     optimize_delta,
     q_eval,
     r_eval,
+    r_positive,
 )
 
 # Optimum of the 1e-5-grid LP oracle (dense linprog over 200001 points),
@@ -91,6 +92,17 @@ def test_feasible_sufficient_endpoint2_fails():
     fc = feasible_sufficient(MajorantParams(Fraction(1), Fraction(-57, 1000), Fraction(-7)))
     assert not fc.ok
     assert not fc.checks["endpoint_2"].ok  # 1 + 0.912 = 1.912 <= 2
+
+
+def test_exact_checks_read_numpy_integers_as_python_ints():
+    # Fraction(np.int64(n)) would keep int64 arithmetic: 64 alpha^2 wraps to 0
+    # and the derivative condition would pass
+    ints = (2**45, -(2**40), 0)
+    py = MajorantParams(*ints)
+    npy = MajorantParams(*(np.int64(v) for v in ints))
+    assert feasible_sufficient(npy).checks["derivative"].lhs == 64 * 2**80 * 27
+    assert feasible_sufficient(npy).checks == feasible_sufficient(py).checks
+    assert r_positive(npy) == r_positive(py)
 
 
 # ---------------------------------------------------------------------------
