@@ -241,9 +241,9 @@ def _add_bound_args(sp):
     sp.add_argument("--conductor-constant", dest="conductor_constant", type=float, default=1.0)
 
 
-def _add_out_args(sp, default_format="json"):
+def _add_out_args(sp):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=default_format)
+    sp.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def build_parser() -> _Parser:

@@ -17,8 +17,8 @@ single N survives.  The true #E(F_p) lies in every set, so the survivor is
 exact; Mestre's theorem says one survives once enough points are tried.
 Smaller primes, primes dividing the discriminant, and the rare prime where no
 single N survives a fixed number of points are counted by a full enumeration
-over x with a squares table for the y-count; p = 2, 3 enumerate all (x, y)
-pairs directly since completing the square is not available there.
+over x with a squares table for the y-count, at every odd p (completing the
+square needs 2 invertible); p = 2 alone enumerates all (x, y) pairs.
 
 The level is the conductor, computed from the model: at p | disc the
 reduction is multiplicative exactly when p does not divide c4 (Silverman,
@@ -87,7 +87,7 @@ class WeierstrassCurve:
 
 
 def _count_affine_brute(curve: WeierstrassCurve, p: int) -> int:
-    """#affine points by a full (x, y) double loop."""
+    """#affine points by a full (x, y) double loop; used at p = 2 only."""
     a1, a2, a3, a4, a6 = (a % p for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     naff = 0
     for x in range(p):
@@ -244,7 +244,7 @@ def _count_ap(curve: WeierstrassCurve, p: int) -> int:
     n = _order_mestre(*_short_model(curve, p), p) if good and p > MESTRE_MIN_P else None
     if n is None:
         # nonsingular points: affine ones and O, less the one singular point if p | disc
-        n = (_count_affine_brute if p <= 3 else _count_affine_fast)(curve, p) + good
+        n = (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p) + good
     if good:
         a = p + 1 - n
         if a * a > 4 * p:

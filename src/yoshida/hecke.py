@@ -6,7 +6,8 @@ coefficients a_p at primes.  The normalised eigenvalue is
     lambda(p) = a_p / p^((k-1)/2),
 
 so the Deligne bound reads |lambda(p)| <= 2 at good primes (a_p^2 <= 4 p^(k-1)
-as an exact integer check) and |lambda(p)| <= 1 at primes dividing the level.
+as an exact integer check) and |lambda(p)| <= p^(-1/2) at primes dividing the
+level (a_p^2 <= p^(k-2); <= 1 for normalized tables, which may carry rounding).
 
 At good primes the eigenvalues at prime powers follow the three-term Hecke
 recurrence
@@ -146,10 +147,7 @@ class NewformCoeffs:
                 if not abs(v) <= 1.0 + _FLOAT_BOUND_SLACK:
                     raise ValidationError(f"bad-prime bound violated at p={p}: "
                                           f"need |lambda| <= 1, got {v!r}")
-            elif k == 2:
-                if v not in (-1, 0, 1):
-                    raise ValidationError(f"bad-prime coefficient at p={p} must be in {{-1,0,1}}, got {v}")
-            elif v * v > p ** (k - 1):
+            elif v * v > p ** (k - 2):
                 raise ValidationError(f"bad-prime bound violated at p={p}: a_p={v}")
         else:
             if self.normalized:

@@ -100,7 +100,9 @@ class LiftSpec:
 
 def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
     """Check the lift setting: squarefree levels with gcd > 1, g of weight 2,
-    and coinciding Atkin-Lehner signs at every prime dividing the gcd.
+    coinciding Atkin-Lehner signs at every prime dividing the gcd, and f, g
+    distinct: of one weight k and level N, they are the same newform if
+    lambda(p) agrees at every p <= k prod_{p|N} (p + 1) // 12 (Sturm 1987).
 
     The signs are inferred from each table's coefficients at its level
     primes, w_p = -a_p / p^((k-2)/2).
@@ -110,6 +112,12 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
         raise ValidationError(f"g must have weight 2, got {g.weight}")
     if math.gcd(f.level, g.level) == 1:
         raise ValidationError(f"levels coprime: gcd({f.level}, {g.level}) = 1")
+    if (f.level, f.weight) == (g.level, g.weight):
+        B = f.weight * math.prod(p + 1 for p in f.level_primes) // 12
+        f.require_cover(B)
+        g.require_cover(B)
+        if all(f.lam(p) == g.lam(p) for p in primes_up_to(B).tolist()):
+            raise ValidationError(f"f and g are the same newform: lambda(p) agrees up to {B}")
     al_f, al_g = _infer_al_map(f), _infer_al_map(g)
     for p in al_f:
         if p in al_g and al_f[p] != al_g[p]:

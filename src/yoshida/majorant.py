@@ -122,9 +122,6 @@ class FeasibilityCheck:
     ok: bool
     checks: dict
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def feasible_sufficient(params: MajorantParams) -> FeasibilityCheck:
     """The four sufficient conditions, each in exact rational arithmetic.
@@ -198,9 +195,6 @@ class Certificate:
     min_r: float     # grid minimum of r, for display only
     argmin: float
     grid_step: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def feasible_numeric(params: MajorantParams, grid_step: float) -> Certificate:

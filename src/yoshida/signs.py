@@ -212,6 +212,19 @@ def v_density(h: NewformCoeffs, y: int, gamma: float) -> float:
     return int(np.count_nonzero(np.abs(lams) <= gamma)) / lams.size
 
 
+# Branch constants of the lower-bound witness: primes with |lambda_g| <= 19/20
+# give lambda_F(p) > 10^(-1/2); with |lambda_g| <= 13/10 either
+# |lambda_f| >= 14/10 gives lambda_F(p) >= 1/10 (sum of the two eigenvalues)
+# or both small gives lambda_F(p) > 3 sqrt(2)/10 (square identity).
+V1_GAMMA = 19 / 20
+V2_GAMMA = 13 / 10
+CASE_I_CUT = 14 / 10
+V1_BOUND = 10.0**-0.5
+CASE_I_BOUND = 1 / 10
+CASE_II_BOUND = 3.0 * math.sqrt(2.0) / 10.0
+_BOUND_SLACK = 1e-10
+
+
 @dataclass
 class CorollaryCheck:
     d1: float
@@ -225,25 +238,12 @@ def corollary_check(h: NewformCoeffs, y: int) -> CorollaryCheck:
     13/10; holds iff d1 >= 1/100 or d2 >= 51/100.  The contradiction constant
     (49/100)(13/10) + (50/100)(19/20) = 1112/1000 is recomputed in exact
     rational arithmetic."""
-    d1 = v_density(h, y, 19 / 20)
-    d2 = v_density(h, y, 13 / 10)
+    d1 = v_density(h, y, V1_GAMMA)
+    d2 = v_density(h, y, V2_GAMMA)
     const = Fraction(49, 100) * Fraction(13, 10) + Fraction(50, 100) * Fraction(19, 20)
     return CorollaryCheck(d1=d1, d2=d2,
                           holds=(d1 >= 1 / 100) or (d2 >= 51 / 100),
                           contradiction_constant=const)
-
-
-# Branch constants of the lower-bound witness: primes with |lambda_g| <= 19/20
-# give lambda_F(p) > 10^(-1/2); with |lambda_g| <= 13/10 either
-# |lambda_f| >= 14/10 gives lambda_F(p) >= 1/10 (sum of the two eigenvalues)
-# or both small gives lambda_F(p) > 3 sqrt(2)/10 (square identity).
-V1_GAMMA = 19 / 20
-V2_GAMMA = 13 / 10
-CASE_I_CUT = 14 / 10
-V1_BOUND = 10.0**-0.5
-CASE_I_BOUND = 1 / 10
-CASE_II_BOUND = 3.0 * math.sqrt(2.0) / 10.0
-_BOUND_SLACK = 1e-10
 
 
 @dataclass
@@ -273,7 +273,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     bound check; the hypothesis holds only where both signs are certified
     (EigenSequence.sign) in {0, +1}.  Primes with |lambda_g(p)| > 13/10 carry
     no claim and are counted as outside.  The witness is only meaningful where
-    the sequence is nonnegative, which is checked and reported, never assumed.
+    the sequence is nonnegative: first_negative checks it, as in bound_report.
     """
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
@@ -325,10 +325,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
 
     esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
     lx = math.log(x) if x > 1 else 1.0
-    try:
-        n0 = first_negative(seq)
-    except SignUncertainError as exc:
-        n0 = exc.n  # not certified, but a negative float value was observed there
+    n0 = first_negative(seq)
     qg = q_hat_g(spec)
     log_y = math.log(y) if y >= 2 else 0.0
     return WitnessReport(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -89,6 +90,40 @@ def test_float_sign_rule_same_in_lift_and_search(tmp_path, capsys):
     assert rows["2"][2] == "?"
     assert run(["search", *pair, "--out", str(tmp_path / "s.json")]) == 2
     assert "sign uncertain at n=2" in capsys.readouterr().err
+    # witness and report read the same first-negative rule
+    for argv in (["witness", *pair[:4], "--x", "10"], ["report", *pair]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        assert "computation error: sign uncertain at n=2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_same_newform_pair_exits_1(tmp_path, capsys):
+    # [0,-1,1,0,0] and [0,-1,1,-10,-20] are isogenous: equal a_p, one newform
+    f, g, h = tmp_path / "f.txt", tmp_path / "g.txt", tmp_path / "h.txt"
+    for curve, path in (("0,-1,1,0,0", f), ("0,-1,1,-10,-20", g), ("1,1,0,-11,0", h)):
+        assert run(["ap", "--curve", curve, "--pmax", "100", "--out", str(path)]) == 0
+    assert f.read_bytes() == g.read_bytes()
+    out = tmp_path / "l.csv"
+    assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: f and g are the same newform") and "Traceback" not in err
+    assert not out.exists()
+    assert run(["lift", "--f", str(f), "--g", str(h), "--xmax", "100", "--out", str(out)]) == 0
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # each line of the README's CLI block runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("yoshida ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert run(argv) == 0, line
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).exists(), line
 
 
 def test_exact_flag_changes_nothing(pair_files, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -62,6 +63,20 @@ def test_count_ap_brute_vs_fast_small():
         for p in (5, 7, 13):
             from yoshida.curves import _count_affine_brute, _count_affine_fast
             assert _count_affine_brute(curve, p) == _count_affine_fast(curve, p)
+
+
+def test_squares_table_at_p3_matches_brute_force():
+    # completing the square needs only 2 invertible: every class of curves
+    # mod 3 (coefficients in {0, 1, 2}), singular reductions included
+    nonsingular = 0
+    for ai in itertools.product(range(3), repeat=5):
+        try:
+            c = WeierstrassCurve(*ai)
+        except ValidationError:  # discriminant 0
+            continue
+        nonsingular += 1
+        assert curves._count_affine_fast(c, 3) == curves._count_affine_brute(c, 3), ai
+    assert nonsingular == 230
 
 
 def test_count_ap_character_sum_oracle():

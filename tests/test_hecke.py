@@ -156,10 +156,13 @@ def test_table_rejects_deligne_violation():
 def test_table_rejects_bad_prime_out_of_range():
     with pytest.raises(ValidationError, match="p=11"):
         NewformCoeffs(level=11, weight=2, coeffs={2: 0, 3: 0, 5: 0, 7: 0, 11: 2})
-    # weight 4 at a bad prime: a_p^2 <= p^3
+    # weight 4 at a bad prime: a_p^2 <= p^2, since |a_p| = p^((k-2)/2) there
     NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5})
     with pytest.raises(ValidationError):
         NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 12})
+    # passes a_p^2 <= p^3, refused at p^2
+    with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
+        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 10})
 
 
 def test_cover_reporting():

@@ -8,6 +8,7 @@ from yoshida.errors import ValidationError
 from yoshida.hecke import NewformCoeffs
 from yoshida.lift import (
     UNCERTAIN,
+    LiftSpec,
     lift_euler_coeffs,
     lift_euler_ints,
     lift_sequence,
@@ -55,6 +56,22 @@ def test_validate_pair_rejects_non_weight2_g(table_11a):
     g4 = NewformCoeffs(level=33, weight=4, coeffs={2: 0, 3: 3, 5: 0, 7: 0, 11: -11})
     with pytest.raises(ValidationError, match="weight 2"):
         validate_pair(table_11a, g4)
+
+
+def test_validate_pair_rejects_same_newform(table_11a):
+    with pytest.raises(ValidationError, match="same newform"):
+        validate_pair(table_11a, table_11a)
+
+
+def test_validate_pair_same_level_sturm_bound():
+    # level 33, weight 2: B = 2 (3 + 1)(11 + 1) // 12 = 8, so a_p at p <= 7 decide
+    base = {2: 0, 3: -1, 5: 0, 7: 0, 11: 1, 13: 0}
+    f = _toy_table(33, base)
+    with pytest.raises(ValidationError, match="agrees up to 8"):
+        validate_pair(f, _toy_table(33, {**base, 13: 2}))
+    assert validate_pair(f, _toy_table(33, {**base, 7: 2})).N == 33
+    with pytest.raises(ValidationError, match="missing p=7"):
+        validate_pair(f, _toy_table(33, {2: 0, 3: -1, 5: 0}))
 
 
 def test_validate_pair_infers_al_from_counts(table_11a, table_33a):
@@ -153,9 +170,10 @@ def test_sequence_indices_coprime(reg_spec, reg_seq):
 
 
 def test_sequence_doubled_pair():
-    # degenerate f = g fixture: lambda_F(p) must equal 2 lambda_f(p)
+    # degenerate f = g fixture: lambda_F(p) must equal 2 lambda_f(p); built
+    # directly, since validate_pair refuses f = g
     t = ap_table(CURVE_11A, 100)
-    spec = validate_pair(t, t)
+    spec = LiftSpec(f=t, g=t, al_f={11: -1}, al_g={11: -1})
     seq = lift_sequence(spec, 100)
     for p in primes_up_to(100).tolist():
         if p != 11:
