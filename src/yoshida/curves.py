@@ -10,13 +10,13 @@ is F_p-rational and affine (Silverman, AEC, Prop. III.1.4); so #E_ns is the
 affine count plus the point at infinity less [p | disc], with no search.
 
 At good primes p > MESTRE_MIN_P, #E(F_p) is found by Mestre's baby-step
-giant-step method on the short model y^2 = x^3 + A x + B: each point found
-gives the set of N in the Hasse interval with N P = O, on E or (mapped by
-N -> 2p + 2 - N) on its quadratic twist, and the sets are intersected until a
-single N survives.  The true #E(F_p) lies in every set, so the survivor is
-exact; Mestre's theorem says one survives once enough points are tried.
+giant-step method (yoshida.mestre), for all such primes of a table at once,
+one numpy lane per prime; count_ap is the one-lane case.  Points of E and of
+its quadratic twist cut the Hasse interval down to the one possible #E(F_p),
+so the count is exact.  In one process (2-core machine, Python 3.11), a table
+of 11a takes about 0.06 s at pmax = 3e4, 0.18 s at 1e5 and 3 s at 1e6.
 Smaller primes, primes dividing the discriminant, and the rare prime where no
-single N survives a fixed number of points are counted by a full enumeration
+single N survives mestre.MAX_POINTS points are counted by a full enumeration
 over x with a squares table for the y-count, at every odd p (completing the
 square needs 2 invertible); p = 2 alone enumerates all (x, y) pairs.
 
@@ -28,7 +28,6 @@ models should be globally minimal).  A declared level must equal it.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,8 +40,6 @@ from .primes import factorize, is_prime, nth_prime_bound, prime_sieve, primes_up
 # Mestre: for p > 229, E or its quadratic twist has a point whose order has a
 # single multiple in the Hasse interval, so the candidate sets can shrink to one.
 MESTRE_MIN_P = 229
-# points tried before a prime falls back to the full count
-MESTRE_MAX_POINTS = 40
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -116,132 +113,30 @@ def _count_affine_fast(curve: WeierstrassCurve, p: int) -> int:
     return int(sq_count[t].sum())
 
 
-def _ec_add(P, Q, a: int, p: int):
-    """P + Q in affine coordinates on y^2 = x^3 + a x + b over F_p (b is not
-    needed); None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _ec_mul(k: int, P, a: int, p: int):
-    """k P for k >= 0 by double-and-add."""
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, a, p)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, a, p)
-    return R
-
-
-def _hasse_multiples(P, a: int, p: int, w: int) -> tuple[list[int], bool]:
-    """(every N in [p+1-w, p+1+w] with N P = O, ascending; whether P has small
-    order) for an affine point P with y != 0.
-
-    Baby steps j P, 1 <= j <= m, are keyed by x-coordinate; giant steps
-    (p + 1 + s (2m + 1)) P meet +-j P exactly when N = p + 1 + s (2m + 1) -+ j
-    kills P.  If a baby step meets y = 0 (order 2j) or repeats an
-    x-coordinate (the first repeat is j P = -i P, order i + j; O cannot come
-    before either), the order o of P is known and the answer is every
-    multiple of o.
-    """
-    lo, hi = p + 1 - w, p + 1 + w
-    m = math.isqrt(w) + 1
-    baby = {}
-    last, R = None, P
-    for j in range(1, m + 1):
-        if R[1] == 0:
-            order = 2 * j
-        elif R[0] in baby:
-            order = baby[R[0]][0] + j
-        else:
-            baby[R[0]] = (j, R[1])
-            last, R = R, _ec_add(R, P, a, p)
-            continue
-        return list(range(-(-lo // order) * order, hi + 1, order)), True
-    # no small order: P has order > 2m, so each N below is met exactly once
-    step = 2 * m + 1
-    G = _ec_add(last, R, a, p)  # m P + (m + 1) P
-    S = (w + m) // step
-    Q = _ec_mul(p + 1 - S * step, P, a, p)
-    out = []
-    for s in range(-S, S + 1):
-        base = p + 1 + s * step
-        if Q is None:
-            out.append(base)
-        else:
-            hit = baby.get(Q[0])
-            if hit is not None:
-                j, y = hit
-                out.append(base - j if Q[1] == y else base + j)
-        Q = _ec_add(Q, G, a, p)
-    return [N for N in out if lo <= N <= hi], False
-
-
-def _short_model(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """(A, B) mod p of y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6: a model
-    of the curve over F_p for p > 3."""
-    c4, c6 = curve.c_invariants()
-    return -27 * c4 % p, -54 * c6 % p
-
-
-def _order_mestre(A: int, B: int, p: int, tally: Counter | None = None) -> int | None:
-    """#E(F_p) of y^2 = x^3 + A x + B at a good prime p > 3, or None if no
-    single candidate survives MESTRE_MAX_POINTS points.
-
-    For x = 0, 1, 2, ... with r = x^3 + A x + B != 0, the point (x r, r^2)
-    lies on Y^2 = X^3 + A r^2 X + B r^3, which is E when r is a square and
-    the quadratic twist (#E' = 2p + 2 - #E) when it is not; no square root is
-    ever taken.  tally, if given, counts the points used and how many of
-    them lay on the twist or had small order.
-    """
-    w = math.isqrt(4 * p)  # floor(2 sqrt p): the Hasse interval is p + 1 +- w
-    alive = None
-    points = 0
-    for x in range(p):
-        r = (x * x * x + A * x + B) % p
-        if r == 0:
-            continue
-        r2 = r * r % p
-        twist = pow(r, (p - 1) // 2, p) != 1
-        found, small = _hasse_multiples((x * r % p, r2), A * r2 % p, p, w)
-        if twist:
-            found = [2 * p + 2 - N for N in found]
-        alive = set(found) if alive is None else alive & set(found)
-        points += 1
-        if tally is not None:
-            tally.update(points=1, twist=twist, small_order=small)
-        if len(alive) <= 1 or points == MESTRE_MAX_POINTS:
-            break
-    return alive.pop() if alive is not None and len(alive) == 1 else None
-
-
 def count_ap(curve: WeierstrassCurve, p: int) -> int:
     """a_p by point counting: p + 1 - #E(F_p) at good p, p - #E_ns(F_p) at
     multiplicative p.  Raises ValidationError if p is not prime and
     AdditiveReductionError at a cusp."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    return _count_ap(curve, p)
+    return _ap_values(curve, [p])[p]
 
 
-def _count_ap(curve: WeierstrassCurve, p: int) -> int:
-    """count_ap at a p already known to be prime."""
+def _ap_values(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """{p: a_p} for primes p, in order: Mestre's counter at the good p >
+    MESTRE_MIN_P, the full count at every other p and where Mestre gives up."""
+    # imported here, so that a process which counts no points never compiles it
+    from . import mestre
+
+    disc = curve.discriminant
+    orders = mestre.orders(*curve.c_invariants(),
+                           [p for p in primes if p > MESTRE_MIN_P and disc % p])
+    return {p: _ap_from_order(curve, p, orders.get(p)) for p in primes}
+
+
+def _ap_from_order(curve: WeierstrassCurve, p: int, n: int | None) -> int:
+    """a_p from n = #E(F_p), or from the full count when n is None."""
     good = curve.discriminant % p != 0
-    n = _order_mestre(*_short_model(curve, p), p) if good and p > MESTRE_MIN_P else None
     if n is None:
         # nonsingular points: affine ones and O, less the one singular point if p | disc
         n = (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p) + good
@@ -282,7 +177,7 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
         raise ValidationError(f"declared level {curve.declared_level} contradicts the model: "
                               f"it must divide the discriminant {curve.discriminant} and share "
                               f"its prime factors; the conductor is {level}")
-    coeffs = {p: _count_ap(curve, p) for p in primes_up_to(pmax).tolist()}
+    coeffs = _ap_values(curve, primes_up_to(pmax).tolist())
     return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=False)
 
 

@@ -60,22 +60,37 @@ SIGN_TOL = 1e-9
 UNCERTAIN = 2
 
 
+def _integer_ap(nf: NewformCoeffs, p: int) -> int | None:
+    """The integer a_p = lambda(p) p^((k-1)/2) of a table: the stored value,
+    or the integer a normalized lambda(p) rounds to, tolerating decimal
+    rounding in the stored lambda; None if it is not that close to one."""
+    if not nf.normalized:
+        return nf.coeffs[p]
+    scaled = nf.coeffs[p] * math.sqrt(p) * p ** ((nf.weight - 2) // 2)
+    a = round(scaled)
+    return a if abs(scaled - a) <= 1e-3 * max(1, abs(a)) else None
+
+
 def _infer_al_map(nf: NewformCoeffs) -> dict[int, int]:
     out = {}
     for p in nf.level_primes:
         if p not in nf.coeffs:
             raise ValidationError(f"cannot infer Atkin-Lehner sign: no coefficient at p={p}")
-        if nf.normalized:
-            # a_p = lambda(p) p^((k-1)/2), an integer of magnitude p^((k-2)/2);
-            # tolerate decimal rounding in the stored lambda
-            scaled = nf.coeffs[p] * math.sqrt(p) * p ** ((nf.weight - 2) // 2)
-            a = round(scaled)
-            if abs(scaled - a) > 1e-3 * max(1, abs(a)):
-                raise ValidationError(f"not multiplicative-type at p={p}: lambda={nf.coeffs[p]!r}")
-        else:
-            a = nf.coeffs[p]
+        # at a level prime a_p is an integer of magnitude p^((k-2)/2)
+        a = _integer_ap(nf, p)
+        if a is None:
+            raise ValidationError(f"not multiplicative-type at p={p}: lambda={nf.coeffs[p]!r}")
         out[p] = infer_atkin_lehner(a, p, nf.weight)
     return out
+
+
+def _same_ap(f: NewformCoeffs, g: NewformCoeffs, p: int) -> bool:
+    """Whether two tables hold one eigenvalue at p: lambda(p) bit for bit, or
+    one integer a_p, so a normalized decimal copy matches the integer table."""
+    if f.lam(p) == g.lam(p):
+        return True
+    a = _integer_ap(f, p)
+    return a is not None and a == _integer_ap(g, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +117,8 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
     """Check the lift setting: squarefree levels with gcd > 1, g of weight 2,
     coinciding Atkin-Lehner signs at every prime dividing the gcd, and f, g
     distinct: of one weight k and level N, they are the same newform if
-    lambda(p) agrees at every p <= k prod_{p|N} (p + 1) // 12 (Sturm 1987).
+    a_p agrees at every p <= k prod_{p|N} (p + 1) // 12 (Sturm 1987), as an
+    integer or, between normalized tables, as lambda(p) bit for bit.
 
     The signs are inferred from each table's coefficients at its level
     primes, w_p = -a_p / p^((k-2)/2).
@@ -116,7 +132,7 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
         B = f.weight * math.prod(p + 1 for p in f.level_primes) // 12
         f.require_cover(B)
         g.require_cover(B)
-        if all(f.lam(p) == g.lam(p) for p in primes_up_to(B).tolist()):
+        if all(_same_ap(f, g, p) for p in primes_up_to(B).tolist()):
             raise ValidationError(f"f and g are the same newform: lambda(p) agrees up to {B}")
     al_f, al_g = _infer_al_map(f), _infer_al_map(g)
     for p in al_f:

@@ -112,6 +112,19 @@ def test_same_newform_pair_exits_1(tmp_path, capsys):
     assert run(["lift", "--f", str(f), "--g", str(h), "--xmax", "100", "--out", str(out)]) == 0
 
 
+def test_normalized_copy_of_same_newform_exits_1(tmp_path, capsys):
+    # 11a as 6-decimal lambda(p) beside its own integer table: one newform
+    f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+    assert run(["ap", "--curve", "0,-1,1,0,0", "--pmax", "100", "--out", str(g)]) == 0
+    t = load_coeffs(g)
+    f.write_text("# level=11 weight=2 normalized\n"
+                 + "".join(f"{p} {t.lam(p):.6f}\n" for p in t.coeffs))
+    out = tmp_path / "l.csv"
+    assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: f and g are the same newform")
+    assert not out.exists()
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     # each line of the README's CLI block runs as written
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from yoshida import curves
+from yoshida import curves, mestre
 from yoshida.curves import (WeierstrassCurve, ap_table, conductor, count_ap, load_coeffs,
                             write_coeffs)
 from yoshida.errors import AdditiveReductionError, ValidationError
@@ -121,10 +123,29 @@ def _good_primes(curve, pmax):
 
 
 def test_mestre_tables_match_full_count_up_to_1e4(monkeypatch):
-    fast = {c: {p: count_ap(c, p) for p in _good_primes(c, 10**4)} for c in ORACLE_CURVES}
+    # one batched call per curve (the path of ap_table and count_ap); y^2 = x^3 - x
+    # is additive at 2, so ap_table would refuse it
+    fast = {c: curves._ap_values(c, _good_primes(c, 10**4)) for c in ORACLE_CURVES}
     monkeypatch.setattr(curves, "MESTRE_MIN_P", 10**9)  # every prime takes the O(p) path
     for c in ORACLE_CURVES:
-        assert fast[c] == {p: count_ap(c, p) for p in _good_primes(c, 10**4)}, c
+        assert fast[c] == curves._ap_values(c, _good_primes(c, 10**4)), c
+
+
+# SHA-256 of the ap tables as written by write_coeffs, frozen from the
+# per-prime counter these tables were first made with
+AP_DIGESTS = {
+    (CURVE_11A, 10**4): "0f6eac0b1ccee37c024da75df705fe716f50a1ca9da8e64182c72b67f5e51f42",
+    (CURVE_11A, 3 * 10**4): "5313b6b04f85b77e1a0f913bef55bf584f40808a9ad9c2cf292be89caa048349",
+    (CURVE_33A, 10**4): "1c7be3c13ab3ce255dbaf72e3fce20dcb1c9798a2d87d1080dbc85ca40805c1a",
+    (CURVE_33A, 3 * 10**4): "da304b635aaba419cdf7c0c4f014f5f77921651cb9b85be911b7f899b896d678",
+}
+
+
+@pytest.mark.parametrize("curve,pmax", AP_DIGESTS, ids=["11a-1e4", "11a-3e4", "33a-1e4", "33a-3e4"])
+def test_ap_table_matches_frozen_digest(curve, pmax, tmp_path):
+    path = tmp_path / "t.txt"
+    write_coeffs(ap_table(curve, pmax), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == AP_DIGESTS[curve, pmax]
 
 
 def singular_points(curve, p):
@@ -151,43 +172,92 @@ def test_one_affine_singular_point_exactly_at_primes_of_disc():
 
 def test_mestre_runs_twist_and_small_order_branches():
     for c in ORACLE_CURVES[3:]:
+        ps = [p for p in _good_primes(c, 3000) if p > curves.MESTRE_MIN_P]
         tally = Counter()
-        for p in _good_primes(c, 3000):
-            if p > curves.MESTRE_MIN_P:
-                n = curves._order_mestre(*curves._short_model(c, p), p, tally)
-                assert n == curves._count_affine_fast(c, p) + 1, (c, p)
+        n = mestre.orders(*c.c_invariants(), ps, tally)
+        assert n == {p: curves._count_affine_fast(c, p) + 1 for p in ps}, c
         assert tally["twist"] > 0 and tally["small_order"] > 0, (c, tally)
+        # a second round runs on the lanes the first leaves open, and none is left
+        assert tally["rounds"] >= 2 and tally["points"] > len(ps) and tally["fallback"] == 0
+
+
+def ec_add(P, Q, a, p):
+    """Slow oracle: P + Q in affine coordinates on y^2 = x^3 + a x + b over
+    F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def ec_mul(k, P, a, p):
+    R = None
+    for bit in bin(k)[2:]:
+        R = ec_add(ec_add(R, R, a, p), P if bit == "1" else None, a, p)
+    return R
 
 
 def test_hasse_multiples_match_scalar_multiplication():
-    # every N in the Hasse interval that kills P, found by N P directly
+    # each lane's N against every N in the Hasse interval with N P = O, found by
+    # walking P from (p + 1 - w) P one addition at a time
     small = 0
     for c in ORACLE_CURVES[3:]:
-        for p in _good_primes(c, 1200):
-            if p <= curves.MESTRE_MIN_P:
-                continue
-            A, B = curves._short_model(c, p)
-            w = math.isqrt(4 * p)
-            for x in range(4):
-                r = (x**3 + A * x + B) % p
-                if r == 0:
-                    continue
-                P, a = (x * r % p, r * r % p), A * r * r % p
-                found, is_small = curves._hasse_multiples(P, a, p, w)
-                brute = [N for N in range(p + 1 - w, p + 2 + w)
-                         if curves._ec_mul(N, P, a, p) is None]
-                assert found == brute, (c, p, x)
-                small += is_small
+        ps = [p for p in _good_primes(c, 1200) if p > curves.MESTRE_MIN_P]
+        c4, c6 = c.c_invariants()
+        p = np.array(ps)
+        A, B = -27 * c4 % p, -54 * c6 % p
+        for x0 in range(4):
+            x, lanes, found, twist, is_small = mestre._round(np.full(len(ps), x0), A, B, p)
+            small += int(is_small.sum())
+            for i, q in enumerate(ps):
+                xi, Ai = int(x[i]), int(A[i])
+                r = (xi**3 + Ai * xi + int(B[i])) % q
+                P, a, w = (xi * r % q, r * r % q), Ai * r * r % q, math.isqrt(4 * q)
+                assert r != 0 and (x0 <= xi < x0 + 4) and twist[i] == (pow(r, (q - 1) // 2, q) != 1)
+                brute, R = [], ec_mul(q + 1 - w, P, a, q)
+                for N in range(q + 1 - w, q + 2 + w):
+                    if R is None:
+                        brute.append(2 * q + 2 - N if twist[i] else N)
+                    R = ec_add(R, P, a, q)
+                assert sorted(found[lanes == i].tolist()) == sorted(brute), (c, q, x0)
     assert small > 0
 
 
 def test_mestre_falls_back_when_no_single_candidate(monkeypatch):
-    c = WeierstrassCurve(0, 0, 0, -1, 0)
-    ps = [p for p in _good_primes(c, 3000) if p > curves.MESTRE_MIN_P]
-    expected = [count_ap(c, p) for p in ps]
-    monkeypatch.setattr(curves, "MESTRE_MAX_POINTS", 1)
-    assert any(curves._order_mestre(*curves._short_model(c, p), p) is None for p in ps)
-    assert [count_ap(c, p) for p in ps] == expected
+    # 15a has rational 8-torsion: one point often leaves several candidates
+    c = WeierstrassCurve(1, 1, 1, -10, -10)
+    expected = ap_table(c, 3000).coeffs
+    full = []
+    count = curves._count_affine_fast
+    monkeypatch.setattr(curves, "_count_affine_fast", lambda c, p: full.append(p) or count(c, p))
+    monkeypatch.setattr(mestre, "MAX_POINTS", 1)
+    assert ap_table(c, 3000).coeffs == expected
+    assert any(p > curves.MESTRE_MIN_P for p in full)
+
+
+def test_object_lanes_match_int64_lanes(monkeypatch):
+    ps = [p for p in _good_primes(CURVE_11A, 10**4) if p > curves.MESTRE_MIN_P]
+    want = mestre.orders(*CURVE_11A.c_invariants(), ps)
+    monkeypatch.setattr(mestre, "INT64_BELOW", 0)  # every lane holds a Python int
+    assert mestre.orders(*CURVE_11A.c_invariants(), ps) == want
+
+
+@pytest.mark.parametrize("curve,p,a", [
+    (CURVE_11A, 3037000507, 73978), (CURVE_11A, 4294967311, -76388),
+    (CURVE_33A, 3037000507, 34312), (CURVE_33A, 4294967311, 19540),
+])
+def test_count_ap_past_int64_bound(curve, p, a):
+    # p^2 >= 2^63: the lane holds a Python int; values from the per-prime counter
+    assert count_ap(curve, p) == a
 
 
 def test_mestre_character_sum_oracle_above_1e5():
