@@ -284,10 +284,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("majorant", help="verify or optimize the quartic majorant")
     p.add_argument("action", choices=("verify", "optimize"))
     ref = majorant.REFERENCE_PARAMS
-    p.add_argument("--delta", type=Fraction, default=ref.delta,
+    p.add_argument("--delta", type=majorant.parameter, default=ref.delta,
                    help=f"decimal string, parsed exactly (default {ref.delta})")
-    p.add_argument("--alpha", type=Fraction, default=ref.alpha)
-    p.add_argument("--upsilon", type=Fraction, default=ref.upsilon)
+    p.add_argument("--alpha", type=majorant.parameter, default=ref.alpha)
+    p.add_argument("--upsilon", type=majorant.parameter, default=ref.upsilon)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-4,
                    help="grid of the reported minimum of r; the certificate itself is exact")
     p.add_argument("--refine", action="store_true",

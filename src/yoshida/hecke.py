@@ -94,7 +94,9 @@ class NewformCoeffs:
     coeffs maps p -> a_p (exact integers) when normalized is False, or
     p -> lambda(p) (finite binary64) when normalized is True.  Keys must be
     exactly the primes up to pmax (gap-free).  level_primes holds the level's
-    primes, ascending, from its one factorization.  Exact tables are the
+    primes, ascending, from its one factorization; good marks, in table
+    order, the primes outside it, decided once when the table is built, so
+    no layer divides the level (of any size).  Exact tables are the
     authoritative representation wherever sign decisions matter; lam()
     derives the float normalisation on demand.
     """
@@ -105,6 +107,7 @@ class NewformCoeffs:
     normalized: bool = False
     pmax: int = field(init=False, default=0)
     level_primes: tuple = field(init=False, default=())
+    good: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         factors = factorize(self.level) if self.level >= 1 else None
@@ -139,6 +142,7 @@ class NewformCoeffs:
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
         for p, v in self.coeffs.items():
             self._check_bound(p, v)
+        object.__setattr__(self, "good", np.isin(self.prime_array, self.level_primes, invert=True))
 
     def _check_bound(self, p: int, v) -> None:
         k = self.weight
@@ -197,12 +201,6 @@ class NewformCoeffs:
         if self.normalized:
             return float(v)
         return v / (p ** ((self.weight - 2) // 2) * math.sqrt(p))
-
-    def a_exact(self, p: int) -> int:
-        """Exact integer a_p; refuses normalized-mode tables."""
-        if self.normalized:
-            raise ValidationError("table holds normalised floats, exact a_p unavailable")
-        return self.coeffs[p]
 
     def first_missing_prime(self, y: int) -> int | None:
         """Smallest prime <= y absent from the table, or None if covered.

@@ -254,11 +254,11 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     spec.f.require_cover(xmax)
     spec.g.require_cover(xmax)
     exact = not (spec.f.normalized or spec.g.normalized)
-    N, k = spec.N, spec.weight
+    k = spec.weight
 
     ps = primes_up_to(xmax)
     root = math.isqrt(xmax)
-    good = N % ps != 0
+    good = spec.f.good[: ps.size] & spec.g.good[: ps.size]
     big = good & (ps > root)
     big_ps = ps[big]
     done = np.zeros(xmax + 1, dtype=bool)
@@ -283,7 +283,7 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
             qs.append(qs[-1] * p)
         coeffs = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, len(qs))[1:]
         if exact:
-            ints = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, len(qs), k)[1:]
+            ints = lift_euler_ints(spec.f.coeffs[p], spec.g.coeffs[p], p, len(qs), k)[1:]
         built = []
         for e, q in enumerate(qs):
             m = np.flatnonzero(done[: xmax // q + 1])

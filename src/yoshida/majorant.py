@@ -43,6 +43,7 @@ alpha* < 0.  optimize_delta returns delta* with the binary64 point
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,28 @@ def _as_fraction(x) -> Fraction:
     # Fraction(np.int64(n)) keeps the numpy integer as its numerator, whose
     # products then wrap around at 2^63
     return Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x)
+
+
+_MAX_DIGITS = 100  # of a parameter's numerator and of its denominator
+
+
+def parameter(text: str) -> Fraction:
+    """A parameter given as text (--delta 1.1), as an exact rational with at
+    most _MAX_DIGITS digits in its numerator and denominator, which keeps the
+    exact checks and their printing small.  A nonzero decimal with an
+    exponent above len(text) + _MAX_DIGITS has more digits than that, so the
+    exponent is refused before Fraction forms 10^exponent."""
+    exp = re.search(r"e[-+]?0*(\d[\d_]*)\s*$", text, re.IGNORECASE)
+    if exp and (len(exp[1]) > 6 or int(exp[1]) > len(text) + _MAX_DIGITS):
+        raise ValidationError(f"exponent too large in {text!r}")
+    try:
+        v = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"not a rational with a nonzero denominator: {text!r}") from None
+    if max(abs(v.numerator), v.denominator) >= 10**_MAX_DIGITS:
+        raise ValidationError(f"more than {_MAX_DIGITS} digits in the numerator "
+                              f"or denominator of {text!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,6 @@ def first_negative(seq: EigenSequence) -> int | None:
     raise SignUncertainError(n, float(seq.values[n]))
 
 
-def q_hat_g(spec: LiftSpec) -> float:
-    return float(spec.g.level)
-
-
 def conductor_proxy(spec: LiftSpec, cfg: BoundConfig) -> float:
     """Conductor proxy Q^_F = conductor_constant * k^2 N1 N2."""
     return cfg.conductor_constant * spec.weight**2 * spec.f.level * spec.g.level
@@ -183,8 +179,7 @@ class AbsSumStats:
 def _good_lams(h: NewformCoeffs, y: int) -> np.ndarray:
     """lambda(p) at the primes p <= y not dividing the level, ascending."""
     h.require_cover(y)
-    ps = h.prime_array
-    return h.lam_array[(ps <= y) & (h.level % ps != 0)]
+    return h.lam_array[(h.prime_array <= y) & h.good]
 
 
 def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
@@ -271,67 +266,48 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     The branch bounds presuppose lambda_F(p) >= 0 and lambda_F(p^2) >= 0;
     primes violating that land in hypothesis_violated and are exempt from the
     bound check; the hypothesis holds only where both signs are certified
-    (EigenSequence.sign) in {0, +1}.  Primes with |lambda_g(p)| > 13/10 carry
-    no claim and are counted as outside.  The witness is only meaningful where
+    (EigenSequence.signs()) in {0, +1}.  Primes with |lambda_g(p)| > 13/10
+    carry no claim and are counted as outside.  Each branch is a mask over the
+    good primes of both tables, ascending.  The witness is only meaningful where
     the sequence is nonnegative: first_negative checks it, as in bound_report.
     """
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
     y = math.isqrt(x)
-    N = spec.N
+    ps = primes_up_to(y)
+    good = spec.f.good[: ps.size] & spec.g.good[: ps.size]
+    ps = ps[good]
+    sq = np.stack((ps, ps * ps))
+    at = np.searchsorted(seq.index, sq).clip(max=seq.index.size - 1)
+    if (seq.index[at] != sq).any():
+        raise ValidationError("the sequence was not lifted from this pair up to x")
+    hyp = np.isin(seq.signs()[at], (0, 1)).all(axis=0)
+    lf, lg = (np.abs(h.lam_array[: good.size][good]) for h in (spec.f, spec.g))
+    lF = seq.values[ps]
 
-    def nonneg(n: int) -> bool:
-        return seq.sign(n) in (0, 1)
-
-    counts = {"v1": 0, "case_i": 0, "case_ii": 0, "outside": 0, "hypothesis_violated": 0}
-    violated = []
-    failures = []
-    v1_set, v2_set = [], []
-    for p in primes_up_to(y).tolist():
-        if N % p == 0:
-            continue
-        if not (nonneg(p) and nonneg(p * p)):
-            counts["hypothesis_violated"] += 1
-            violated.append(p)
-            continue
-        lf, lg = abs(spec.f.lam(p)), abs(spec.g.lam(p))
-        lF = float(seq.values[p])
-        if lg <= V1_GAMMA:
-            counts["v1"] += 1
-            v1_set.append(p)
-            v2_set.append(p)
-            if lF < V1_BOUND - _BOUND_SLACK:
-                failures.append((p, "v1", lF))
-        elif lg <= V2_GAMMA:
-            v2_set.append(p)
-            if lf >= CASE_I_CUT:
-                counts["case_i"] += 1
-                if lF < CASE_I_BOUND - _BOUND_SLACK:
-                    failures.append((p, "case_i", lF))
-            else:
-                counts["case_ii"] += 1
-                if lF < CASE_II_BOUND - _BOUND_SLACK:
-                    failures.append((p, "case_ii", lF))
-        else:
-            counts["outside"] += 1
+    v1 = hyp & (lg <= V1_GAMMA)
+    v2 = hyp & (lg > V1_GAMMA) & (lg <= V2_GAMMA)
+    branches = {"v1": v1, "case_i": v2 & (lf >= CASE_I_CUT), "case_ii": v2 & (lf < CASE_I_CUT),
+                "outside": hyp & (lg > V2_GAMMA), "hypothesis_violated": ~hyp}
+    counts = {b: int(np.count_nonzero(m)) for b, m in branches.items()}
+    claims = [v1, branches["case_i"], branches["case_ii"]]
+    fail = lF < np.select(claims, [V1_BOUND, CASE_I_BOUND, CASE_II_BOUND], -np.inf) - _BOUND_SLACK
+    name = np.select(claims, ["v1", "case_i", "case_ii"], "")
+    failures = list(zip(ps[fail].tolist(), name[fail].tolist(), lF[fail].tolist()))
 
     # branch selection mirrors the density disjunction on g over p <= sqrt(x)
-    cor = corollary_check(spec.g, y) if y >= 2 else None
-    if cor is not None and cor.d1 >= 1 / 100:
-        active, active_set = "v1", v1_set
-    else:
-        active, active_set = "v2", v2_set
-    m = len(active_set)
+    active = "v1" if y >= 2 and v_density(spec.g, y, V1_GAMMA) >= 1 / 100 else "v2"
+    m = counts["v1"] if active == "v1" else counts["v1"] + counts["case_i"] + counts["case_ii"]
 
     esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
     lx = math.log(x) if x > 1 else 1.0
     n0 = first_negative(seq)
-    qg = q_hat_g(spec)
+    log_qg_sq = math.log(float(spec.g.level)) ** 2
     log_y = math.log(y) if y >= 2 else 0.0
     return WitnessReport(
         x=x,
         counts=counts,
-        hypothesis_violated=violated,
+        hypothesis_violated=ps[~hyp].tolist(),
         bound_failures=failures,
         active_branch=active,
         active_count=m,
@@ -341,8 +317,8 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
         nonnegative_up_to_x=(n0 is None or n0 > x),
         first_negative_n=n0,
         gate_log_y=log_y,
-        gate_log_qg_sq=math.log(qg) ** 2,
-        gate_ok=log_y >= math.log(qg) ** 2,
+        gate_log_qg_sq=log_qg_sq,
+        gate_ok=log_y >= log_qg_sq,
     )
 
 

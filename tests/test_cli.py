@@ -384,6 +384,60 @@ def test_witness_json(pair_files, tmp_path):
     assert set(rep["counts"]) == {"v1", "case_i", "case_ii", "outside", "hypothesis_violated"}
 
 
+def test_level_above_int64_exits_0(tmp_path, capsys):
+    # a squarefree level above 2^63, the primorial 2 * 3 * ... * 53, paired
+    # with a level-11 table that agrees at 11
+    ps = primes.primes_up_to(59).tolist()
+    level = math.prod(ps[:-1])
+    assert level >= 2**63
+    big, f11 = tmp_path / "big.txt", tmp_path / "f11.txt"
+    big.write_text(f"# level={level} weight=2\n" + "".join(
+        f"{p} {-1 if level % p == 0 else 0}\n" for p in ps))
+    f11.write_text("# level=11 weight=2\n" + "".join(f"{p} {-1 if p == 11 else 0}\n" for p in ps))
+    pair = ["--f", str(f11), "--g", str(big)]
+    for argv in (["stats", "--form", str(big), "--y", "59"], ["lift", *pair, "--xmax", "59"],
+                 ["report", *pair, "--xmax", "59"]):
+        # an exception cli.run does not catch would propagate here, not return 0
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0, argv
+        assert capsys.readouterr().err == ""
+    # every prime <= sqrt(59) divides the level, so the witness classifies none
+    assert json.loads((tmp_path / "out").read_text())["witness"]["counts"] == dict.fromkeys(
+        ("v1", "case_i", "case_ii", "outside", "hypothesis_violated"), 0)
+
+
+def test_prime_level_above_2_64_lacks_its_row(tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text("# level=18446744073709551629 weight=2\n2 0\n3 0\n5 0\n7 0\n")
+    assert run(["stats", "--form", str(form), "--y", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: missing bad-prime coefficient at p=18446744073709551629\n"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "1/0"),
+    ("--alpha", "1e999999"),
+    ("--delta", "1e-9999"),
+    ("--upsilon", "1e-9999999999"),
+    ("--delta", "1" * 101),
+    ("--alpha", "-1/" + "7" * 101),
+    ("--delta", "1.1.1"),
+], ids=["zero_denominator", "alpha_1e999999", "delta_1e-9999", "upsilon_1e-9999999999",
+        "numerator_101_digits", "denominator_101_digits", "malformed"])
+def test_majorant_bad_parameter_exits_1(flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert run(["majorant", "verify", f"{flag}={value}", "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid parameter value: {value!r}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_majorant_accepts_100_digit_parameters(capsys):
+    assert run(["majorant", "verify", "--delta", "9" * 100, "--alpha=-1/" + "9" * 100]) == 0
+    assert "feasible_sufficient: True" in capsys.readouterr().out
+
+
 def test_majorant_verify_stdout(capsys):
     assert run(["majorant", "verify", "--delta", "1.1", "--alpha", "-0.057",
                 "--upsilon", "-7"]) == 0

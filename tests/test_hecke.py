@@ -99,8 +99,19 @@ def test_table_accepts_valid():
     nf = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1})
     assert nf.pmax == 11
     assert nf.lam(2) == pytest.approx(-math.sqrt(2))
-    assert nf.a_exact(11) == 1
+    assert nf.coeffs[11] == 1
     assert nf.level_primes == (11,)
+
+
+def test_good_primes_read_from_the_factorized_level():
+    # the primorial 2 * 3 * ... * 53 is above 2^63, and 2^64 + 13 is a prime
+    # above 2^64: neither level fits an int64 array
+    ps = primes_up_to(59).tolist()
+    for level in (math.prod(ps[:-1]), 2**64 + 13, 11, 1):
+        nf = NewformCoeffs(level=level, weight=2,
+                           coeffs={p: (-1 if level % p == 0 else 0) for p in ps})
+        assert nf.good.dtype == bool
+        assert nf.good.tolist() == [level % p != 0 for p in ps], level
 
 
 def test_table_rejects_nonsquarefree_level():

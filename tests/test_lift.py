@@ -377,7 +377,7 @@ def dict_lift_reference(spec, xmax):
             rmax += 1
         pw_float[p] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)
         if exact:
-            pw_int[p] = lift_euler_ints(spec.f.a_exact(p), spec.g.a_exact(p), p, rmax, spec.weight)
+            pw_int[p] = lift_euler_ints(spec.f.coeffs[p], spec.g.coeffs[p], p, rmax, spec.weight)
     spf = np.zeros(xmax + 1, dtype=np.int64)
     for p in ps.tolist():
         block = spf[p::p]

@@ -12,6 +12,7 @@ from yoshida.majorant import (
     feasible_numeric,
     feasible_sufficient,
     optimize_delta,
+    parameter,
     q_eval,
     r_eval,
     r_positive,
@@ -103,6 +104,17 @@ def test_exact_checks_read_numpy_integers_as_python_ints():
     assert feasible_sufficient(npy).checks["derivative"].lhs == 64 * 2**80 * 27
     assert feasible_sufficient(npy).checks == feasible_sufficient(py).checks
     assert r_positive(npy) == r_positive(py)
+
+
+def test_parameter_is_exact_and_bounded():
+    assert parameter("1.1") == Fraction(11, 10) and parameter("-57/1000") == Fraction(-57, 1000)
+    assert parameter("9" * 100) == 10**100 - 1 and parameter("1e99") == 10**99
+    assert parameter("0e0_0") == 0
+    for text, reason in (("1/0", "nonzero denominator"), ("1.1.1", "nonzero denominator"),
+                         ("1e100", "more than 100 digits"), ("1/" + "7" * 101, "more than 100"),
+                         ("1e-9999999999", "exponent too large"), ("0e500", "exponent too large")):
+        with pytest.raises(ValidationError, match=reason):
+            parameter(text)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from yoshida.signs import (
     first_negative,
     invert_xlog_bound,
     lower_bound_witness,
-    q_hat_g,
     v_density,
     weighted_sum,
 )
@@ -110,7 +109,6 @@ def test_first_negative_exact_channel_overrides_floats():
 def test_conductor_proxy(reg_spec):
     assert conductor_proxy(reg_spec, BoundConfig()) == 4 * 11 * 33
     assert conductor_proxy(reg_spec, BoundConfig(conductor_constant=2.5)) == pytest.approx(3630.0)
-    assert q_hat_g(reg_spec) == 33.0
 
 
 def test_bound_config_validation():
@@ -328,3 +326,133 @@ def test_abs_sum_ratio_rejects_nan():
         coeffs = {2: 0.5, 3: 0.5, 5: 0.5, 7: math.nan}
         with pytest.raises(ValidationError, match="p=7: need"):
             NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=True)
+
+
+def _witness_loop(seq, spec, x):
+    """The per-prime loop that lower_bound_witness's masks replace."""
+    from yoshida.signs import (CASE_I_BOUND, CASE_I_CUT, CASE_II_BOUND, V1_BOUND, V1_GAMMA,
+                               V2_GAMMA, WitnessReport, _BOUND_SLACK)
+    if x > seq.xmax:
+        raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
+    y = math.isqrt(x)
+
+    def nonneg(n):
+        return seq.sign(n) in (0, 1)
+
+    counts = {"v1": 0, "case_i": 0, "case_ii": 0, "outside": 0, "hypothesis_violated": 0}
+    violated, failures, v1_set, v2_set = [], [], [], []
+    for p in primes_up_to(y).tolist():
+        if spec.N % p == 0:
+            continue
+        if not (nonneg(p) and nonneg(p * p)):
+            counts["hypothesis_violated"] += 1
+            violated.append(p)
+            continue
+        lf, lg = abs(spec.f.lam(p)), abs(spec.g.lam(p))
+        lF = float(seq.values[p])
+        if lg <= V1_GAMMA:
+            counts["v1"] += 1
+            v1_set.append(p)
+            v2_set.append(p)
+            if lF < V1_BOUND - _BOUND_SLACK:
+                failures.append((p, "v1", lF))
+        elif lg <= V2_GAMMA:
+            v2_set.append(p)
+            if lf >= CASE_I_CUT:
+                counts["case_i"] += 1
+                if lF < CASE_I_BOUND - _BOUND_SLACK:
+                    failures.append((p, "case_i", lF))
+            else:
+                counts["case_ii"] += 1
+                if lF < CASE_II_BOUND - _BOUND_SLACK:
+                    failures.append((p, "case_ii", lF))
+        else:
+            counts["outside"] += 1
+    cor = corollary_check(spec.g, y) if y >= 2 else None
+    active, active_set = ("v1", v1_set) if cor is not None and cor.d1 >= 1 / 100 else ("v2", v2_set)
+    m = len(active_set)
+    esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
+    lx = math.log(x) if x > 1 else 1.0
+    n0 = first_negative(seq)
+    qg = float(spec.g.level)
+    log_y = math.log(y) if y >= 2 else 0.0
+    return WitnessReport(
+        x=x, counts=counts, hypothesis_violated=violated, bound_failures=failures,
+        active_branch=active, active_count=m, pair_count=m * (m - 1), eigen_sum=esum,
+        empirical_c=esum * lx * lx / x, nonnegative_up_to_x=(n0 is None or n0 > x),
+        first_negative_n=n0, gate_log_y=log_y, gate_log_qg_sq=math.log(qg) ** 2,
+        gate_ok=log_y >= math.log(qg) ** 2)
+
+
+def _assert_witness_matches_loop(seq, spec, x):
+    import dataclasses
+    want = _witness_loop(seq, spec, x)
+    got = lower_bound_witness(seq, spec, x)
+    for fld in dataclasses.fields(got):
+        assert repr(getattr(got, fld.name)) == repr(getattr(want, fld.name)), (x, fld.name)
+    return got
+
+
+def _normalized_pair(lam_f, lam_g, pmax):
+    """Normalized f of level 11 and g of level 33 with w_11 = -1 on both
+    sides, holding lam_f(p), lam_g(p) at the good primes <= max(pmax, 11)."""
+    ps = [p for p in primes_up_to(max(pmax, 11)).tolist() if 33 % p]
+    fc = {**{p: lam_f(p) for p in ps}, 3: 0.0, 11: 11**-0.5}
+    gc = {**{p: lam_g(p) for p in ps}, 3: -(3**-0.5), 11: 11**-0.5}
+    return validate_pair(NewformCoeffs(level=11, weight=2, coeffs=dict(sorted(fc.items())),
+                                       normalized=True),
+                         NewformCoeffs(level=33, weight=2, coeffs=dict(sorted(gc.items())),
+                                       normalized=True))
+
+
+def test_witness_matches_per_prime_loop(reg_spec, reg_seq):
+    from tests.test_lift import _synthetic_pair
+    for x in (3, 4, 100, 10**4):
+        _assert_witness_matches_loop(reg_seq, reg_spec, x)
+    for k in (4, 12):
+        spec = _synthetic_pair(k, 3000, k)
+        seq = lift_sequence(spec, 3000)
+        for x in (4, 300, 3000):
+            _assert_witness_matches_loop(seq, spec, x)
+    zero = _normalized_pair(lambda p: 0.0, lambda p: 0.0, 200)
+    rep = _assert_witness_matches_loop(lift_sequence(zero, 200), zero, 196)
+    assert rep.hypothesis_violated and not rep.bound_failures
+
+
+def test_witness_matches_per_prime_loop_on_tampered_sequences():
+    # random eigenvalues, then lambda_F(p) and the signs at p and p^2 redrawn
+    # at random good p <= sqrt(xmax): uncertain, zero, negative and small
+    # positive values, so that every branch, the hypothesis and the bound
+    # failures are all exercised
+    rng = random.Random(20201)
+    failing, seen = 0, set()
+    for _ in range(60):
+        xmax = rng.randrange(3, 3000)
+        spec = _normalized_pair(lambda p: rng.uniform(-2, 2), lambda p: rng.uniform(-2, 2), xmax)
+        seq = lift_sequence(spec, xmax)
+        for p in seq.index[1:].tolist():
+            if p * p > xmax:
+                break
+            if rng.random() < 0.6:
+                seq.values[p] = rng.choice((0.0, 1e-12, -0.3, *[rng.uniform(0, 0.5)] * 3))
+            if rng.random() < 0.7:
+                seq.values[p * p] = rng.choice((0.0, -1.0, 1e-12, 1.0, 1.0, 1.0))
+        x = xmax if rng.random() < 0.75 else rng.randrange(1, xmax + 1)
+        rep = _assert_witness_matches_loop(seq, spec, x)
+        failing += bool(rep.bound_failures)
+        seen.update(branch for _, branch, _ in rep.bound_failures)
+    assert failing >= 10 and seen == {"v1", "case_i", "case_ii"}
+
+
+def test_witness_lists_one_failure_per_branch():
+    # good primes <= sqrt(200): 2 in v1, 5 in case_i, 7 in case_ii, 13 outside;
+    # lambda_F(p^2) >= 0 at each, and lambda_F(p) is then set below each bound
+    lam_f = {2: 1.5, 5: 1.5, 7: 1.0, 13: 1.0}
+    lam_g = {2: 0.5, 5: 1.0, 7: 1.2, 13: 2.0}
+    spec = _normalized_pair(lambda p: lam_f.get(p, 0.5), lambda p: lam_g.get(p, 0.5), 200)
+    seq = lift_sequence(spec, 200)
+    seq.values[[2, 5, 7]] = [0.3, 0.05, 0.4]
+    rep = _assert_witness_matches_loop(seq, spec, 200)
+    assert rep.counts == {"v1": 1, "case_i": 1, "case_ii": 1, "outside": 1,
+                          "hypothesis_violated": 0}
+    assert rep.bound_failures == [(2, "v1", 0.3), (5, "case_i", 0.05), (7, "case_ii", 0.4)]
