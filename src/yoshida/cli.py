@@ -15,6 +15,7 @@ floats rendered as shortest round-trip decimals.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -61,22 +62,22 @@ def _flatten(obj, prefix=""):
     return [(prefix[:-1], obj)]
 
 
-def _write_text(path, text: str) -> None:
+def _open_out(path):
+    """stdout (left open) for None or "-", else path as a UTF-8 LF text file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_report(report, path, fmt: str) -> None:
     data = _jsonable(report)
     if fmt == "json":
-        _write_text(path, json.dumps(data, indent=2) + "\n")
+        text = json.dumps(data, indent=2) + "\n"
     else:
         rows = _flatten(data)
-        lines = ["key,value"] + [f"{k},{_fmt(v)}" for k, v in rows]
-        _write_text(path, "\n".join(lines) + "\n")
+        text = "\n".join(["key,value"] + [f"{k},{_fmt(v)}" for k, v in rows]) + "\n"
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _parse_curve(text: str, level) -> curves.WeierstrassCurve:
@@ -101,6 +102,7 @@ def _build_sequence(args):
 
 # EigenSequence.signs() code -> CSV sign column
 _SIGN_CHARS = {-1: "-1", 0: "0", 1: "1", lift.UNCERTAIN: "?"}
+_CSV_BLOCK = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +118,16 @@ def _cmd_ap(args) -> int:
 
 def _cmd_lift(args) -> int:
     _, seq = _build_sequence(args)
-    lines = ["n,lambda,sign"]
-    # tolist() gives Python floats: numpy 2 reprs np.float64 differently
-    for n, v, s in zip(seq.index.tolist(), seq.values[seq.index].tolist(), seq.signs().tolist()):
-        lines.append(f"{n},{v!r},{_SIGN_CHARS[s]}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    sg = seq.signs()
+    with _open_out(args.out) as fh:
+        fh.write("n,lambda,sign\n")
+        # a block of rows at a time, so the whole CSV is never held at once;
+        # tolist() gives Python floats: numpy 2 reprs np.float64 differently
+        for i in range(0, seq.index.size, _CSV_BLOCK):
+            block = slice(i, i + _CSV_BLOCK)
+            n = seq.index[block]
+            rows = zip(n.tolist(), seq.values[n].tolist(), sg[block].tolist())
+            fh.write("".join(f"{m},{v!r},{_SIGN_CHARS[s]}\n" for m, v, s in rows))
     return 0
 
 

@@ -93,11 +93,14 @@ class NewformCoeffs:
 
     coeffs maps p -> a_p (exact integers) when normalized is False, or
     p -> lambda(p) (finite binary64) when normalized is True.  Keys must be
-    exactly the primes up to pmax (gap-free).  level_primes holds the level's
-    primes, ascending, from its one factorization; good marks, in table
-    order, the primes outside it, decided once when the table is built, so
-    no layer divides the level (of any size).  Exact tables are the
-    authoritative representation wherever sign decisions matter; lam()
+    exactly the primes up to pmax (gap-free).  prime_array holds them as
+    the int64 sieve that validated the keys; a layer that needs the table's
+    primes up to y slices the first require_cover(y) entries of it and of
+    good, lam_array and a_array, and sieves nothing.  level_primes holds
+    the level's primes, ascending, from its one factorization; good marks,
+    in table order, the primes outside it, decided once when the table is
+    built, so no layer divides the level (of any size).  Exact tables are
+    the authoritative representation wherever sign decisions matter; lam()
     derives the float normalisation on demand.
     """
 
@@ -107,6 +110,7 @@ class NewformCoeffs:
     normalized: bool = False
     pmax: int = field(init=False, default=0)
     level_primes: tuple = field(init=False, default=())
+    prime_array: np.ndarray = field(init=False, default=None, repr=False)
     good: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -122,7 +126,8 @@ class NewformCoeffs:
         pmax = int(keys[-1]) if keys else 0
         # a gap-free table of n primes ends at p_n <= limit: sieve no further
         limit = nth_prime_bound(len(keys))
-        expected = primes_up_to(min(pmax, limit)).tolist()
+        prime_array = primes_up_to(min(pmax, limit))
+        expected = prime_array.tolist()
         if keys != expected:
             expected_set = set(expected)
             bad = next((p for p in keys
@@ -133,6 +138,7 @@ class NewformCoeffs:
             missing = next(p for p in expected if p not in key_set)
             raise ValidationError(f"prime table has a gap: missing p={missing}")
         object.__setattr__(self, "pmax", pmax)
+        object.__setattr__(self, "prime_array", prime_array)
         k = self.weight
         # lam() divides a_p by p^((k-2)/2) sqrt(p) in binary64, and a normalized
         # table's a_p = lambda(p) p^((k-1)/2) is formed the same way: finite
@@ -160,11 +166,6 @@ class NewformCoeffs:
                                           f"need |lambda| <= 2, got {v!r}")
             elif v * v > 4 * p ** (k - 1):
                 raise ValidationError(f"Deligne bound violated at p={p}: a_p={v}")
-
-    @cached_property
-    def prime_array(self) -> np.ndarray:
-        """The table's primes as an int64 array (built on first use)."""
-        return np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
 
     @cached_property
     def a_array(self) -> np.ndarray:
@@ -202,19 +203,17 @@ class NewformCoeffs:
             return float(v)
         return v / (p ** ((self.weight - 2) // 2) * math.sqrt(p))
 
-    def first_missing_prime(self, y: int) -> int | None:
-        """Smallest prime <= y absent from the table, or None if covered.
+    def require_cover(self, y: int) -> int:
+        """The number of table primes <= y, so that prime_array[:c] (and the
+        same prefix of good, lam_array and a_array) are the primes <= y.
 
-        A gap-free table holds every prime up to pmax, so this is the first
-        prime above pmax, found by stepping up from pmax + 1."""
+        Refuses a table that lacks a prime <= y: a gap-free table holds every
+        prime up to pmax, so the first missing one is the first prime above
+        pmax, found by stepping up from pmax + 1 with no sieve up to y."""
         q = self.pmax + 1
         while q <= y:
             if is_prime(q):
-                return q
+                raise ValidationError(f"coefficient table too short: missing p={q} "
+                                      f"(needed up to {y})")
             q += 1
-        return None
-
-    def require_cover(self, y: int) -> None:
-        q = self.first_missing_prime(y)
-        if q is not None:
-            raise ValidationError(f"coefficient table too short: missing p={q} (needed up to {y})")
+        return int(np.searchsorted(self.prime_array, y, side="right"))

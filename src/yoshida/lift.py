@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
-from .primes import primes_up_to
 
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
 # exceeds this; the exact channel is the only certified source of zero signs.
@@ -130,9 +129,9 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
         raise ValidationError(f"levels coprime: gcd({f.level}, {g.level}) = 1")
     if (f.level, f.weight) == (g.level, g.weight):
         B = f.weight * math.prod(p + 1 for p in f.level_primes) // 12
-        f.require_cover(B)
+        c = f.require_cover(B)
         g.require_cover(B)
-        if all(_same_ap(f, g, p) for p in primes_up_to(B).tolist()):
+        if all(_same_ap(f, g, p) for p in f.prime_array[:c].tolist()):
             raise ValidationError(f"f and g are the same newform: lambda(p) agrees up to {B}")
     al_f, al_g = _infer_al_map(f), _infer_al_map(g)
     for p in al_f:
@@ -251,14 +250,14 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
-    spec.f.require_cover(xmax)
+    c = spec.f.require_cover(xmax)
     spec.g.require_cover(xmax)
     exact = not (spec.f.normalized or spec.g.normalized)
     k = spec.weight
 
-    ps = primes_up_to(xmax)
+    ps = spec.f.prime_array[:c]
     root = math.isqrt(xmax)
-    good = spec.f.good[: ps.size] & spec.g.good[: ps.size]
+    good = spec.f.good[:c] & spec.g.good[:c]
     big = good & (ps > root)
     big_ps = ps[big]
     done = np.zeros(xmax + 1, dtype=bool)
@@ -268,11 +267,11 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     values[1] = 1.0
     # The two-term fsum of lift_euler_coeffs at r = 1 is one IEEE add; + 0.0
     # turns the -0.0 of (-0.0) + (-0.0) into fsum's 0.0.
-    values[big_ps] = (spec.f.lam_array[: ps.size][big] + spec.g.lam_array[: ps.size][big]) + 0.0
+    values[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
     sign = None
     if exact:
         # sign of I_1 = lambda_F(p) p^((k-1)/2); a_array's dtype holds I_1
-        a_f, a_g = spec.f.a_array[: ps.size][big], spec.g.a_array[: ps.size][big]
+        a_f, a_g = spec.f.a_array[:c][big], spec.g.a_array[:c][big]
         sign = np.zeros(xmax + 1, dtype=np.int8)
         sign[1] = 1
         sign[big_ps] = np.sign(a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2))

@@ -1,6 +1,6 @@
 """Prime enumeration and small factorization utilities: an Eratosthenes
-sieve, a bound on the n-th prime, Miller-Rabin primality, factorization by
-trial division up to a fixed limit, and squarefree divisors."""
+sieve, a bound on the n-th prime, Miller-Rabin primality, and factorization
+by trial division up to a fixed limit."""
 
 import math
 
@@ -101,11 +101,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.append((m, 1))
     return out
 
-
-def squarefree_divisors(primes) -> list[int]:
-    """All divisors of the product of the distinct primes given (a squarefree
-    number, whose divisor lattice this is), ascending."""
-    divs = [1]
-    for p in primes:
-        divs += [d * p for d in divs]
-    return sorted(divs)

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import SignUncertainError, ValidationError
 from .hecke import NewformCoeffs, hecke_power_seq
 from .lift import UNCERTAIN, EigenSequence, LiftSpec
-from .primes import primes_up_to, squarefree_divisors
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,15 @@ def bound_report(seq: EigenSequence, spec: LiftSpec, cfg: BoundConfig) -> SignRe
     """First negative, bound value Q^_F^(1/2 - 2 theta + epsilon), their ratio,
     and S(F, x) samples on a geometric grid (with the sqrt(x)-normalised value
     alongside, for empirical inspection; nothing asymptotic is asserted).
-    Q^_F and both of its powers must be finite positive binary64."""
-    qf = conductor_proxy(spec, cfg)
+    Q^_F and both of its powers must be finite positive binary64 (a level of
+    2^1024 or more makes Q^_F itself overflow)."""
+    qf = bound = q_norm = math.inf  # whichever overflows stays inf
     try:
+        qf = conductor_proxy(spec, cfg)
         bound = qf ** (0.5 - 2.0 * cfg.theta + cfg.epsilon)
         q_norm = qf ** (0.25 - cfg.theta + cfg.epsilon)
     except OverflowError:
-        bound = q_norm = math.inf
+        pass
     if not all(0.0 < v < math.inf for v in (qf, bound, q_norm)):
         raise ValidationError(f"Q^_F = {qf!r} (theta={cfg.theta}, epsilon={cfg.epsilon}): "
                               "Q^_F, Q^_F^(1/2-2theta+epsilon) and Q^_F^(1/4-theta+epsilon) "
@@ -178,8 +179,8 @@ class AbsSumStats:
 
 def _good_lams(h: NewformCoeffs, y: int) -> np.ndarray:
     """lambda(p) at the primes p <= y not dividing the level, ascending."""
-    h.require_cover(y)
-    return h.lam_array[(h.prime_array <= y) & h.good]
+    c = h.require_cover(y)
+    return h.lam_array[:c][h.good[:c]]
 
 
 def abs_sum_ratio(h: NewformCoeffs, y: int) -> AbsSumStats:
@@ -274,15 +275,16 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
     y = math.isqrt(x)
-    ps = primes_up_to(y)
-    good = spec.f.good[: ps.size] & spec.g.good[: ps.size]
-    ps = ps[good]
+    c = spec.f.require_cover(y)
+    spec.g.require_cover(y)
+    good = spec.f.good[:c] & spec.g.good[:c]
+    ps = spec.f.prime_array[:c][good]
     sq = np.stack((ps, ps * ps))
     at = np.searchsorted(seq.index, sq).clip(max=seq.index.size - 1)
     if (seq.index[at] != sq).any():
         raise ValidationError("the sequence was not lifted from this pair up to x")
     hyp = np.isin(seq.signs()[at], (0, 1)).all(axis=0)
-    lf, lg = (np.abs(h.lam_array[: good.size][good]) for h in (spec.f, spec.g))
+    lf, lg = (np.abs(h.lam_array[:c][good]) for h in (spec.f, spec.g))
     lF = seq.values[ps]
 
     v1 = hyp & (lg <= V1_GAMMA)
@@ -302,7 +304,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
     lx = math.log(x) if x > 1 else 1.0
     n0 = first_negative(seq)
-    log_qg_sq = math.log(float(spec.g.level)) ** 2
+    log_qg_sq = math.log(spec.g.level) ** 2
     log_y = math.log(y) if y >= 2 else 0.0
     return WitnessReport(
         x=x,
@@ -330,16 +332,18 @@ class BadFactorBound:
 
 def bad_factor_bound(h: NewformCoeffs) -> BadFactorBound:
     """Bad-Euler-factor product bound: prod_{p | L} (1 + |lambda(p)|/sqrt(p))
-    <= sum_{d | L} 1/sqrt(d) over the squarefree divisor lattice.
+    <= prod_{p | L} (1 + 1/sqrt(p)) = sum_{d | L} 1/sqrt(d), the right side
+    taken as the product, one step per level prime (its last bit may differ
+    from a summed divisor lattice).
 
-    The inequality follows from |lambda(p)| <= 1 at bad primes by expanding
-    the product into the divisor sum, and is asserted with 1e-12 slack."""
-    lhs = 1.0
+    The inequality follows factor by factor from |lambda(p)| <= 1 at bad
+    primes, and is asserted with 1e-12 slack."""
+    lhs = rhs = 1.0
     for p in h.level_primes:
         if p not in h.coeffs:
             raise ValidationError(f"missing bad-prime coefficient at p={p}")
         lhs *= 1.0 + abs(h.lam(p)) / math.sqrt(p)
-    rhs = math.fsum(1.0 / math.sqrt(d) for d in squarefree_divisors(h.level_primes))
+        rhs *= 1.0 + 1.0 / math.sqrt(p)
     if lhs > rhs + 1e-12:
         raise ValidationError(f"bad-factor bound violated: {lhs!r} > {rhs!r}")
     return BadFactorBound(lhs=lhs, rhs=rhs)

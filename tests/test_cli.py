@@ -413,6 +413,53 @@ def test_prime_level_above_2_64_lacks_its_row(tmp_path, capsys):
     assert err == "error: missing bad-prime coefficient at p=18446744073709551629\n"
 
 
+def _primorial_pair(tmp_path, top):
+    """A table of level L = the product of the primes <= top, and a level-11
+    table; both have rows for every prime <= 800, with a_p = 1 at the primes of
+    their level except a_11 = -1, and 0 elsewhere."""
+    ps = primes.primes_up_to(800).tolist()
+    level = math.prod(p for p in ps if p <= top)
+    big, f11 = tmp_path / "big.txt", tmp_path / "f11.txt"
+    big.write_text(f"# level={level} weight=2\n" + "".join(
+        f"{p} {-1 if p == 11 else int(p <= top)}\n" for p in ps))
+    f11.write_text("# level=11 weight=2\n" + "".join(f"{p} {-1 if p == 11 else 0}\n" for p in ps))
+    return level, big, f11
+
+
+def test_level_with_129_primes_exits_0(tmp_path, capsys):
+    # 2^129 squarefree divisors: the bad-factor bound multiplies over the primes
+    level, big, f11 = _primorial_pair(tmp_path, 727)
+    assert len(primes.factorize(level)) == 129 and level < 2**1000
+    out = tmp_path / "out.json"
+    for argv in (["stats", "--form", str(big), "--y", "800"],
+                 ["report", "--f", str(f11), "--g", str(big), "--xmax", "800"]):
+        t0 = time.perf_counter()
+        assert run([*argv, "--out", str(out)]) == 0, argv
+        assert time.perf_counter() - t0 < 2.0, argv
+        assert capsys.readouterr().err == ""
+    bad = json.loads(out.read_text())["stats"]["g"]["bad_factor"]
+    assert 1.0 < bad["lhs"] <= bad["rhs"] < math.inf
+
+
+@pytest.mark.parametrize("command", ["search", "report", "witness"])
+def test_level_of_2_1024_or_more_exits_without_traceback(command, tmp_path, capsys):
+    level, big, f11 = _primorial_pair(tmp_path, 761)
+    assert level.bit_length() == 1057
+    out = tmp_path / "out.json"
+    if command == "witness":
+        # log(N_g) of an int too large for a float
+        assert run(["witness", "--f", str(f11), "--g", str(big), "--x", "100",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["gate_log_qg_sq"] == math.log(level) ** 2
+    else:
+        # Q^_F = k^2 N1 N2 is no finite binary64
+        assert run([command, "--f", str(big), "--g", str(f11), "--xmax", "100",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: Q^_F = inf (theta=0.0, epsilon=0.0)")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--delta", "1/0"),
     ("--alpha", "1e999999"),

@@ -7,7 +7,7 @@ import pytest
 
 from yoshida.errors import ValidationError
 from yoshida.hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
-from yoshida.primes import primes_up_to
+from yoshida.primes import prime_sieve, primes_up_to
 
 
 def chebyshev_u(r, x):
@@ -178,16 +178,34 @@ def test_table_rejects_bad_prime_out_of_range():
 
 def test_cover_reporting():
     nf = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2})
-    assert nf.first_missing_prime(7) is None
-    assert nf.first_missing_prime(10) is None  # no prime in (7, 10]
-    assert nf.first_missing_prime(11) == 11
+    assert nf.require_cover(7) == 4
+    assert nf.require_cover(10) == 4  # no prime in (7, 10]
+    assert nf.require_cover(6) == 3 and nf.require_cover(1) == 0
+    with pytest.raises(ValidationError, match="missing p=11"):
+        nf.require_cover(11)
     with pytest.raises(ValidationError, match="missing p=11"):
         nf.require_cover(20)
     # the first prime above pmax is found by stepping from pmax + 1, with no
     # sieve up to y
     big = NewformCoeffs(level=11, weight=2, coeffs={p: 0 for p in primes_up_to(199).tolist()})
     t0 = time.perf_counter()
-    assert big.first_missing_prime(10**8) == 211
+    assert big.require_cover(210) == 46
     with pytest.raises(ValidationError, match="missing p=211"):
         big.require_cover(10**8)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_require_cover_counts_the_primes_up_to_y():
+    nf = NewformCoeffs(level=11, weight=2, coeffs=dict.fromkeys(primes_up_to(30000).tolist(), 0))
+    # pi[y + 1] is the number of primes <= y, from one sieve
+    pi = np.concatenate(([0], np.cumsum(prime_sieve(nf.pmax))))
+    assert [nf.require_cover(y) for y in range(-1, nf.pmax + 1)] == pi.tolist()
+    for y in (-1, 0, 2, 10, 29988, nf.pmax):
+        c = nf.require_cover(y)
+        assert c == primes_up_to(y).size
+        assert nf.prime_array[:c].tolist() == primes_up_to(y).tolist()
+    empty = NewformCoeffs(level=1, weight=2, coeffs={})
+    assert empty.pmax == 0 and empty.prime_array.size == 0
+    assert [empty.require_cover(y) for y in (-1, 0, 1)] == [0, 0, 0]
+    with pytest.raises(ValidationError, match="missing p=2"):
+        empty.require_cover(2)

@@ -10,7 +10,6 @@ from yoshida.primes import (
     nth_prime_bound,
     prime_sieve,
     primes_up_to,
-    squarefree_divisors,
 )
 
 
@@ -55,9 +54,6 @@ def test_factorize_and_squarefree():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(33) == [(3, 1), (11, 1)]
-    assert squarefree_divisors([]) == [1]
-    assert squarefree_divisors([2, 3]) == [1, 2, 3, 6]
-    assert squarefree_divisors([3, 11]) == [1, 3, 11, 33]
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

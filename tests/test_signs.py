@@ -8,7 +8,7 @@ import pytest
 from yoshida.errors import SignUncertainError, ValidationError
 from yoshida.hecke import NewformCoeffs
 from yoshida.lift import EigenSequence, lift_sequence, validate_pair
-from yoshida.primes import primes_up_to
+from yoshida.primes import factorize, primes_up_to
 from yoshida.signs import (
     BoundConfig,
     abs_sum_ratio,
@@ -243,6 +243,25 @@ def test_bad_factor_level_6_zeros():
     bb = bad_factor_bound(t)
     assert bb.lhs == 1.0
     assert bb.rhs == pytest.approx(1 + 1 / math.sqrt(2) + 1 / math.sqrt(3) + 1 / math.sqrt(6))
+
+
+def test_bad_factor_rhs_matches_the_divisor_sum():
+    # oracle: the sum of 1/sqrt(d) over the squarefree divisor lattice
+    ps = primes_up_to(400).tolist()
+    for level in range(1, 400):
+        factors = factorize(level)
+        if any(e > 1 for _, e in factors):
+            continue
+        divisors = [1]
+        for p, _ in factors:
+            divisors += [d * p for d in divisors]
+        oracle = math.fsum(1.0 / math.sqrt(d) for d in divisors)
+        t = NewformCoeffs(level=level, weight=2,
+                          coeffs={p: -1 if level % p == 0 else 0 for p in ps})
+        rhs = bad_factor_bound(t).rhs
+        assert abs(rhs - oracle) <= 4e-16 * oracle, level
+        if level in (11, 33):
+            assert rhs == oracle
 
 
 def test_bad_factor_missing_coefficient():
