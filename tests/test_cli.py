@@ -620,6 +620,39 @@ def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
     assert got == FROZEN_MAJORANT_DIGESTS
 
 
+# SHA-256 of each subcommand's stdout on 6-decimal normalized copies of the
+# 11a/33a tables at 3000: the float channel, and the rounding of a normalized
+# lambda(p) to its integer a_p at the level primes
+FROZEN_NORMALIZED_DIGESTS = {
+    "lift": "19ec21e6e36ef098498d50d4468aafc1500d11d992cf2208c8759320951a6c31",
+    "search": "b8e5df55130e7c2131e83c2acda0a7825029e19e53a289c70587f6ae57548511",
+    "witness": "48680561befa55fec1d3144257d777c3d11badb9c3a7adb2e8e3031dac12c3b4",
+    "report": "18a2245c356d785498fb22610c1264a2dd55531148b591291283073faa8592ce",
+}
+
+
+def test_normalized_pair_outputs_match_frozen_digests(tmp_path, capsys):
+    import hashlib
+
+    from yoshida.curves import ap_table
+    from tests.conftest import CURVE_11A, CURVE_33A
+    f, g = tmp_path / "f11.txt", tmp_path / "g33.txt"
+    for curve, path in ((CURVE_11A, f), (CURVE_33A, g)):
+        t = ap_table(curve, 3000)
+        path.write_text(f"# level={t.level} weight=2 normalized\n"
+                        + "".join(f"{p} {t.lam(p):.6f}\n" for p in t.prime_array.tolist()))
+    pair = ["--f", str(f), "--g", str(g)]
+    argvs = {"lift": ["lift", *pair, "--xmax", "3000"],
+             "search": ["search", *pair, "--xmax", "3000"],
+             "witness": ["witness", *pair, "--x", "3000"],
+             "report": ["report", *pair, "--xmax", "3000"]}
+    got = {}
+    for name, argv in argvs.items():
+        assert run(argv) == 0, name
+        got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == FROZEN_NORMALIZED_DIGESTS
+
+
 def test_huge_prime_row_rejected_fast(tmp_path, capsys):
     # the row above the sieve is tested by Miller-Rabin, not trial division
     # (about 1e9 divisions here), so the gap is reported at once
