@@ -9,9 +9,9 @@ Subcommands:
     majorant  verify | optimize the quartic majorant
     report    full JSON bundle (search + witness + stats)
 
-Exit codes: 0 success, 1 validation/usage error, 2 computation error,
-3 I/O error.  Output files are byte-stable across runs: fixed field order,
-floats rendered as shortest round-trip decimals.
+Exit codes: 0 success, 1 validation/usage error, 2 computation error (out
+of memory included), 3 I/O error.  Output files are byte-stable across runs:
+fixed field order, floats rendered as shortest round-trip decimals.
 """
 
 import argparse
@@ -326,6 +326,10 @@ def run(argv=None) -> int:
         return 1
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"computation error: out of memory ({str(exc) or 'MemoryError'})",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

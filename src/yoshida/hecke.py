@@ -6,8 +6,9 @@ coefficients a_p at primes.  The normalised eigenvalue is
     lambda(p) = a_p / p^((k-1)/2),
 
 so the Deligne bound reads |lambda(p)| <= 2 at good primes (a_p^2 <= 4 p^(k-1)
-as an exact integer check) and |lambda(p)| <= p^(-1/2) at primes dividing the
-level (a_p^2 <= p^(k-2); <= 1 for normalized tables, which may carry rounding).
+as an exact integer check).  At a prime dividing the level the newform is of
+multiplicative type, |a_p| = p^((k-2)/2) exactly (|lambda(p)| = p^(-1/2)); a
+normalized table's lambda(p) there must round to such an integer a_p.
 
 At good primes the eigenvalues at prime powers follow the three-term Hecke
 recurrence
@@ -23,7 +24,8 @@ polynomial of the second kind; in particular
 which are also the p-th coefficients of the symmetric-square and
 symmetric-fourth-power L-functions.  At primes exactly dividing a squarefree
 level the Euler factor is linear, so lambda(p^r) = lambda(p)^r, and the
-Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2).
+Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2) (Atkin-Lehner 1970, Thm. 3),
+which each table reads from its own coefficients (NewformCoeffs.atkin_lehner).
 """
 
 import math
@@ -68,25 +70,6 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
     return seq[: rmax + 1]
 
 
-def infer_atkin_lehner(a_p: int, p: int, k: int) -> int:
-    """Atkin-Lehner sign w_p = -a_p / p^((k-2)/2) at a prime exactly dividing
-    the (squarefree) level; in weight 2 this is just -a_p with a_p in {+-1}.
-
-    Rejects a_p that is not of multiplicative type (zero or wrong magnitude),
-    which signals a corrupted table in this setting.
-    """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if k < 2 or k % 2 != 0:
-        raise ValidationError(f"weight must be an even integer >= 2, got {k}")
-    scale = p ** ((k - 2) // 2)
-    if a_p == 0 or abs(a_p) != scale:
-        raise ValidationError(
-            f"not multiplicative-type at p={p}: a_p={a_p}, expected |a_p|={scale}"
-        )
-    return -a_p // scale
-
-
 @dataclass(frozen=True, eq=False)
 class NewformCoeffs:
     """Prime-indexed coefficient table of a newform of squarefree level.
@@ -99,9 +82,14 @@ class NewformCoeffs:
     good, lam_array and a_array, and sieves nothing.  level_primes holds
     the level's primes, ascending, from its one factorization; good marks,
     in table order, the primes outside it, decided once when the table is
-    built, so no layer divides the level (of any size).  Exact tables are
-    the authoritative representation wherever sign decisions matter; lam()
-    derives the float normalisation on demand.
+    built, so no layer divides the level (of any size).  Each level prime the
+    table holds is checked when it is built to be of multiplicative type,
+    |a_p| = p^((k-2)/2); atkin_lehner reads the signs off those
+    coefficients, and integer_ap is the one reading of a normalized
+    lambda(p) as an integer.  No other module reads coeffs: its format
+    belongs to this class (and to curves, for I/O).
+    Exact tables are the authoritative representation wherever sign
+    decisions matter; lam() derives the float normalisation on demand.
     """
 
     level: int
@@ -146,26 +134,50 @@ class NewformCoeffs:
         if (k - 1) * (pmax.bit_length() - 1) >= 2046 or pmax ** (k - 1) >= 2**2046:
             raise ValidationError(f"weight {k} is too large for a table up to "
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
-        for p, v in self.coeffs.items():
-            self._check_bound(p, v)
-        object.__setattr__(self, "good", np.isin(self.prime_array, self.level_primes, invert=True))
+        good = np.isin(prime_array, self.level_primes, invert=True)
+        object.__setattr__(self, "good", good)
+        for (p, v), is_good in zip(self.coeffs.items(), good.tolist()):
+            self._check_bound(p, v, is_good)
 
-    def _check_bound(self, p: int, v) -> None:
+    def _check_bound(self, p: int, v, good: bool) -> None:
         k = self.weight
-        if self.level % p == 0:
-            if self.normalized:
-                if not abs(v) <= 1.0 + _FLOAT_BOUND_SLACK:
-                    raise ValidationError(f"bad-prime bound violated at p={p}: "
-                                          f"need |lambda| <= 1, got {v!r}")
-            elif v * v > p ** (k - 2):
-                raise ValidationError(f"bad-prime bound violated at p={p}: a_p={v}")
-        else:
-            if self.normalized:
-                if not abs(v) <= 2.0 + _FLOAT_BOUND_SLACK:
-                    raise ValidationError(f"Deligne bound violated at p={p}: "
-                                          f"need |lambda| <= 2, got {v!r}")
-            elif v * v > 4 * p ** (k - 1):
-                raise ValidationError(f"Deligne bound violated at p={p}: a_p={v}")
+        if not good:
+            a = self.integer_ap(p)
+            if a is None or a * a != p ** (k - 2):
+                raise ValidationError(f"bad-prime bound violated at p={p}: "
+                                      f"need |a_p| = p^((k-2)/2), got {v!r}")
+        elif self.normalized:
+            if not abs(v) <= 2.0 + _FLOAT_BOUND_SLACK:
+                raise ValidationError(f"Deligne bound violated at p={p}: "
+                                      f"need |lambda| <= 2, got {v!r}")
+        elif v * v > 4 * p ** (k - 1):
+            raise ValidationError(f"Deligne bound violated at p={p}: a_p={v}")
+
+    def integer_ap(self, p: int) -> int | None:
+        """The integer a_p = lambda(p) p^((k-1)/2): the stored value, or the
+        integer a normalized lambda(p) rounds to, tolerating decimal rounding
+        in the stored lambda; None if it is not finite or not that close to
+        one."""
+        v = self.coeffs[p]
+        if not self.normalized:
+            return v
+        scaled = v * math.sqrt(p) * p ** ((self.weight - 2) // 2)
+        if not math.isfinite(scaled):
+            return None
+        a = round(scaled)
+        return a if abs(scaled - a) <= 1e-3 * max(1, abs(a)) else None
+
+    @cached_property
+    def atkin_lehner(self) -> dict[int, int]:
+        """The Atkin-Lehner sign w_p = -a_p / p^((k-2)/2) at every level
+        prime, ascending; construction made |a_p| = p^((k-2)/2) there.
+        Refuses a table that stops below a level prime."""
+        out = {}
+        for p in self.level_primes:
+            if p > self.pmax:
+                raise ValidationError(f"missing bad-prime coefficient at p={p}")
+            out[p] = -self.integer_ap(p) // p ** ((self.weight - 2) // 2)
+        return out
 
     @cached_property
     def a_array(self) -> np.ndarray:

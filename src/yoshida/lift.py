@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
+from .hecke import NewformCoeffs, hecke_power_seq
 
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
 # exceeds this; the exact channel is the only certified source of zero signs.
@@ -59,37 +59,13 @@ SIGN_TOL = 1e-9
 UNCERTAIN = 2
 
 
-def _integer_ap(nf: NewformCoeffs, p: int) -> int | None:
-    """The integer a_p = lambda(p) p^((k-1)/2) of a table: the stored value,
-    or the integer a normalized lambda(p) rounds to, tolerating decimal
-    rounding in the stored lambda; None if it is not that close to one."""
-    if not nf.normalized:
-        return nf.coeffs[p]
-    scaled = nf.coeffs[p] * math.sqrt(p) * p ** ((nf.weight - 2) // 2)
-    a = round(scaled)
-    return a if abs(scaled - a) <= 1e-3 * max(1, abs(a)) else None
-
-
-def _infer_al_map(nf: NewformCoeffs) -> dict[int, int]:
-    out = {}
-    for p in nf.level_primes:
-        if p not in nf.coeffs:
-            raise ValidationError(f"cannot infer Atkin-Lehner sign: no coefficient at p={p}")
-        # at a level prime a_p is an integer of magnitude p^((k-2)/2)
-        a = _integer_ap(nf, p)
-        if a is None:
-            raise ValidationError(f"not multiplicative-type at p={p}: lambda={nf.coeffs[p]!r}")
-        out[p] = infer_atkin_lehner(a, p, nf.weight)
-    return out
-
-
 def _same_ap(f: NewformCoeffs, g: NewformCoeffs, p: int) -> bool:
     """Whether two tables hold one eigenvalue at p: lambda(p) bit for bit, or
     one integer a_p, so a normalized decimal copy matches the integer table."""
     if f.lam(p) == g.lam(p):
         return True
-    a = _integer_ap(f, p)
-    return a is not None and a == _integer_ap(g, p)
+    a = f.integer_ap(p)
+    return a is not None and a == g.integer_ap(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +95,8 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
     a_p agrees at every p <= k prod_{p|N} (p + 1) // 12 (Sturm 1987), as an
     integer or, between normalized tables, as lambda(p) bit for bit.
 
-    The signs are inferred from each table's coefficients at its level
-    primes, w_p = -a_p / p^((k-2)/2).
+    The signs are each table's atkin_lehner, w_p = -a_p / p^((k-2)/2) from
+    its coefficients at its level primes.
     """
     # NewformCoeffs construction already enforces squarefree levels
     if g.weight != 2:
@@ -133,7 +109,7 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
         g.require_cover(B)
         if all(_same_ap(f, g, p) for p in f.prime_array[:c].tolist()):
             raise ValidationError(f"f and g are the same newform: lambda(p) agrees up to {B}")
-    al_f, al_g = _infer_al_map(f), _infer_al_map(g)
+    al_f, al_g = f.atkin_lehner, g.atkin_lehner
     for p in al_f:
         if p in al_g and al_f[p] != al_g[p]:
             raise ValidationError(f"Atkin-Lehner mismatch at p={p}: {al_f[p]} vs {al_g[p]}")
@@ -282,7 +258,7 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
             qs.append(qs[-1] * p)
         coeffs = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, len(qs))[1:]
         if exact:
-            ints = lift_euler_ints(spec.f.coeffs[p], spec.g.coeffs[p], p, len(qs), k)[1:]
+            ints = lift_euler_ints(spec.f.integer_ap(p), spec.g.integer_ap(p), p, len(qs), k)[1:]
         built = []
         for e, q in enumerate(qs):
             m = np.flatnonzero(done[: xmax // q + 1])

@@ -336,12 +336,12 @@ def bad_factor_bound(h: NewformCoeffs) -> BadFactorBound:
     taken as the product, one step per level prime (its last bit may differ
     from a summed divisor lattice).
 
-    The inequality follows factor by factor from |lambda(p)| <= 1 at bad
-    primes, and is asserted with 1e-12 slack."""
+    The primes are those of h.atkin_lehner, which refuses a table that
+    stops below one.  The inequality follows factor by factor from
+    |lambda(p)| = p^(-1/2) <= 1 at bad primes (up to a normalized table's
+    decimal rounding), and is asserted with 1e-12 slack."""
     lhs = rhs = 1.0
-    for p in h.level_primes:
-        if p not in h.coeffs:
-            raise ValidationError(f"missing bad-prime coefficient at p={p}")
+    for p in h.atkin_lehner:
         lhs *= 1.0 + abs(h.lam(p)) / math.sqrt(p)
         rhs *= 1.0 + 1.0 / math.sqrt(p)
     if lhs > rhs + 1e-12:

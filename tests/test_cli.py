@@ -204,7 +204,7 @@ def test_stats_y_below_2_exits_1(y, pair_files, tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["lift", "stats"])
 def test_nan_at_level_prime_exits_1(cmd, tmp_path, capsys):
-    # lambda(11) = nan at the level prime: abs(nan) <= 1 is False, so the
+    # lambda(11) = nan at the level prime rounds to no integer a_11, so the
     # table is refused when it is loaded
     f, g = tmp_path / "f.txt", tmp_path / "g.txt"
     f.write_text("# level=11 weight=2 normalized\n2 -0.5\n3 0.25\n5 0.0\n7 0.1\n11 nan\n")
@@ -215,6 +215,50 @@ def test_nan_at_level_prime_exits_1(cmd, tmp_path, capsys):
     # an exception cli.run does not catch would propagate here, not return 1
     assert run([*argv, "--out", str(out)]) == 1
     assert "error: bad-prime bound violated at p=11" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header,a11", [
+    ("", "0"), (" normalized", "0.3"), (" normalized", "inf"), (" normalized", "-inf"),
+], ids=["int_0", "normalized_0.3", "inf", "minus_inf"])
+@pytest.mark.parametrize("cmd", ["lift", "stats"])
+def test_level_prime_not_of_multiplicative_type_exits_1(cmd, header, a11, pair_files,
+                                                         tmp_path, capsys):
+    # |a_11| must be 11^0 = 1 exactly (a normalized lambda(11) must round to
+    # +-1): every subcommand refuses the table when it is loaded
+    _, g = pair_files
+    f = tmp_path / "f.txt"
+    rows = "2 -2\n3 -1\n5 1\n7 -2\n" if not header else "2 -0.5\n3 0.25\n5 0.0\n7 0.1\n"
+    f.write_text(f"# level=11 weight=2{header}\n{rows}11 {a11}\n")
+    out = tmp_path / "out"
+    argv = {"lift": ["lift", "--f", str(f), "--g", str(g), "--xmax", "10"],
+            "stats": ["stats", "--form", str(f), "--y", "10"]}[cmd]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-prime bound violated at p=11: need |a_p| = p^((k-2)/2)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_table_short_of_its_level_prime_exits_1(pair_files, tmp_path, capsys):
+    # f stops at 7, below its level prime 11: it has no Atkin-Lehner sign there
+    _, g = pair_files
+    f = tmp_path / "f.txt"
+    f.write_text("# level=11 weight=2\n2 -2\n3 -1\n5 1\n7 -2\n")
+    out = tmp_path / "out"
+    assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: missing bad-prime coefficient at p=11\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys):
+    # the sieve to 10^18 needs 888 PiB, beyond any address space, so the
+    # allocation is refused at once
+    out = tmp_path / "ap.txt"
+    t0 = time.perf_counter()
+    assert run(["ap", "--curve", "0,-1,1,0,0", "--pmax", str(10**18), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().err.startswith("computation error: out of memory (")
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from yoshida.errors import ValidationError
-from yoshida.hecke import NewformCoeffs, hecke_power_seq, infer_atkin_lehner
+from yoshida.hecke import NewformCoeffs, hecke_power_seq
 from yoshida.primes import prime_sieve, primes_up_to
 
 
@@ -75,20 +75,56 @@ def test_power_exact_float_agreement():
 
 
 # ---------------------------------------------------------------------------
-# infer_atkin_lehner
+# NewformCoeffs.atkin_lehner
 # ---------------------------------------------------------------------------
 
 def test_atkin_lehner_inference():
-    assert infer_atkin_lehner(1, 11, 2) == -1
-    assert infer_atkin_lehner(-1, 3, 2) == 1
-    with pytest.raises(ValidationError):
-        infer_atkin_lehner(0, 5, 2)
-    with pytest.raises(ValidationError):
-        infer_atkin_lehner(2, 5, 2)
+    assert NewformCoeffs(level=11, weight=2,
+                         coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).atkin_lehner == {11: -1}
+    assert NewformCoeffs(level=3, weight=2, coeffs={2: 0, 3: -1}).atkin_lehner == {3: 1}
+    # not of multiplicative type: refused when the table is built
+    for a5 in (0, 2):
+        with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
+            NewformCoeffs(level=5, weight=2, coeffs={2: 0, 3: 0, 5: a5})
     # weight 4: |a_p| must equal p
-    assert infer_atkin_lehner(-5, 5, 4) == 1
-    with pytest.raises(ValidationError):
-        infer_atkin_lehner(3, 5, 4)
+    assert NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5}).atkin_lehner == {5: 1}
+    with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
+        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 3})
+    # a normalized lambda(p) is read as the integer it rounds to
+    nf = NewformCoeffs(level=11, weight=2, coeffs={2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: -0.301511},
+                       normalized=True)
+    assert nf.atkin_lehner == {11: 1}
+    # a table that stops below its level prime has no sign there
+    short = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2})
+    with pytest.raises(ValidationError, match="missing bad-prime coefficient at p=11"):
+        short.atkin_lehner
+
+
+def test_atkin_lehner_matches_the_pair_signs(table_11a, table_33a):
+    # the maps validate_pair returned when it inferred the signs from the
+    # coefficients itself: 11a/33a, and the seeded weight-4 and weight-12 pairs
+    from tests.test_lift import _synthetic_pair
+    pairs = [(table_11a, table_33a)]
+    pairs += [(s.f, s.g) for s in (_synthetic_pair(4, 3000, 4), _synthetic_pair(12, 1800, 1))]
+    for f, g in pairs:
+        assert f.atkin_lehner == {11: -1}
+        assert g.atkin_lehner == {3: 1, 11: -1}
+        assert list(g.atkin_lehner) == [3, 11]
+
+
+def test_table_refuses_level_prime_not_of_multiplicative_type():
+    # |a_p| = p^((k-2)/2) exactly: a_5 = 3 passes a_p^2 <= p^(k-2) at weight 4
+    with pytest.raises(ValidationError, match=r"p=5: need \|a_p\| = p\^\(\(k-2\)/2\), got 3"):
+        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 3})
+    rows = {2: -2, 3: -1, 5: 1, 7: -2}
+    with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
+        NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0})
+    # normalized: lambda(11) sqrt(11) must round to +-1 within the decimal slack
+    for lam in (0.3, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
+            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: lam}, normalized=True)
+    assert NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0.301511},
+                         normalized=True).integer_ap(11) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +223,7 @@ def test_cover_reporting():
         nf.require_cover(20)
     # the first prime above pmax is found by stepping from pmax + 1, with no
     # sieve up to y
-    big = NewformCoeffs(level=11, weight=2, coeffs={p: 0 for p in primes_up_to(199).tolist()})
+    big = NewformCoeffs(level=1, weight=2, coeffs={p: 0 for p in primes_up_to(199).tolist()})
     t0 = time.perf_counter()
     assert big.require_cover(210) == 46
     with pytest.raises(ValidationError, match="missing p=211"):
@@ -196,7 +232,7 @@ def test_cover_reporting():
 
 
 def test_require_cover_counts_the_primes_up_to_y():
-    nf = NewformCoeffs(level=11, weight=2, coeffs=dict.fromkeys(primes_up_to(30000).tolist(), 0))
+    nf = NewformCoeffs(level=1, weight=2, coeffs=dict.fromkeys(primes_up_to(30000).tolist(), 0))
     # pi[y + 1] is the number of primes <= y, from one sieve
     pi = np.concatenate(([0], np.cumsum(prime_sieve(nf.pmax))))
     assert [nf.require_cover(y) for y in range(-1, nf.pmax + 1)] == pi.tolist()

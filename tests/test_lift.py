@@ -516,7 +516,7 @@ def test_sequence_rejects_nan_above_sqrt_xmax():
     # a non-finite lambda(p) is refused when the table is built, before any
     # sequence reaches it; the array path above sqrt(xmax) has no check of its own
     fc = {p: 0.1 for p in primes_up_to(100).tolist()}
-    fc[11] = 0.3
+    fc[11] = 0.301511
     for bad in (math.nan, math.inf, -math.inf):
         fc[97] = bad
         with pytest.raises(ValidationError, match=r"p=97: need \|lambda\| <= 2"):

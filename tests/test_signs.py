@@ -238,10 +238,11 @@ def test_bad_factor_level_1():
     assert bb.lhs == 1.0 and bb.rhs == 1.0
 
 
-def test_bad_factor_level_6_zeros():
-    t = NewformCoeffs(level=6, weight=2, coeffs={2: 0, 3: 0})
+def test_bad_factor_level_6():
+    # |lambda(p)| = p^(-1/2) at each level prime: lhs = (1 + 1/2)(1 + 1/3)
+    t = NewformCoeffs(level=6, weight=2, coeffs={2: -1, 3: 1})
     bb = bad_factor_bound(t)
-    assert bb.lhs == 1.0
+    assert bb.lhs == pytest.approx(1.5 * (4 / 3))
     assert bb.rhs == pytest.approx(1 + 1 / math.sqrt(2) + 1 / math.sqrt(3) + 1 / math.sqrt(6))
 
 
