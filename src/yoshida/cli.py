@@ -328,8 +328,7 @@ def run(argv=None) -> int:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"computation error: out of memory ({str(exc) or 'MemoryError'})",
-              file=sys.stderr)
+        print(f"computation error: out of memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -192,60 +192,71 @@ def load_coeffs(path) -> NewformCoeffs:
     All table invariants (squarefree level, Deligne bound, gap-free primes)
     are re-validated on load.  Parse errors carry 1-based line numbers.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (cannot decode byte "
-                              f"{exc.object[exc.start]:#04x})") from None
-    if not lines or not lines[0].startswith("#"):
-        raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
-
-    header = lines[0][1:].split()
-    fields: dict[str, str] = {}
-    flags: set[str] = set()
-    for tok in header:
-        if "=" in tok:
-            k, _, v = tok.partition("=")
-            fields[k] = v
-        else:
-            flags.add(tok)
-    try:
-        level = int(fields["level"])
-        weight = int(fields["weight"])
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing header field {exc.args[0]!r} (line 1)") from None
-    except ValueError:
-        raise ValidationError(f"{path}: malformed header field (line 1)") from None
-    normalized = "normalized" in flags
-
-    coeffs: dict[int, int | float] = {}
-    last_p = 0
-    # one sieve to the largest prime a gap-free table of this many rows can
-    # hold; a larger p (which NewformCoeffs rejects) is trial-divided
-    sieve = prime_sieve(nth_prime_bound(len(lines)))
-    for i, line in enumerate(lines[1:], start=2):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}: expected '<p> <value>' (line {i})")
-        try:
-            p = int(parts[0])
-        except ValueError:
-            raise ValidationError(f"{path}: bad prime {parts[0]!r} (line {i})") from None
-        if not (sieve[p] if 0 <= p < len(sieve) else is_prime(p)):
-            raise ValidationError(f"{path}: {p} is not prime (line {i})")
-        if p <= last_p:
-            raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")
-        last_p = p
-        try:
-            value = float(parts[1]) if normalized else int(parts[1])
-        except ValueError:
-            raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
-        coeffs[p] = value
+    level, weight, coeffs, normalized = _parse_coeffs(path)
     return NewformCoeffs(level=level, weight=weight, coeffs=coeffs, normalized=normalized)
+
+
+def _parse_coeffs(path) -> tuple[int, int, dict, bool]:
+    """The header fields and the rows of a coefficient file, read a row at a
+    time, so that loading holds little beyond the table itself."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            # a first pass refuses a file that is not UTF-8 before any row
+            # is read, and counts its lines for the row sieve
+            n_lines = fh.read().count("\n") + 1
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text (cannot decode byte "
+                                  f"{exc.object[exc.start]:#04x})") from None
+        fh.seek(0)
+        first = fh.readline()
+        if not first.startswith("#"):
+            raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
+
+        header = first[1:].split()
+        fields: dict[str, str] = {}
+        flags: set[str] = set()
+        for tok in header:
+            if "=" in tok:
+                k, _, v = tok.partition("=")
+                fields[k] = v
+            else:
+                flags.add(tok)
+        try:
+            level = int(fields["level"])
+            weight = int(fields["weight"])
+        except KeyError as exc:
+            raise ValidationError(f"{path}: missing header field {exc.args[0]!r} (line 1)") from None
+        except ValueError:
+            raise ValidationError(f"{path}: malformed header field (line 1)") from None
+        normalized = "normalized" in flags
+
+        coeffs: dict[int, int | float] = {}
+        last_p = 0
+        # one sieve to the largest prime a gap-free table of this many rows can
+        # hold; a larger p (which NewformCoeffs rejects) is trial-divided
+        sieve = prime_sieve(nth_prime_bound(n_lines))
+        for i, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise ValidationError(f"{path}: expected '<p> <value>' (line {i})")
+            try:
+                p = int(parts[0])
+            except ValueError:
+                raise ValidationError(f"{path}: bad prime {parts[0]!r} (line {i})") from None
+            if not (sieve[p] if 0 <= p < len(sieve) else is_prime(p)):
+                raise ValidationError(f"{path}: {p} is not prime (line {i})")
+            if p <= last_p:
+                raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")
+            last_p = p
+            try:
+                value = float(parts[1]) if normalized else int(parts[1])
+            except ValueError:
+                raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
+            coeffs[p] = value
+    return level, weight, coeffs, normalized
 
 
 def write_coeffs(nf: NewformCoeffs, path) -> None:

@@ -24,8 +24,7 @@ polynomial of the second kind; in particular
 which are also the p-th coefficients of the symmetric-square and
 symmetric-fourth-power L-functions.  At primes exactly dividing a squarefree
 level the Euler factor is linear, so lambda(p^r) = lambda(p)^r, and the
-Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2) (Atkin-Lehner 1970, Thm. 3),
-which each table reads from its own coefficients (NewformCoeffs.atkin_lehner).
+Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2) (NewformCoeffs.atkin_lehner).
 """
 
 import math
@@ -82,12 +81,10 @@ class NewformCoeffs:
     good, lam_array and a_array, and sieves nothing.  level_primes holds
     the level's primes, ascending, from its one factorization; good marks,
     in table order, the primes outside it, decided once when the table is
-    built, so no layer divides the level (of any size).  Each level prime the
-    table holds is checked when it is built to be of multiplicative type,
-    |a_p| = p^((k-2)/2); atkin_lehner reads the signs off those
-    coefficients, and integer_ap is the one reading of a normalized
-    lambda(p) as an integer.  No other module reads coeffs: its format
-    belongs to this class (and to curves, for I/O).
+    built, so no layer divides the level (of any size).  Each level prime it
+    holds is then checked to be of multiplicative type, and atkin_lehner
+    reads the signs off it; integer_ap is the one reading of lambda(p) as an
+    integer.  No other module but curves (for I/O) reads coeffs.
     Exact tables are the authoritative representation wherever sign
     decisions matter; lam() derives the float normalisation on demand.
     """
@@ -155,9 +152,8 @@ class NewformCoeffs:
 
     def integer_ap(self, p: int) -> int | None:
         """The integer a_p = lambda(p) p^((k-1)/2): the stored value, or the
-        integer a normalized lambda(p) rounds to, tolerating decimal rounding
-        in the stored lambda; None if it is not finite or not that close to
-        one."""
+        integer a normalized lambda(p) rounds to within decimal rounding;
+        None if it is not finite or not that close to one."""
         v = self.coeffs[p]
         if not self.normalized:
             return v

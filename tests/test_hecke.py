@@ -82,14 +82,9 @@ def test_atkin_lehner_inference():
     assert NewformCoeffs(level=11, weight=2,
                          coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).atkin_lehner == {11: -1}
     assert NewformCoeffs(level=3, weight=2, coeffs={2: 0, 3: -1}).atkin_lehner == {3: 1}
-    # not of multiplicative type: refused when the table is built
-    for a5 in (0, 2):
-        with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
-            NewformCoeffs(level=5, weight=2, coeffs={2: 0, 3: 0, 5: a5})
-    # weight 4: |a_p| must equal p
+    # weight 4: w_p = -a_p / p (an a_p of another size is refused when the
+    # table is built: test_table_rejects_bad_prime_out_of_range)
     assert NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5}).atkin_lehner == {5: 1}
-    with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
-        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 3})
     # a normalized lambda(p) is read as the integer it rounds to
     nf = NewformCoeffs(level=11, weight=2, coeffs={2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: -0.301511},
                        normalized=True)
@@ -110,21 +105,6 @@ def test_atkin_lehner_matches_the_pair_signs(table_11a, table_33a):
         assert f.atkin_lehner == {11: -1}
         assert g.atkin_lehner == {3: 1, 11: -1}
         assert list(g.atkin_lehner) == [3, 11]
-
-
-def test_table_refuses_level_prime_not_of_multiplicative_type():
-    # |a_p| = p^((k-2)/2) exactly: a_5 = 3 passes a_p^2 <= p^(k-2) at weight 4
-    with pytest.raises(ValidationError, match=r"p=5: need \|a_p\| = p\^\(\(k-2\)/2\), got 3"):
-        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 3})
-    rows = {2: -2, 3: -1, 5: 1, 7: -2}
-    with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
-        NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0})
-    # normalized: lambda(11) sqrt(11) must round to +-1 within the decimal slack
-    for lam in (0.3, 0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
-            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: lam}, normalized=True)
-    assert NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0.301511},
-                         normalized=True).integer_ap(11) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +181,23 @@ def test_table_rejects_deligne_violation():
 
 
 def test_table_rejects_bad_prime_out_of_range():
-    with pytest.raises(ValidationError, match="p=11"):
-        NewformCoeffs(level=11, weight=2, coeffs={2: 0, 3: 0, 5: 0, 7: 0, 11: 2})
-    # weight 4 at a bad prime: a_p^2 <= p^2, since |a_p| = p^((k-2)/2) there
+    # a level prime is of multiplicative type: |a_p| = p^((k-2)/2) exactly
+    rows = {2: -2, 3: -1, 5: 1, 7: -2}
+    for a11 in (0, 2):
+        with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
+            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: a11})
     NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5})
-    with pytest.raises(ValidationError):
-        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 12})
-    # passes a_p^2 <= p^3, refused at p^2
-    with pytest.raises(ValidationError, match="bad-prime bound violated at p=5"):
-        NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: 10})
+    # 3 passes a_p^2 <= p^(k-2), 10 passes a_p^2 <= p^(k-1)
+    for a5 in (3, 10, 12):
+        with pytest.raises(ValidationError,
+                           match=rf"p=5: need \|a_p\| = p\^\(\(k-2\)/2\), got {a5}$"):
+            NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: a5})
+    # normalized: lambda(11) sqrt(11) must round to +-1 within the decimal slack
+    for lam in (0.3, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
+            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: lam}, normalized=True)
+    assert NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0.301511},
+                         normalized=True).integer_ap(11) == 1
 
 
 def test_cover_reporting():
