@@ -9,6 +9,10 @@ Subcommands:
     majorant  verify | optimize the quartic majorant
     report    full JSON bundle (search + witness + stats)
 
+Importing this module loads only what the parser needs (majorant, errors);
+each subcommand body imports the modules it calls, so `majorant` runs
+without numpy and `ap` without the lift and sign modules.
+
 Exit codes: 0 success, 1 validation/usage error, 2 computation error (out
 of memory included), 3 I/O error.  Output files are byte-stable across runs:
 fixed field order, floats rendered as shortest round-trip decimals.
@@ -20,7 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import curves, lift, majorant, signs
+from . import majorant
 from .errors import ComputationError, ValidationError
 
 
@@ -80,7 +84,8 @@ def _write_report(report, path, fmt: str) -> None:
         fh.write(text)
 
 
-def _parse_curve(text: str, level) -> curves.WeierstrassCurve:
+def _parse_curve(text: str, level):
+    from . import curves
     try:
         ai = [int(t) for t in text.split(",")]
     except ValueError:
@@ -89,19 +94,19 @@ def _parse_curve(text: str, level) -> curves.WeierstrassCurve:
 
 
 def _load_pair(args):
+    from . import curves, lift
     f = curves.load_coeffs(args.f)
     g = curves.load_coeffs(args.g)
     return lift.validate_pair(f, g)
 
 
 def _build_sequence(args):
+    from . import lift
     spec = _load_pair(args)
     seq = lift.lift_sequence(spec, args.xmax)
     return spec, seq
 
 
-# EigenSequence.signs() code -> CSV sign column
-_SIGN_CHARS = {-1: "-1", 0: "0", 1: "1", lift.UNCERTAIN: "?"}
 _CSV_BLOCK = 2**14
 
 
@@ -110,6 +115,7 @@ _CSV_BLOCK = 2**14
 # ---------------------------------------------------------------------------
 
 def _cmd_ap(args) -> int:
+    from . import curves
     curve = _parse_curve(args.curve, args.level)
     table = curves.ap_table(curve, args.pmax)
     curves.write_coeffs(table, args.out)
@@ -117,6 +123,7 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .lift import SIGN_CHARS
     _, seq = _build_sequence(args)
     sg = seq.signs()
     with _open_out(args.out) as fh:
@@ -127,11 +134,12 @@ def _cmd_lift(args) -> int:
             block = slice(i, i + _CSV_BLOCK)
             n = seq.index[block]
             rows = zip(n.tolist(), seq.values[n].tolist(), sg[block].tolist())
-            fh.write("".join(f"{m},{v!r},{_SIGN_CHARS[s]}\n" for m, v, s in rows))
+            fh.write("".join(f"{m},{v!r},{SIGN_CHARS[s]}\n" for m, v, s in rows))
     return 0
 
 
 def _cmd_search(args) -> int:
+    from . import signs
     spec, seq = _build_sequence(args)
     cfg = signs.BoundConfig(theta=args.theta, epsilon=args.epsilon,
                             conductor_constant=args.conductor_constant)
@@ -141,6 +149,7 @@ def _cmd_search(args) -> int:
 
 
 def _stats_record(form, y: int):
+    from . import signs
     cor = signs.corollary_check(form, y)  # its d1, d2 are the densities at 19/20, 13/10
     return {
         "abs_sum": signs.abs_sum_ratio(form, y),
@@ -153,12 +162,14 @@ def _stats_record(form, y: int):
 
 
 def _cmd_stats(args) -> int:
+    from . import curves
     form = curves.load_coeffs(args.form)
     _write_report(_stats_record(form, args.y), args.out, args.format)
     return 0
 
 
 def _cmd_witness(args) -> int:
+    from . import lift, signs
     spec = _load_pair(args)
     seq = lift.lift_sequence(spec, args.x)
     report = signs.lower_bound_witness(seq, spec, args.x)
@@ -194,6 +205,7 @@ def _cmd_majorant(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import signs
     spec, seq = _build_sequence(args)
     cfg = signs.BoundConfig(theta=args.theta, epsilon=args.epsilon,
                             conductor_constant=args.conductor_constant)

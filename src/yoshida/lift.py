@@ -57,6 +57,8 @@ from .hecke import NewformCoeffs, hecke_power_seq
 SIGN_TOL = 1e-9
 # EigenSequence.signs() code for an uncertain sign (sign(n) is None)
 UNCERTAIN = 2
+# EigenSequence.signs() code -> sign column of the lift CSV
+SIGN_CHARS = {-1: "-1", 0: "0", 1: "1", UNCERTAIN: "?"}
 
 
 def _same_ap(f: NewformCoeffs, g: NewformCoeffs, p: int) -> bool:

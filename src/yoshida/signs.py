@@ -337,13 +337,13 @@ def bad_factor_bound(h: NewformCoeffs) -> BadFactorBound:
     from a summed divisor lattice).
 
     The primes are those of h.atkin_lehner, which refuses a table that
-    stops below one.  The inequality follows factor by factor from
-    |lambda(p)| = p^(-1/2) <= 1 at bad primes (up to a normalized table's
-    decimal rounding), and is asserted with 1e-12 slack."""
+    stops below one.  The inequality holds factor by factor: a table is
+    built only if |lambda(p)| <= 1.001 p^(-1/2) at each level prime (a
+    normalized value within 1e-3 of its integer a_p), so each factor is at
+    most 1 + 1.001/p, far enough below 1 + 1/sqrt(p) (sqrt(p) > 1.001) that
+    the binary64 factors and products keep lhs <= rhs."""
     lhs = rhs = 1.0
     for p in h.atkin_lehner:
         lhs *= 1.0 + abs(h.lam(p)) / math.sqrt(p)
         rhs *= 1.0 + 1.0 / math.sqrt(p)
-    if lhs > rhs + 1e-12:
-        raise ValidationError(f"bad-factor bound violated: {lhs!r} > {rhs!r}")
     return BadFactorBound(lhs=lhs, rhs=rhs)

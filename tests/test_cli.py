@@ -326,17 +326,45 @@ def test_far_prime_in_short_table_rejected_fast(tmp_path, capsys):
     assert "prime table has a gap: missing p=3" in capsys.readouterr().err
 
 
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(yoshida.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'yoshida'))\n"
+_MAJORANT_MODULES = ["yoshida", "yoshida.cli", "yoshida.errors", "yoshida.majorant"]
+_TABLE_MODULES = ["yoshida.curves", "yoshida.hecke", "yoshida.primes"]
+
+
 def test_import_and_majorant_verify_leave_scipy_unloaded():
     code = ("import sys, yoshida\n"
             "from yoshida.cli import run\n"
             "assert run(['majorant', 'verify']) == 0\n"
             "assert run(['majorant', 'optimize', '--grid-step', '1e-4', '--refine']) == 0\n"
-            "sys.exit(3 if 'scipy' in sys.modules else 0)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(yoshida.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+            + _LOADED +
+            "sys.exit(3 if 'scipy' in sys.modules else 4 if 'numpy' in sys.modules else 0)\n")
+    proc = _fresh_interpreter(code)
     assert "feasible_sufficient: True" in proc.stdout
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(_MAJORANT_MODULES)
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["ap", "--curve", "0,-1,1,0,0", "--pmax", "300", "--out", "{tmp}/f.txt"],
+     _TABLE_MODULES + ["yoshida.mestre"]),
+    (["lift", "--f", "{f}", "--g", "{g}", "--xmax", "100", "--out", "{tmp}/l.csv"],
+     _TABLE_MODULES + ["yoshida.lift"]),
+    (["report", "--f", "{f}", "--g", "{g}", "--xmax", "100", "--out", "{tmp}/r.json"],
+     _TABLE_MODULES + ["yoshida.lift", "yoshida.signs"]),
+], ids=["ap", "lift", "report"])
+def test_each_subcommand_imports_only_its_modules(argv, modules, pair_files, tmp_path):
+    f, g = pair_files
+    argv = [a.format(tmp=tmp_path, f=f, g=g) for a in argv]
+    proc = _fresh_interpreter(f"import sys\nfrom yoshida.cli import run\n"
+                              f"assert run({argv!r}) == 0\n" + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(sorted(_MAJORANT_MODULES + modules))
 
 
 @pytest.mark.parametrize("curve,pmax,level,p", [
@@ -651,6 +679,23 @@ FROZEN_MAJORANT_DIGESTS = {
     "optimize.json": "e2432055d4bfd3f4501571c89bfca4437a98db3d6640b57a603b823a97fe0412",
 }
 
+# The same at the ends of the --grid-step range, frozen from the numpy grid
+# (linspace and argmin) before the bounded scan replaced it: the point count
+# ceil(2/step) + 1 and the last point forced to 2.0 (at 7e-4, n = 2858 is
+# not round(2/step), and n (2/n) is not 2.0)
+FROZEN_MAJORANT_GRID_DIGESTS = {
+    "verify.1e-6.stdout": "035d1922da5783573df2eab5a36e8d01b3c41db3d9074e598ea1ef96d2f1e57a",
+    "verify.1e-6.json": "ef4bf08d50d64c2f5d67d57ca1e08486bce485f0a927be343f2db8a0943ce0b1",
+    "verify.0.3.stdout": "ce51c3f8b5bdfd1dbc95f82e57eedfedf3ff49704ac46b77a77c5198cffb35d7",
+    "verify.0.3.json": "94b20e08a0fdfc92d299d65c44a971ea80e6f346cf05a5a9e8e64661926b177b",
+    "verify.7e-4.stdout": "fce200c6c030854716409ef74cfaa611a21d2794679c71b4bdcf134aec3a7b06",
+    "verify.7e-4.json": "8d1035ebec6cd14e20d7a3943334cdfe365120de87d3539e578be541865c9e11",
+    "optimize.1e-3.stdout": "9436cddbffc8609aeb8feae0184bcad3480c8a02dd44df17affde9a0d0e07b41",
+    "optimize.1e-3.json": "6066964d8f1290c4c68b264af0c588819b229f33493377ff1dd4193e7c7bacd5",
+    "optimize.1e-6.stdout": "d2a4c30d99456b8454300f678c6936e4fc6229bd790f52c1162ef5453ad13412",
+    "optimize.1e-6.json": "1564a9f2ff1aeef7edf0f246ca07348413617d1bbc47cca72f86e7357f620b6c",
+}
+
 
 def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
     import hashlib
@@ -662,6 +707,19 @@ def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
         got[f"{action}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         got[f"{action}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == FROZEN_MAJORANT_DIGESTS
+
+
+def test_majorant_grid_extremes_match_frozen_digests(tmp_path, capsys):
+    import hashlib
+
+    got = {}
+    for action, step in (("verify", "1e-6"), ("verify", "0.3"), ("verify", "7e-4"),
+                         ("optimize", "1e-3"), ("optimize", "1e-6")):
+        out = tmp_path / f"{action}.{step}.json"
+        assert run(["majorant", action, "--grid-step", step, "--out", str(out)]) == 0
+        got[f"{action}.{step}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        got[f"{action}.{step}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == FROZEN_MAJORANT_GRID_DIGESTS
 
 
 # SHA-256 of each subcommand's stdout on 6-decimal normalized copies of the

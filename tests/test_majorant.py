@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from yoshida.errors import ValidationError
 from yoshida.majorant import (
+    OPTIMUM_PARAMS,
     REFERENCE_PARAMS,
     MajorantParams,
     feasible_numeric,
@@ -178,6 +179,86 @@ def test_no_delta_below_optimum_certifies():
     assert opt.grid_delta == pytest.approx(0.2 + 0.3 * math.sqrt(6), abs=1e-15)
 
 
+def _dip_pair():
+    """(d, a, u) with a double root of r at s = 0.81655, and the same with
+    delta lowered by 1e-12 (two roots, r < 0 between grid points)."""
+    a, s = Fraction(-1, 200), Fraction(16331, 20000)
+    u = 3 + (1 / a - 4 * s**3) / (2 * s)
+    d = s - q_eval(MajorantParams(Fraction(0), a, u), s)
+    return MajorantParams(d, a, u), MajorantParams(d - Fraction(1, 10**12), a, u)
+
+
+class _NumpyGrid:
+    """Oracle: np.argmin of r over np.linspace(0, 2, ceil(2/step) + 1).  r is
+    r_eval's expression with each operand swapped where IEEE arithmetic is
+    commutative, computed in place over a grid shared by every triple."""
+
+    def __init__(self, step):
+        self.ts = np.linspace(0.0, 2.0, math.ceil(2.0 / step) + 1)
+        self.t2 = self.ts * self.ts
+        self.t4 = self.t2 * self.t2
+
+    def min(self, params):
+        d, a, u = params.as_floats()
+        r = (u - 3) * self.t2  # d + a (t2 t2 + (u - 3) t2 + (1 - u)) - t
+        r += self.t4
+        r += 1 - u
+        r *= a
+        r += d
+        r -= self.ts
+        i = int(np.argmin(r))
+        return float(r[i]), float(self.ts[i])
+
+
+GRID_EDGE_TRIPLES = [
+    REFERENCE_PARAMS,
+    OPTIMUM_PARAMS,
+    MajorantParams(2.001, -1e-9, 0.0),
+    MajorantParams(1, 0, 0),
+    *_dip_pair(),
+    MajorantParams(10**99, Fraction(-1, 10**99), 10**99),  # every value rounds to 1e99
+    MajorantParams(-(10**99), 10**99, -(10**99)),
+    MajorantParams(Fraction(1, 10**99), -(10**99), 10**99),
+    MajorantParams(0, 0, 0),
+    # ties in binary64 over [1.79, 2]: without the slack the scan skips the
+    # block of the first least value, whose bound rounds above it
+    MajorantParams(-7160336780966927.0, -0.042624756029083916, 25.637567856292335),
+]
+
+
+def _random_triples(rng, k):
+    """k triples: half near the feasible region, the rest over 24 decades."""
+    out = []
+    for i in range(k):
+        if i % 2:
+            out.append(MajorantParams(rng.uniform(0.5, 2.5), rng.uniform(-0.3, 0.3),
+                                      rng.uniform(-12.0, 6.0)))
+        else:
+            out.append(MajorantParams(*(float(rng.choice([-1, 1]) * 10 ** rng.uniform(-12, 12))
+                                        for _ in range(3))))
+    return out
+
+
+# at 7e-4, n = ceil(2/step) = 2858 is not round(2/step), and n (2/n) is not 2.0
+@pytest.mark.parametrize("step", [0.3, 1e-3, 7e-4, 3.3e-4, 1e-4, 1e-5])
+def test_grid_min_matches_numpy_bit_for_bit(step):
+    """Oracle for the bounded scan: min_r and argmin equal numpy's, compared
+    with ==, on edge triples and 400 seeded random ones."""
+    rng, grid = np.random.default_rng(16), _NumpyGrid(step)
+    for params in GRID_EDGE_TRIPLES + _random_triples(rng, 400):
+        cert = feasible_numeric(params, step)
+        want = grid.min(params)
+        assert (cert.min_r, cert.argmin) == want, (params, step)
+        assert math.copysign(1.0, cert.min_r) == math.copysign(1.0, want[0])
+
+
+def test_grid_min_matches_numpy_at_the_finest_grid():
+    rng, grid = np.random.default_rng(6), _NumpyGrid(1e-6)
+    for params in GRID_EDGE_TRIPLES[:6] + _random_triples(rng, 10):
+        cert = feasible_numeric(params, 1e-6)
+        assert (cert.min_r, cert.argmin) == grid.min(params), params
+
+
 def test_certificate_agrees_with_dense_grid():
     """Oracle: a triple with r < 0 at a grid point is rejected, and one whose
     grid minimum clears the largest possible dip between grid points is
@@ -204,6 +285,7 @@ def test_sufficient_implies_grid_positive():
     rng = np.random.default_rng(2024)
     ts = np.linspace(0.0, 2.0, 20001)
     t2 = ts * ts
+    t4 = t2 * t2
     kept = 0
     cert_checked = 0
     while kept < 10**4:
@@ -221,9 +303,14 @@ def test_sufficient_implies_grid_positive():
         take = min(d.size, 10**4 - kept)
         d, a, u = d[:take], a[:take], u[:take]
         kept += take
-        # r on the grid for the whole batch (batch x grid)
-        r = (d[:, None] + a[:, None] * (t2 * t2 + (u[:, None] - 3.0) * t2 + (1.0 - u[:, None]))
-             - ts)
+        # r on the grid for the whole batch (batch x grid), in place:
+        # d + a (t2 t2 + (u - 3) t2 + (1 - u)) - t, operands commuted
+        r = (u[:, None] - 3.0) * t2
+        r += t4
+        r += (1.0 - u)[:, None]
+        r *= a[:, None]
+        r += d[:, None]
+        r -= ts
         min_r = r.min(axis=1)
         assert (min_r > 0.0).all()
         # grid minimum sits at t = 2 (r decreasing under the conditions)
