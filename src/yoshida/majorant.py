@@ -234,26 +234,23 @@ def _grid_min(params: MajorantParams, grid_step: float) -> tuple[float, float]:
     um3, omu = u - 3, 1 - u
     n = math.ceil(2.0 / grid_step)
     step = 2.0 / n
-
-    def t_at(i):
-        return 2.0 if i == n else i * step
-
     slack = 1e-14 * (abs(d) + abs(a) * (16 + 4 * abs(um3) + abs(omu)) + 2)
     m = math.isqrt(n + 1)
-    blocks = []
-    for b in range(m):
-        lo, hi = b * (n + 1) // m, (b + 1) * (n + 1) // m
-        s, e = t_at(lo), t_at(hi - 1)
-        s2, e2 = s * s, e * e
-        bound = (d + a * omu + min(a * (s2 * s2), a * (e2 * e2))
-                 + min(a * um3 * s2, a * um3 * e2) - e)
-        blocks.append((bound, lo, hi))
+    cuts = [b * (n + 1) // m for b in range(m + 1)]  # block b is [cuts[b], cuts[b + 1])
+    lows = [lo * step for lo in cuts[:-1]]
+    highs = [(hi - 1) * step for hi in cuts[1:]]
+    highs[-1] = 2.0
+    c, au = d + a * omu, a * um3
+    xs = lows if a >= 0 else highs   # the end where a t^4 is least
+    ys = lows if au >= 0 else highs  # the end where a (Upsilon - 3) t^2 is least
+    bounds = [c + a * (x * x * (x * x)) + au * (y * y) - e for x, y, e in zip(xs, ys, highs)]
     best, best_t, best_lo = math.inf, 0.0, n + 1
-    for bound, lo, hi in sorted(blocks):
+    for bound, b in sorted(zip(bounds, range(m))):
         if bound - slack > best:
             break
-        ts = [i * step for i in range(lo, hi)]
-        ts[-1] = t_at(hi - 1)
+        lo, hi = cuts[b], cuts[b + 1]
+        ts = list(map(step.__mul__, range(lo, hi)))
+        ts[-1] = highs[b]
         # r_eval's expression, operation for operation
         r = [d + a * (t2 * t2 + um3 * t2 + omu) - t for t in ts for t2 in (t * t,)]
         v = min(r)

@@ -156,19 +156,28 @@ def test_certificate_accepts_optimum_below_grid_margin():
     assert 0 < cert.min_r < 1e-11
 
 
-def test_certificate_rejects_dip_between_grid_points():
-    # r has a double root at s = 0.81655, midway between grid points of step
-    # 1e-4; lowering delta by 1e-12 splits it into two roots with r < 0
-    # between them, while r stays about +1.5e-9 at every grid point
-    a, s = Fraction(-1, 200), Fraction(16331, 20000)
+DIP_ROOT = Fraction(16331, 20000)
+
+
+def _dip_pair():
+    """r with a double root at DIP_ROOT = 0.81655, midway between grid points
+    of step 1e-4, and the same with delta lowered by 1e-12, which splits it
+    into two roots with r < 0 between them."""
+    a, s = Fraction(-1, 200), DIP_ROOT
     u = 3 + (1 / a - 4 * s**3) / (2 * s)  # r'(s) = 0
     d = s - q_eval(MajorantParams(Fraction(0), a, u), s)  # r(s) = 0
-    assert r_eval(MajorantParams(d, a, u), s) == 0
-    cert = feasible_numeric(MajorantParams(d - Fraction(1, 10**12), a, u), 1e-4)
+    return MajorantParams(d, a, u), MajorantParams(d - Fraction(1, 10**12), a, u)
+
+
+def test_certificate_rejects_dip_between_grid_points():
+    # the split pair's r stays about +1.5e-9 at every grid point
+    touching, split = _dip_pair()
+    assert r_eval(touching, DIP_ROOT) == 0
+    cert = feasible_numeric(split, 1e-4)
     assert not cert.ok
     assert 0 < cert.min_r < 1e-8
     assert cert.argmin == pytest.approx(0.8166)
-    assert not feasible_numeric(MajorantParams(d, a, u), 1e-4).ok  # r(s) = 0 is not > 0
+    assert not feasible_numeric(touching, 1e-4).ok  # r(s) = 0 is not > 0
 
 
 def test_no_delta_below_optimum_certifies():
@@ -179,19 +188,10 @@ def test_no_delta_below_optimum_certifies():
     assert opt.grid_delta == pytest.approx(0.2 + 0.3 * math.sqrt(6), abs=1e-15)
 
 
-def _dip_pair():
-    """(d, a, u) with a double root of r at s = 0.81655, and the same with
-    delta lowered by 1e-12 (two roots, r < 0 between grid points)."""
-    a, s = Fraction(-1, 200), Fraction(16331, 20000)
-    u = 3 + (1 / a - 4 * s**3) / (2 * s)
-    d = s - q_eval(MajorantParams(Fraction(0), a, u), s)
-    return MajorantParams(d, a, u), MajorantParams(d - Fraction(1, 10**12), a, u)
-
-
 class _NumpyGrid:
-    """Oracle: np.argmin of r over np.linspace(0, 2, ceil(2/step) + 1).  r is
-    r_eval's expression with each operand swapped where IEEE arithmetic is
-    commutative, computed in place over a grid shared by every triple."""
+    """Oracle: np.argmin of r over np.linspace(0, 2, ceil(2/step) + 1), with
+    r_eval's expression computed in place over a grid shared by every
+    triple; IEEE + and * are commutative, so the operand order is free."""
 
     def __init__(self, step):
         self.ts = np.linspace(0.0, 2.0, math.ceil(2.0 / step) + 1)
