@@ -700,26 +700,17 @@ FROZEN_MAJORANT_GRID_DIGESTS = {
 def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
     import hashlib
 
+    argvs = {"verify": ["verify"], "optimize": ["optimize", "--grid-step", "1e-4"],
+             **{f"{action}.{step}": [action, "--grid-step", step]
+                for action, step in (("verify", "1e-6"), ("verify", "0.3"), ("verify", "7e-4"),
+                                     ("optimize", "1e-3"), ("optimize", "1e-6"))}}
     got = {}
-    for action, argv in (("verify", []), ("optimize", ["--grid-step", "1e-4"])):
-        out = tmp_path / f"{action}.json"
-        assert run(["majorant", action, *argv, "--out", str(out)]) == 0
-        got[f"{action}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        got[f"{action}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == FROZEN_MAJORANT_DIGESTS
-
-
-def test_majorant_grid_extremes_match_frozen_digests(tmp_path, capsys):
-    import hashlib
-
-    got = {}
-    for action, step in (("verify", "1e-6"), ("verify", "0.3"), ("verify", "7e-4"),
-                         ("optimize", "1e-3"), ("optimize", "1e-6")):
-        out = tmp_path / f"{action}.{step}.json"
-        assert run(["majorant", action, "--grid-step", step, "--out", str(out)]) == 0
-        got[f"{action}.{step}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        got[f"{action}.{step}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == FROZEN_MAJORANT_GRID_DIGESTS
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}.json"
+        assert run(["majorant", *argv, "--out", str(out)]) == 0
+        got[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        got[f"{name}.json"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == {**FROZEN_MAJORANT_DIGESTS, **FROZEN_MAJORANT_GRID_DIGESTS}
 
 
 # SHA-256 of each subcommand's stdout on 6-decimal normalized copies of the
