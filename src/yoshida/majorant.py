@@ -46,6 +46,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ComputationError, ValidationError
 
@@ -222,40 +223,16 @@ def _grid_min(params: MajorantParams, grid_step: float) -> tuple[float, float]:
     """(min r, argmin t) over the n + 1 points t_i = i (2/n), t_n = 2, with
     n = ceil(2 / grid_step) and r evaluated in binary64 from
     params.as_floats(): bit for bit the minimum np.argmin finds over
-    np.linspace(0, 2, n + 1), the first point among equal values.
-
-    The grid is cut into isqrt(n + 1) blocks.  Each of the terms a t^4,
-    a (Upsilon - 3) t^2 and -t is monotone on t >= 0, so each taken at the
-    block end where it is smaller bounds r on the block from below.  Blocks
-    are scanned in increasing order of that bound until a bound less slack
-    exceeds the least value found; slack is over ten times the rounding of
-    any value or bound, so no block left unscanned holds a value as small."""
+    np.linspace(0, 2, n + 1), the first point among equal values."""
     d, a, u = params.as_floats()
     um3, omu = u - 3, 1 - u
     n = math.ceil(2.0 / grid_step)
-    step = 2.0 / n
-    slack = 1e-14 * (abs(d) + abs(a) * (16 + 4 * abs(um3) + abs(omu)) + 2)
-    m = math.isqrt(n + 1)
-    cuts = [b * (n + 1) // m for b in range(m + 1)]  # block b is [cuts[b], cuts[b + 1])
-    lows = [lo * step for lo in cuts[:-1]]
-    highs = [(hi - 1) * step for hi in cuts[1:]]
-    highs[-1] = 2.0
-    c, au = d + a * omu, a * um3
-    xs = lows if a >= 0 else highs   # the end where a t^4 is least
-    ys = lows if au >= 0 else highs  # the end where a (Upsilon - 3) t^2 is least
-    bounds = [c + a * (x * x * (x * x)) + au * (y * y) - e for x, y, e in zip(xs, ys, highs)]
-    best, best_t, best_lo = math.inf, 0.0, n + 1
-    for bound, b in sorted(zip(bounds, range(m))):
-        if bound - slack > best:
-            break
-        lo, hi = cuts[b], cuts[b + 1]
-        ts = list(map(step.__mul__, range(lo, hi)))
-        ts[-1] = highs[b]
-        # r_eval's expression, operation for operation
-        r = [d + a * (t2 * t2 + um3 * t2 + omu) - t for t in ts for t2 in (t * t,)]
-        v = min(r)
-        if v < best or (v == best and lo < best_lo):
-            best, best_t, best_lo = v, ts[r.index(v)], lo
+    best, best_t = math.inf, 0.0
+    for t in chain(map((2.0 / n).__mul__, range(n)), (2.0,)):
+        t2 = t * t
+        v = d + a * (t2 * t2 + um3 * t2 + omu) - t  # r_eval's expression
+        if v < best:
+            best, best_t = v, t
     return best, best_t
 
 
