@@ -679,18 +679,21 @@ FROZEN_MAJORANT_DIGESTS = {
     "optimize.json": "e2432055d4bfd3f4501571c89bfca4437a98db3d6640b57a603b823a97fe0412",
 }
 
-# The same at other --grid-step values, frozen from the numpy grid (linspace
-# and argmin) before the Python scan replaced it: the point count
+# The same at the ends of the --grid-step range, frozen from the numpy grid
+# (linspace and argmin) before the Python scan replaced it: the point count
 # ceil(2/step) + 1 and the last point forced to 2.0 (at 7e-4, n = 2858 is
-# not round(2/step), and n (2/n) is not 2.0).  The floor 1e-6 is checked
-# against numpy in test_majorant, where it costs one scan instead of two
+# not round(2/step), and n (2/n) is not 2.0)
 FROZEN_MAJORANT_GRID_DIGESTS = {
+    "verify.1e-6.stdout": "035d1922da5783573df2eab5a36e8d01b3c41db3d9074e598ea1ef96d2f1e57a",
+    "verify.1e-6.json": "ef4bf08d50d64c2f5d67d57ca1e08486bce485f0a927be343f2db8a0943ce0b1",
     "verify.0.3.stdout": "ce51c3f8b5bdfd1dbc95f82e57eedfedf3ff49704ac46b77a77c5198cffb35d7",
     "verify.0.3.json": "94b20e08a0fdfc92d299d65c44a971ea80e6f346cf05a5a9e8e64661926b177b",
     "verify.7e-4.stdout": "fce200c6c030854716409ef74cfaa611a21d2794679c71b4bdcf134aec3a7b06",
     "verify.7e-4.json": "8d1035ebec6cd14e20d7a3943334cdfe365120de87d3539e578be541865c9e11",
     "optimize.1e-3.stdout": "9436cddbffc8609aeb8feae0184bcad3480c8a02dd44df17affde9a0d0e07b41",
     "optimize.1e-3.json": "6066964d8f1290c4c68b264af0c588819b229f33493377ff1dd4193e7c7bacd5",
+    "optimize.1e-6.stdout": "d2a4c30d99456b8454300f678c6936e4fc6229bd790f52c1162ef5453ad13412",
+    "optimize.1e-6.json": "1564a9f2ff1aeef7edf0f246ca07348413617d1bbc47cca72f86e7357f620b6c",
 }
 
 
@@ -699,8 +702,8 @@ def test_majorant_outputs_match_frozen_digests(tmp_path, capsys):
 
     argvs = {"verify": ["verify"], "optimize": ["optimize", "--grid-step", "1e-4"],
              **{f"{action}.{step}": [action, "--grid-step", step]
-                for action, step in (("verify", "0.3"), ("verify", "7e-4"),
-                                     ("optimize", "1e-3"))}}
+                for action, step in (("verify", "1e-6"), ("verify", "0.3"), ("verify", "7e-4"),
+                                     ("optimize", "1e-3"), ("optimize", "1e-6"))}}
     got = {}
     for name, argv in argvs.items():
         out = tmp_path / f"{name}.json"
