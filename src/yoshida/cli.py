@@ -125,7 +125,7 @@ def _cmd_ap(args) -> int:
 def _cmd_lift(args) -> int:
     from .lift import SIGN_CHARS
     _, seq = _build_sequence(args)
-    sg = seq.signs()
+    sg = seq.signs
     with _open_out(args.out) as fh:
         fh.write("n,lambda,sign\n")
         # a block of rows at a time, so the whole CSV is never held at once;
@@ -209,9 +209,11 @@ def _cmd_report(args) -> int:
     spec, seq = _build_sequence(args)
     cfg = signs.BoundConfig(theta=args.theta, epsilon=args.epsilon,
                             conductor_constant=args.conductor_constant)
+    y = args.y if args.y is not None else args.xmax
+    spec.f.require_cover(y)  # the stats below stop at pmax, so check y is covered
+    spec.g.require_cover(y)
     rep = signs.bound_report(seq, spec, cfg)
     wit = signs.lower_bound_witness(seq, spec, args.xmax)
-    y = args.y if args.y is not None else args.xmax
     bundle = {
         "first_negative_n": rep.first_negative_n,
         "xmax": seq.xmax,

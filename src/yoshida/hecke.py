@@ -83,10 +83,9 @@ class NewformCoeffs:
     in table order, the primes outside it, decided once when the table is
     built, so no layer divides the level (of any size).  Each level prime it
     holds is then checked to be of multiplicative type, and atkin_lehner
-    reads the signs off it; integer_ap is the one reading of lambda(p) as an
-    integer.  No other module but curves (for I/O) reads coeffs.
-    Exact tables are the authoritative representation wherever sign
-    decisions matter; lam() derives the float normalisation on demand.
+    reads the signs off it; integer_ap and lam_array are the one integer and
+    the one float reading of lambda(p).  No other module but curves (for I/O)
+    reads coeffs; exact tables are authoritative wherever signs matter.
     """
 
     level: int
@@ -125,7 +124,7 @@ class NewformCoeffs:
         object.__setattr__(self, "pmax", pmax)
         object.__setattr__(self, "prime_array", prime_array)
         k = self.weight
-        # lam() divides a_p by p^((k-2)/2) sqrt(p) in binary64, and a normalized
+        # lam_array divides a_p by p^((k-2)/2) sqrt(p) in binary64, and a normalized
         # table's a_p = lambda(p) p^((k-1)/2) is formed the same way: finite
         # while pmax^(k-1) < 2^2046; the bit-length test refuses a huge k unpowered
         if (k - 1) * (pmax.bit_length() - 1) >= 2046 or pmax ** (k - 1) >= 2**2046:
@@ -192,24 +191,16 @@ class NewformCoeffs:
 
     @cached_property
     def lam_array(self) -> np.ndarray:
-        """lam(p) for every table prime, in table order, bit for bit.
-
-        One formula over a_array, in its dtype, with lam()'s roundings: int to
+        """lambda(p) of every table prime, in table order: a normalized table's
+        floats, or a_p / (p^((k-2)/2) sqrt(p)) over a_array, in its dtype, with
+        the roundings of the scalar a / (p**((k-2)//2) * math.sqrt(p)): int to
         binary64 (correctly rounded for int64 and Python ints alike), the
-        correctly rounded sqrt, one multiply, one divide.
-        """
+        correctly rounded sqrt, one multiply, one divide."""
         if self.normalized:
             return np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
         a, ps = self.a_array, self.prime_array
         scale = ps.astype(a.dtype) ** ((self.weight - 2) // 2)
         return a.astype(np.float64) / (scale.astype(np.float64) * np.sqrt(ps.astype(np.float64)))
-
-    def lam(self, p: int) -> float:
-        """Normalised eigenvalue lambda(p)."""
-        v = self.coeffs[p]
-        if self.normalized:
-            return float(v)
-        return v / (p ** ((self.weight - 2) // 2) * math.sqrt(p))
 
     def require_cover(self, y: int) -> int:
         """The number of table primes <= y, so that prime_array[:c] (and the

@@ -21,7 +21,7 @@ No Siegel modular forms are constructed; whether a genuine lift exists for a
 given pair is not decided here, the eigenvalue system is computed
 unconditionally.
 
-When both tables hold integer a_p (neither is `normalized`) the sequence
+When both tables hold integer a_p (neither is `normalized`) the lift
 also carries an exact channel: with A_i = a_f(p^i) and B_j = a_g(p^j) the
 unnormalised Hecke sequences,
 
@@ -34,17 +34,18 @@ lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
 Normalized float tables get float signs, certified only outside
 |lambda_F(n)| <= SIGN_TOL.
 
-An EigenSequence holds both channels as dense numpy arrays indexed by n,
-assembled one good prime at a time, largest first, without a per-n Python
-loop but with the same float operations as the per-n recurrence, so every
-printed bit is that of the textbook loop.  The exact channel holds signs
-only: the sign of the integer at each prime power q is taken exactly, and
+lift_sequence assembles both channels as dense numpy arrays indexed by n,
+one good prime at a time, largest first, without a per-n Python loop but
+with the same float operations as the per-n recurrence, so every printed bit
+is that of the textbook loop.  The exact channel holds signs only: the sign
+of the integer at each prime power q is taken exactly, and
 sign(n) = sign(q) sign(n/q) by multiplicativity, so no per-n integer (which
-grows like n^((k-1)/2)) is ever formed.
+grows like n^((k-1)/2)) is ever formed.  certified_signs then gives each n
+of the EigenSequence one certified sign.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,35 +56,28 @@ from .hecke import NewformCoeffs, hecke_power_seq
 # A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
 # exceeds this; the exact channel is the only certified source of zero signs.
 SIGN_TOL = 1e-9
-# EigenSequence.signs() code for an uncertain sign (sign(n) is None)
+# EigenSequence.signs code for an uncertain sign
 UNCERTAIN = 2
-# EigenSequence.signs() code -> sign column of the lift CSV
+# EigenSequence.signs code -> sign column of the lift CSV
 SIGN_CHARS = {-1: "-1", 0: "0", 1: "1", UNCERTAIN: "?"}
 
 
-def _same_ap(f: NewformCoeffs, g: NewformCoeffs, p: int) -> bool:
-    """Whether two tables hold one eigenvalue at p: lambda(p) bit for bit, or
-    one integer a_p, so a normalized decimal copy matches the integer table."""
-    if f.lam(p) == g.lam(p):
+def _same_ap(f: NewformCoeffs, g: NewformCoeffs, i: int) -> bool:
+    """Whether two tables hold one eigenvalue at their i-th prime p: lambda(p)
+    bit for bit, or one integer a_p (a normalized copy of an integer table)."""
+    if f.lam_array[i] == g.lam_array[i]:
         return True
+    p = int(f.prime_array[i])
     a = f.integer_ap(p)
     return a is not None and a == g.integer_ap(p)
 
 
 @dataclass(frozen=True, eq=False)
 class LiftSpec:
-    """A validated Yoshida pair: f, g and their Atkin-Lehner signs."""
+    """A validated Yoshida pair; the tables hold their Atkin-Lehner signs."""
 
     f: NewformCoeffs
     g: NewformCoeffs
-    al_f: dict
-    al_g: dict
-    M: int = field(init=False, default=0)
-    N: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", math.gcd(self.f.level, self.g.level))
-        object.__setattr__(self, "N", math.lcm(self.f.level, self.g.level))
 
     @property
     def weight(self) -> int:
@@ -109,13 +103,12 @@ def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
         B = f.weight * math.prod(p + 1 for p in f.level_primes) // 12
         c = f.require_cover(B)
         g.require_cover(B)
-        if all(_same_ap(f, g, p) for p in f.prime_array[:c].tolist()):
+        if all(_same_ap(f, g, i) for i in range(c)):
             raise ValidationError(f"f and g are the same newform: lambda(p) agrees up to {B}")
-    al_f, al_g = f.atkin_lehner, g.atkin_lehner
-    for p in al_f:
-        if p in al_g and al_f[p] != al_g[p]:
-            raise ValidationError(f"Atkin-Lehner mismatch at p={p}: {al_f[p]} vs {al_g[p]}")
-    return LiftSpec(f=f, g=g, al_f=al_f, al_g=al_g)
+    for p, w in f.atkin_lehner.items():
+        if g.atkin_lehner.get(p, w) != w:
+            raise ValidationError(f"Atkin-Lehner mismatch at p={p}: {w} vs {g.atkin_lehner[p]}")
+    return LiftSpec(f=f, g=g)
 
 
 def lift_euler_coeffs(lam_f: float, lam_g: float, p: int, rmax: int) -> list[float]:
@@ -156,50 +149,35 @@ def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
     return [conv(r) - p ** (k - 2) * conv(r - 2) for r in range(rmax + 1)]
 
 
+def certified_signs(index: np.ndarray, values: np.ndarray,
+                    exact: np.ndarray | None = None) -> np.ndarray:
+    """The certified sign of lambda_F(n) for every n in index, as a read-only
+    int8 array aligned with index: exact[n] from the exact channel (int8,
+    indexed by n like values) when given, otherwise +-1 from values[n] when
+    |lambda_F(n)| > SIGN_TOL, and UNCERTAIN inside that band."""
+    if exact is not None:
+        codes = exact[index]
+    else:
+        v = values[index]
+        codes = np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
+    codes.flags.writeable = False
+    return codes
+
+
 @dataclass(eq=False)
 class EigenSequence:
-    """lambda_F(n) for the n <= xmax coprime to N, as arrays indexed by n.
+    """lambda_F(n) and its certified sign for the n <= xmax coprime to N.
 
     index holds those n in ascending order.  values[n] is the binary64
     lambda_F(n) for n in index; every other slot holds 0.0 and is never read.
-    When both tables hold integers, exact_sign[n] is the exact sign in
-    {-1, 0, +1} of the integer lambda_F(n) n^((k-1)/2), as int8; otherwise
-    None.
+    signs[i] is the certified sign of lambda_F(index[i]) from certified_signs:
+    -1, 0, +1, or UNCERTAIN.
     """
 
     xmax: int
     index: np.ndarray
     values: np.ndarray
-    exact_sign: np.ndarray | None = None
-
-    def sign(self, n: int) -> int | None:
-        """Certified sign of lambda_F(n) in {-1, 0, +1}, or None if uncertain:
-        n's entry of signs().  Raises ValidationError for n outside index."""
-        i = int(np.searchsorted(self.index, n))
-        if i == self.index.size or self.index[i] != n:
-            raise ValidationError(f"lambda_F({n}) is not in the sequence: "
-                                  f"n must lie in [1, {self.xmax}] and be coprime to N")
-        s = int(self.signs()[i])
-        return None if s == UNCERTAIN else s
-
-    def signs(self) -> np.ndarray:
-        """The certified sign of lambda_F(n) for every n in index, as one
-        read-only int8 array, built on first use and the same object after.
-
-        exact_sign when present; otherwise +-1 from the float value
-        when |lambda_F(n)| > SIGN_TOL, and UNCERTAIN inside that band.
-        """
-        return self._sign_codes
-
-    @cached_property
-    def _sign_codes(self) -> np.ndarray:
-        if self.exact_sign is not None:
-            codes = self.exact_sign[self.index]
-        else:
-            v = self.values[self.index]
-            codes = np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
-        codes.flags.writeable = False
-        return codes
+    signs: np.ndarray
 
     @cached_property
     def log_index(self) -> np.ndarray:
@@ -224,7 +202,7 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     m <= xmax / q at once.  Multiples of the primes dividing N are never
     marked, so done ends as the index.  The exact sign channel, sign(n) =
     sign(I(q)) sign(m) in int8 with sign(I(q)) from lift_euler_ints, rides
-    along whenever neither table is normalized.
+    along whenever neither table is normalized; certified_signs reads it.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -254,13 +232,16 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         sign[1] = 1
         sign[big_ps] = np.sign(a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2))
 
-    for p in ps[good & (ps <= root)][::-1].tolist():
+    small = np.flatnonzero(good & (ps <= root))[::-1]
+    cols = [ps, spec.f.lam_array, spec.g.lam_array]
+    cols += [spec.f.a_array, spec.g.a_array] if exact else []
+    for p, lam_f, lam_g, *ap in zip(*(col[small].tolist() for col in cols)):
         qs = [p]
         while qs[-1] * p <= xmax:
             qs.append(qs[-1] * p)
-        coeffs = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, len(qs))[1:]
+        coeffs = lift_euler_coeffs(lam_f, lam_g, p, len(qs))[1:]
         if exact:
-            ints = lift_euler_ints(spec.f.integer_ap(p), spec.g.integer_ap(p), p, len(qs), k)[1:]
+            ints = lift_euler_ints(*ap, p, len(qs), k)[1:]
         built = []
         for e, q in enumerate(qs):
             m = np.flatnonzero(done[: xmax // q + 1])
@@ -273,4 +254,6 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         for n in built:  # only now, so that no power of p reads another
             done[n] = True
 
-    return EigenSequence(xmax=xmax, index=np.flatnonzero(done), values=values, exact_sign=sign)
+    index = np.flatnonzero(done)
+    return EigenSequence(xmax=xmax, index=index, values=values,
+                         signs=certified_signs(index, values, sign))

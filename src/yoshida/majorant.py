@@ -81,7 +81,7 @@ def parameter(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class MajorantParams:
-    """(delta, alpha, Upsilon) with beta = alpha * Upsilon derived on access.
+    """(delta, alpha, Upsilon); the majorant's beta is alpha * Upsilon.
 
     Fields may be Fractions, integers or floats; the exact checks read each
     as a Fraction, a float as its exact binary value.
@@ -90,10 +90,6 @@ class MajorantParams:
     delta: object
     alpha: object
     upsilon: object
-
-    @property
-    def beta(self):
-        return self.alpha * self.upsilon
 
     def as_floats(self) -> tuple[float, float, float]:
         return float(self.delta), float(self.alpha), float(self.upsilon)
@@ -112,13 +108,15 @@ OPTIMUM_PARAMS = MajorantParams(DELTA_STAR + 1e-12, _ALPHA_STAR, _BETA_STAR / _A
 
 def q_eval(params: MajorantParams, t):
     """delta + alpha (t^4 + (Upsilon - 3) t^2 + 1 - Upsilon); exact when the
-    params and t are Fractions."""
+    params and t are Fractions.  No command calls it or r_eval: the tests
+    keep both as the exact evaluator of q and r."""
     d, a, u = params.delta, params.alpha, params.upsilon
     t2 = t * t
     return d + a * (t2 * t2 + (u - 3) * t2 + (1 - u))
 
 
 def r_eval(params: MajorantParams, t):
+    """r(t) = q(t) - t; _grid_min inlines this expression in binary64."""
     return q_eval(params, t) - t
 
 

@@ -81,7 +81,7 @@ def first_negative(seq: EigenSequence) -> int | None:
     A negative float value whose sign is uncertain aborts with
     SignUncertainError, since no smaller negative exists to rescue it.
     """
-    sg = seq.signs()
+    sg = seq.signs
     hit = np.flatnonzero((sg == -1) | ((sg == UNCERTAIN) & (seq.values[seq.index] < 0.0)))
     if hit.size == 0:
         return None
@@ -267,7 +267,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     The branch bounds presuppose lambda_F(p) >= 0 and lambda_F(p^2) >= 0;
     primes violating that land in hypothesis_violated and are exempt from the
     bound check; the hypothesis holds only where both signs are certified
-    (EigenSequence.signs()) in {0, +1}.  Primes with |lambda_g(p)| > 13/10
+    (EigenSequence.signs) in {0, +1}.  Primes with |lambda_g(p)| > 13/10
     carry no claim and are counted as outside.  Each branch is a mask over the
     good primes of both tables, ascending.  The witness is only meaningful where
     the sequence is nonnegative: first_negative checks it, as in bound_report.
@@ -283,7 +283,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     at = np.searchsorted(seq.index, sq).clip(max=seq.index.size - 1)
     if (seq.index[at] != sq).any():
         raise ValidationError("the sequence was not lifted from this pair up to x")
-    hyp = np.isin(seq.signs()[at], (0, 1)).all(axis=0)
+    hyp = np.isin(seq.signs[at], (0, 1)).all(axis=0)
     lf, lg = (np.abs(h.lam_array[:c][good]) for h in (spec.f, spec.g))
     lF = seq.values[ps]
 
@@ -337,13 +337,14 @@ def bad_factor_bound(h: NewformCoeffs) -> BadFactorBound:
     from a summed divisor lattice).
 
     The primes are those of h.atkin_lehner, which refuses a table that
-    stops below one.  The inequality holds factor by factor: a table is
-    built only if |lambda(p)| <= 1.001 p^(-1/2) at each level prime (a
-    normalized value within 1e-3 of its integer a_p), so each factor is at
-    most 1 + 1.001/p, far enough below 1 + 1/sqrt(p) (sqrt(p) > 1.001) that
-    the binary64 factors and products keep lhs <= rhs."""
+    stops below one, so they are the table primes outside h.good, ascending,
+    as lam_array[~h.good] reads them.  The inequality holds factor by factor:
+    a table is built only if |lambda(p)| <= 1.001 p^(-1/2) at each level
+    prime (a normalized value within 1e-3 of its integer a_p), so each factor
+    is at most 1 + 1.001/p, far enough below 1 + 1/sqrt(p) (sqrt(p) > 1.001)
+    that the binary64 factors and products keep lhs <= rhs."""
     lhs = rhs = 1.0
-    for p in h.atkin_lehner:
-        lhs *= 1.0 + abs(h.lam(p)) / math.sqrt(p)
+    for p, lam in zip(h.atkin_lehner, h.lam_array[~h.good].tolist()):
+        lhs *= 1.0 + abs(lam) / math.sqrt(p)
         rhs *= 1.0 + 1.0 / math.sqrt(p)
     return BadFactorBound(lhs=lhs, rhs=rhs)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from yoshida.curves import WeierstrassCurve, ap_table
@@ -35,3 +37,17 @@ def seq_items(seq):
     """(n, lambda_F(n)) for every n of an EigenSequence, ascending, as Python
     ints and floats."""
     return zip(seq.index.tolist(), seq.values[seq.index].tolist())
+
+
+def seq_signs(seq):
+    """{n: certified sign code} for every n of an EigenSequence."""
+    return dict(zip(seq.index.tolist(), seq.signs.tolist()))
+
+
+def lam(h, p):
+    """lambda(p) of table h by the scalar formula a_p / (p^((k-2)/2) sqrt(p)),
+    the reading NewformCoeffs.lam_array must equal bit for bit."""
+    v = h.coeffs[p]
+    if h.normalized:
+        return float(v)
+    return v / (p ** ((h.weight - 2) // 2) * math.sqrt(p))

@@ -118,7 +118,7 @@ def test_normalized_copy_of_same_newform_exits_1(tmp_path, capsys):
     assert run(["ap", "--curve", "0,-1,1,0,0", "--pmax", "100", "--out", str(g)]) == 0
     t = load_coeffs(g)
     f.write_text("# level=11 weight=2 normalized\n"
-                 + "".join(f"{p} {t.lam(p):.6f}\n" for p in t.coeffs))
+                 + "".join(f"{p} {v:.6f}\n" for p, v in zip(t.coeffs, t.lam_array.tolist())))
     out = tmp_path / "l.csv"
     assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "100", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: f and g are the same newform")
@@ -200,6 +200,23 @@ def test_stats_y_below_2_exits_1(y, pair_files, tmp_path, capsys):
     assert "error: argument --y: expected an integer >= 2" in capsys.readouterr().err
     assert not out.exists()
     assert run(["stats", "--form", str(g), "--y", "2", "--out", str(out)]) == 0
+
+
+def test_y_beyond_the_tables_exits_1(pair_files, tmp_path, capsys):
+    # the tables stop at p = 199: report refuses --y 1000 as stats does,
+    # rather than printing statistics up to 199
+    f, g = pair_files
+    out = tmp_path / "out"
+    for argv in (["stats", "--form", str(g), "--y", "1000"],
+                 ["report", "--f", str(f), "--g", str(g), "--xmax", "100", "--y", "1000"]):
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: coefficient table too short: "
+                                           "missing p=211 (needed up to 1000)\n")
+        assert not out.exists()
+    # no prime lies in (199, 210], so the tables cover y = 210
+    assert run(["report", "--f", str(f), "--g", str(g), "--xmax", "100", "--y", "210",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["stats"]["g"]["y"] == 199
 
 
 @pytest.mark.parametrize("cmd", ["lift", "stats"])
@@ -401,10 +418,10 @@ def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("header,rows,y", [
-    # p^((k-2)/2) at p near 500 is beyond binary64: lam() would raise OverflowError
+    # p^((k-2)/2) at p near 500 is beyond binary64: a scalar lambda(p) would overflow
     ("level=11 weight=240", {**dict.fromkeys(primes.primes_up_to(600).tolist(), 0),
                              11: 11**119}, "500"),
-    # 11^296 sqrt(11) is inf in binary64: lam(11) would be -0.0, not -11^(-1/2)
+    # 11^296 sqrt(11) is inf in binary64: lambda(11) would be -0.0, not -11^(-1/2)
     ("level=11 weight=594", {2: 0, 3: 0, 5: 0, 7: 0, 11: -11**296}, "11"),
     # lambda(11) 11^399 sqrt(11) is beyond binary64: inferring w_11 overflowed
     ("level=11 weight=800 normalized", {2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: 0.5}, "11"),
@@ -733,7 +750,8 @@ def test_normalized_pair_outputs_match_frozen_digests(tmp_path, capsys):
     for curve, path in ((CURVE_11A, f), (CURVE_33A, g)):
         t = ap_table(curve, 3000)
         path.write_text(f"# level={t.level} weight=2 normalized\n"
-                        + "".join(f"{p} {t.lam(p):.6f}\n" for p in t.prime_array.tolist()))
+                        + "".join(f"{p} {v:.6f}\n"
+                                  for p, v in zip(t.prime_array.tolist(), t.lam_array.tolist())))
     pair = ["--f", str(f), "--g", str(g)]
     argvs = {"lift": ["lift", *pair, "--xmax", "3000"],
              "search": ["search", *pair, "--xmax", "3000"],

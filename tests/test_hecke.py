@@ -114,7 +114,7 @@ def test_atkin_lehner_matches_the_pair_signs(table_11a, table_33a):
 def test_table_accepts_valid():
     nf = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1})
     assert nf.pmax == 11
-    assert nf.lam(2) == pytest.approx(-math.sqrt(2))
+    assert nf.lam_array[0] == pytest.approx(-math.sqrt(2))
     assert nf.coeffs[11] == 1
     assert nf.level_primes == (11,)
 
@@ -138,12 +138,13 @@ def test_table_rejects_nonsquarefree_level():
 def test_integer_table_weight_bound_is_exact():
     # 2^(k-1) < 2^2046 at k = 2046: the largest a_2 still gives a finite lambda
     nf = NewformCoeffs(level=1, weight=2046, coeffs={2: -(2**1023)})
-    assert nf.lam(2) == -2 / math.sqrt(2)
+    assert nf.lam_array[0] == -2 / math.sqrt(2)
     for k in (2048, 10**6):
         with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
             NewformCoeffs(level=1, weight=k, coeffs={2: 0})
     # normalized tables are bounded alike: a_p = lambda(p) p^((k-1)/2) must be finite
-    assert NewformCoeffs(level=1, weight=2046, coeffs={2: 1.0}, normalized=True).lam(2) == 1.0
+    nf = NewformCoeffs(level=1, weight=2046, coeffs={2: 1.0}, normalized=True)
+    assert nf.lam_array[0] == 1.0
     with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
         NewformCoeffs(level=1, weight=2048, coeffs={2: 1.0}, normalized=True)
 

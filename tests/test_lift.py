@@ -7,15 +7,17 @@ from yoshida.curves import ap_table
 from yoshida.errors import ValidationError
 from yoshida.hecke import NewformCoeffs
 from yoshida.lift import (
+    SIGN_TOL,
     UNCERTAIN,
     LiftSpec,
+    certified_signs,
     lift_euler_coeffs,
     lift_euler_ints,
     lift_sequence,
     validate_pair,
 )
 from yoshida.primes import factorize, primes_up_to
-from tests.conftest import CURVE_11A, CURVE_33A, seq_items
+from tests.conftest import CURVE_11A, CURVE_33A, lam, seq_items, seq_signs
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +30,8 @@ def _toy_table(level, coeffs):
 
 def test_validate_pair_basic(table_11a, table_33a):
     spec = validate_pair(table_11a, table_33a)
-    assert (spec.M, spec.N) == (11, 33)
-    assert spec.al_f[11] == spec.al_g[11] == -1
+    assert spec.f is table_11a and spec.g is table_33a
+    assert spec.f.atkin_lehner[11] == spec.g.atkin_lehner[11] == -1
     assert spec.weight == 2
 
 
@@ -69,7 +71,7 @@ def test_validate_pair_same_level_sturm_bound():
     f = _toy_table(33, base)
     with pytest.raises(ValidationError, match="agrees up to 8"):
         validate_pair(f, _toy_table(33, {**base, 13: 2}))
-    assert validate_pair(f, _toy_table(33, {**base, 7: 2})).N == 33
+    assert validate_pair(f, _toy_table(33, {**base, 7: 2})).g.level == 33
     with pytest.raises(ValidationError, match="missing p=7"):
         validate_pair(f, _toy_table(33, {2: 0, 3: -1, 5: 0}))
 
@@ -77,7 +79,7 @@ def test_validate_pair_same_level_sturm_bound():
 def test_validate_pair_infers_al_from_counts(table_11a, table_33a):
     # f: a_11 = 1 -> w = -1; g: a_3 = -1 -> w = +1, a_11 = 1 -> w = -1
     spec = validate_pair(table_11a, table_33a)
-    assert spec.al_g == {3: 1, 11: -1}
+    assert spec.g.atkin_lehner == {3: 1, 11: -1}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def test_sequence_xmax_1(reg_spec):
 
 
 def test_sequence_indices_coprime(reg_spec, reg_seq):
-    N = reg_spec.N
+    N = 33
     assert all(math.gcd(n, N) == 1 for n in reg_seq.index.tolist())
     assert reg_seq.index.tolist() == [n for n in range(1, reg_seq.xmax + 1) if math.gcd(n, N) == 1]
     assert reg_seq.values[1] == 1.0
@@ -173,11 +175,11 @@ def test_sequence_doubled_pair():
     # degenerate f = g fixture: lambda_F(p) must equal 2 lambda_f(p); built
     # directly, since validate_pair refuses f = g
     t = ap_table(CURVE_11A, 100)
-    spec = LiftSpec(f=t, g=t, al_f={11: -1}, al_g={11: -1})
+    spec = LiftSpec(f=t, g=t)
     seq = lift_sequence(spec, 100)
     for p in primes_up_to(100).tolist():
         if p != 11:
-            assert seq.values[p] == pytest.approx(2 * t.lam(p), abs=1e-12)
+            assert seq.values[p] == pytest.approx(2 * lam(t, p), abs=1e-12)
 
 
 def test_sequence_multiplicativity(reg_seq):
@@ -192,20 +194,20 @@ def test_sequence_multiplicativity(reg_seq):
 
 
 def test_sequence_exact_multiplicativity(reg_seq):
-    sc = reg_seq.exact_sign.tolist()
-    stored = set(reg_seq.index.tolist())
+    sc = seq_signs(reg_seq)
     for m in range(2, 100):
-        if m not in stored:
+        if m not in sc:
             continue
         for n in range(2, 10**4 // m + 1):
-            if n in stored and math.gcd(m, n) == 1:
+            if n in sc and math.gcd(m, n) == 1:
                 assert sc[m * n] == sc[m] * sc[n]
 
 
 def test_sequence_exact_vs_float_signs(reg_seq):
+    sc = seq_signs(reg_seq)
     for n, v in seq_items(reg_seq):
         if abs(v) > 1e-9:
-            assert reg_seq.sign(n) == (1 if v > 0 else -1)
+            assert sc[n] == (1 if v > 0 else -1)
 
 
 def _synthetic_pair(k, xmax, seed):
@@ -230,34 +232,33 @@ def _synthetic_pair(k, xmax, seed):
 def test_sequence_weight4_exact_channel():
     xmax = 3000
     seq = lift_sequence(_synthetic_pair(4, xmax, 4), xmax)
-    sc = seq.exact_sign.tolist()
-    assert seq.exact_sign.shape == seq.values.shape
-    stored = set(seq.index.tolist())
+    sc = seq_signs(seq)
+    assert seq.signs.shape == seq.index.shape and UNCERTAIN not in sc.values()
     for m in range(2, 60):
         for n in range(2, xmax // m + 1):
-            if m in stored and n in stored and math.gcd(m, n) == 1:
+            if m in sc and n in sc and math.gcd(m, n) == 1:
                 assert sc[m * n] == sc[m] * sc[n]
     checked = 0
     for n, v in seq_items(seq):
         if abs(v) > 1e-9:
             checked += 1
-            assert seq.sign(n) == (1 if v > 0 else -1), n
+            assert sc[n] == (1 if v > 0 else -1), n
     assert checked > 0.9 * seq.index.size
 
 
 def test_sequence_square_identity_in_data(reg_spec, reg_seq):
     spec = reg_spec
     for p in primes_up_to(100).tolist():
-        if spec.N % p == 0:
+        if 33 % p == 0:
             continue
         lhs = reg_seq.values[p] ** 2 - reg_seq.values[p * p]
-        rhs = 2 + 1 / p + spec.f.lam(p) * spec.g.lam(p)
+        rhs = 2 + 1 / p + lam(spec.f, p) * lam(spec.g, p)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_sequence_prime_power_bound(reg_spec, reg_seq):
     # coarse product bound (r+1)^2 + (r-1)^2 on stored prime powers
-    N = reg_spec.N
+    N = 33
     for p in primes_up_to(100).tolist():
         if N % p == 0:
             continue
@@ -276,10 +277,10 @@ def dirichlet_oracle(spec, xmax):
     (m, N) = 1, then two Dirichlet convolutions.
     """
     def full_table(nf):
-        lam = np.zeros(xmax + 1)
-        lam[1] = 1.0
+        out = np.zeros(xmax + 1)
+        out[1] = 1.0
         for p in primes_up_to(xmax).tolist():
-            lp = nf.lam(p)
+            lp = lam(nf, p)
             powers = [1.0, lp]
             q = p * p
             while q <= xmax:
@@ -292,19 +293,20 @@ def dirichlet_oracle(spec, xmax):
             while q <= xmax:
                 for m in range(1, xmax // q + 1):
                     if m % p != 0:
-                        lam[m * q] = lam[m] * powers[r]
+                        out[m * q] = out[m] * powers[r]
                 q *= p
                 r += 1
-        return lam
+        return out
 
     lf = full_table(spec.f)
     lg = full_table(spec.g)
+    N = math.lcm(spec.f.level, spec.g.level)
     # mobius via factorization (small range, clarity over speed)
     zinv = np.zeros(xmax + 1)
     zinv[1] = 1.0
     m = 2
     while m * m <= xmax:
-        if math.gcd(m, spec.N) == 1:
+        if math.gcd(m, N) == 1:
             fac = factorize(m)
             if all(e == 1 for _, e in fac):
                 zinv[m * m] = (-1) ** len(fac) / m
@@ -329,7 +331,7 @@ def test_sequence_dirichlet_oracle(reg_spec):
     seq = lift_sequence(reg_spec, xmax)
     oracle = dirichlet_oracle(reg_spec, xmax)
     for n in range(1, xmax + 1):
-        if math.gcd(n, reg_spec.N) == 1:
+        if math.gcd(n, 33) == 1:
             assert seq.values[n] == pytest.approx(oracle[n], abs=1e-10), n
 
 
@@ -347,9 +349,9 @@ def test_sequence_rejects_exact_on_normalized():
                       normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 10)
-    assert seq.exact_sign is None  # normalized tables get no exact channel
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
-    assert seq.sign(2) is None  # inside the sign tolerance
+    # normalized tables get no exact channel, so lambda_F(2) has no certified sign
+    assert seq_signs(seq)[2] == UNCERTAIN
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ def dict_lift_reference(spec, xmax):
     Returns ({n: float}, {n: int} or None).
     """
     exact = not (spec.f.normalized or spec.g.normalized)
-    N = spec.N
+    N = math.lcm(spec.f.level, spec.g.level)
     ps = primes_up_to(xmax)
     pw_float, pw_int = {}, {}
     for p in ps.tolist():
@@ -375,7 +377,7 @@ def dict_lift_reference(spec, xmax):
         while q * p <= xmax:
             q *= p
             rmax += 1
-        pw_float[p] = lift_euler_coeffs(spec.f.lam(p), spec.g.lam(p), p, rmax)
+        pw_float[p] = lift_euler_coeffs(lam(spec.f, p), lam(spec.g, p), p, rmax)
         if exact:
             pw_int[p] = lift_euler_ints(spec.f.coeffs[p], spec.g.coeffs[p], p, rmax, spec.weight)
     spf = np.zeros(xmax + 1, dtype=np.int64)
@@ -405,10 +407,11 @@ def _assert_matches_reference(spec, seq):
     got = seq.values[seq.index]
     assert np.array_equal(got.view(np.uint64), np.array(list(values.values())).view(np.uint64))
     if scaled is None:
-        assert seq.exact_sign is None
+        # no exact channel: the float signs, uncertain inside the band
+        assert seq.signs.tolist() == [_scalar_sign(v) for v in values.values()]
     else:
         # the signs of the reference's Python-int products
-        assert seq.signs().tolist() == [(v > 0) - (v < 0) for v in scaled.values()]
+        assert seq.signs.tolist() == [(v > 0) - (v < 0) for v in scaled.values()]
 
 
 def test_dense_sequence_matches_dict_reference_11a_33a():
@@ -466,47 +469,67 @@ def test_scaled_overflow_falls_back_to_python_ints():
     assert max(abs(v) for n, v in scaled.items() if len(factorize(n)) == 1) < 2**62
     assert max(abs(v) for v in scaled.values()) >= 2**63
     _assert_matches_reference(spec, seq)
-    assert seq.signs().tolist() == [seq.sign(n) for n in seq.index.tolist()]
-    for n, v in seq_items(seq):
+    for (n, v), s in zip(seq_items(seq), seq.signs.tolist()):
         if abs(v) > 1e-9:
-            assert seq.sign(n) == (1 if v > 0 else -1), n
+            assert s == (1 if v > 0 else -1), n
+
+
+def _scalar_sign(v, exact=None):
+    """The certified-sign rule at one n: the exact sign when there is one,
+    otherwise +-1 outside |v| <= SIGN_TOL and UNCERTAIN inside it."""
+    if exact is not None:
+        return exact
+    if abs(v) <= SIGN_TOL:
+        return UNCERTAIN
+    return 1 if v > 0 else -1
 
 
 def test_signs_array_matches_scalar_rule(reg_seq):
-    assert reg_seq.signs().tolist() == [reg_seq.sign(n) for n in reg_seq.index.tolist()]
+    # the float rule over the regression values and values at and around the
+    # band's edges, on an index that skips slots; then the exact channel,
+    # which overrides every float
+    rng = np.random.default_rng(17)
+    edge = [0.0, -0.0, SIGN_TOL, -SIGN_TOL, np.nextafter(SIGN_TOL, 1.0),
+            np.nextafter(-SIGN_TOL, -1.0), 5e-10, -5e-10]
+    values = np.concatenate([reg_seq.values, edge, rng.uniform(-3e-9, 3e-9, 200)])
+    index = np.flatnonzero(np.arange(values.size) % 7 != 3)
+    codes = certified_signs(index, values)
+    assert codes.dtype == np.int8 and codes.shape == index.shape
+    assert codes.tolist() == [_scalar_sign(v) for v in values[index].tolist()]
+    assert {-1, 1, UNCERTAIN} == set(codes.tolist())
+    exact = rng.integers(-1, 2, size=values.size).astype(np.int8)
+    codes = certified_signs(index, values, exact).tolist()
+    assert codes == [_scalar_sign(v, e) for v, e in zip(values[index].tolist(),
+                                                         exact[index].tolist())]
+    # a lifted normalized pair, whose lambda_F(2) = 0.0 is uncertain
     f = NewformCoeffs(level=11, weight=2,
                       coeffs={2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
     g = NewformCoeffs(level=33, weight=2,
                       coeffs={2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5},
                       normalized=True)
     seq = lift_sequence(validate_pair(f, g), 10)
-    codes = seq.signs().tolist()
-    assert codes == [UNCERTAIN if seq.sign(n) is None else seq.sign(n)
-                     for n in seq.index.tolist()]
+    codes = seq.signs.tolist()
+    assert codes == [_scalar_sign(v) for _, v in seq_items(seq)]
     assert UNCERTAIN in codes
 
 
 def test_signs_array_is_one_read_only_object(reg_spec):
     seq = lift_sequence(reg_spec, 500)
-    codes = seq.signs()
-    assert seq.signs() is codes and not codes.flags.writeable
+    codes = seq.signs
+    assert codes.dtype == np.int8 and codes.shape == seq.index.shape
+    assert not codes.flags.writeable
     with pytest.raises(ValueError):
         codes[0] = -1
-
-
-def test_sign_rejects_n_outside_sequence(reg_seq):
-    for n in (0, 3, 11, 33, 99, reg_seq.xmax + 1, -1):
-        with pytest.raises(ValidationError, match="not in the sequence"):
-            reg_seq.sign(n)
-    assert reg_seq.sign(reg_seq.index[-1].item()) in (-1, 0, 1)
+    assert not certified_signs(seq.index, seq.values).flags.writeable
 
 
 def test_lam_array_bit_identical_to_lam():
-    # int64 a_array at weights 2 and 4, Python ints from weight 12 on
+    # int64 a_array at weights 2 and 4, Python ints from weight 12 on; lam is
+    # the scalar formula a / (p**((k-2)//2) * math.sqrt(p))
     for k, seed in ((2, 2), (4, 4), (12, 12), (24, 24), (100, 100)):
         spec = _synthetic_pair(k, 3000, seed)
         for h in (spec.f, spec.g):
-            want = np.array([h.lam(p) for p in h.coeffs])
+            want = np.array([lam(h, p) for p in h.coeffs])
             assert h.a_array.dtype == (object if h.weight >= 12 else np.int64)
             assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
             assert h.prime_array.tolist() == list(h.coeffs)

@@ -55,13 +55,6 @@ def test_q_eval_alpha_zero():
     assert r_eval(p, 1.0) == 0.0
 
 
-def test_beta_is_derived():
-    p = MajorantParams(Fraction(11, 10), Fraction(-57, 1000), Fraction(-7))
-    assert p.beta == Fraction(399, 1000)
-    q = MajorantParams(1.0, -0.05, -8.0)
-    assert q.beta == pytest.approx(0.4)
-
-
 def test_scale_coherence_exact():
     # r(0) and r(2) reproduce the two endpoint expressions exactly
     for params in (REFERENCE_PARAMS, MajorantParams(Fraction(2), Fraction(-1, 50), Fraction(1))):

@@ -7,7 +7,7 @@ import pytest
 
 from yoshida.errors import SignUncertainError, ValidationError
 from yoshida.hecke import NewformCoeffs
-from yoshida.lift import EigenSequence, lift_sequence, validate_pair
+from yoshida.lift import EigenSequence, certified_signs, lift_sequence, validate_pair
 from yoshida.primes import factorize, primes_up_to
 from yoshida.signs import (
     BoundConfig,
@@ -23,7 +23,7 @@ from yoshida.signs import (
     weighted_sum,
 )
 
-from tests.conftest import seq_items
+from tests.conftest import lam, seq_items, seq_signs
 
 
 def _flat_table(level, pmax, lam):
@@ -39,16 +39,24 @@ def _flat_table(level, pmax, lam):
 # weighted_sum / first_negative
 # ---------------------------------------------------------------------------
 
-def _seq_from_values(values, xmax, exact_sign=None):
+def _seq_from_values(values, xmax, exact=None):
     """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: exact sign}) entries."""
     index = np.array(sorted(values), dtype=np.int64)
     dense = np.zeros(xmax + 1)
     dense[index] = [values[n] for n in index.tolist()]
     dense_sign = None
-    if exact_sign is not None:
+    if exact is not None:
         dense_sign = np.zeros(xmax + 1, dtype=np.int8)
-        dense_sign[list(exact_sign)] = list(exact_sign.values())
-    return EigenSequence(xmax=xmax, index=index, values=dense, exact_sign=dense_sign)
+        dense_sign[list(exact)] = list(exact.values())
+    return EigenSequence(xmax=xmax, index=index, values=dense,
+                         signs=certified_signs(index, dense, dense_sign))
+
+
+def _resigned(seq):
+    """seq after its values were tampered with, its signs rebuilt by the one
+    rule (the float rule: the tampered pairs are normalized)."""
+    return EigenSequence(xmax=seq.xmax, index=seq.index, values=seq.values,
+                         signs=certified_signs(seq.index, seq.values))
 
 
 def test_weighted_sum_x1():
@@ -98,7 +106,7 @@ def test_first_negative_uncertain_band():
 
 def test_first_negative_exact_channel_overrides_floats():
     # tiny float value, but the exact channel certifies the sign
-    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, exact_sign={1: 1, 2: -1})
+    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, exact={1: 1, 2: -1})
     assert first_negative(seq) == 2
 
 
@@ -265,6 +273,26 @@ def test_bad_factor_rhs_matches_the_divisor_sum():
             assert rhs == oracle
 
 
+def test_bad_factor_lhs_matches_per_prime_loop():
+    # oracle: the product over the level primes with the scalar lambda(p), so
+    # the level primes and the entries of lam_array outside good line up
+    rng = random.Random(6)
+    ps = primes_up_to(100).tolist()
+    for level in (6, 30, 2 * 3 * 5 * 7 * 11 * 13, 97, 3 * 89):
+        for k in (2, 4, 12):
+            root = {p: p ** ((k - 2) // 2) for p in ps}
+            coeffs = {p: rng.choice((-1, 1)) * root[p] if level % p == 0 else 0 for p in ps}
+            t = NewformCoeffs(level=level, weight=k, coeffs=coeffs)
+            tn = NewformCoeffs(level=level, weight=k, normalized=True,
+                               coeffs={p: lam(t, p) for p in ps})
+            for h in (t, tn):
+                want = 1.0
+                for p in ps:
+                    if level % p == 0:
+                        want *= 1.0 + abs(lam(h, p)) / math.sqrt(p)
+                assert bad_factor_bound(h).lhs.hex() == want.hex(), (level, k)
+
+
 def test_bad_factor_missing_coefficient():
     t = NewformCoeffs(level=11, weight=2, coeffs={2: 0, 3: 0})
     with pytest.raises(ValidationError, match="p=11"):
@@ -300,7 +328,7 @@ def test_witness_branch_bounds_verified(reg_seq, reg_spec):
     rep = lower_bound_witness(reg_seq, reg_spec, 10**4)
     assert rep.bound_failures == []
     total = sum(rep.counts.values())
-    assert total == sum(1 for p in primes_up_to(100).tolist() if reg_spec.N % p != 0)
+    assert total == sum(1 for p in primes_up_to(100).tolist() if 33 % p != 0)
     assert rep.pair_count == rep.active_count * (rep.active_count - 1)
     assert rep.first_negative_n == 2
     assert not rep.nonnegative_up_to_x
@@ -326,7 +354,7 @@ def test_prime_statistics_bit_identical_to_per_prime_loop(table_11a, table_33a):
     from yoshida.hecke import hecke_power_seq
     for h in (table_11a, table_33a):
         for y in (2, 100, 10**4):
-            lams = [h.lam(p) for p in h.coeffs if p <= y and h.level % p != 0]
+            lams = [lam(h, p) for p in h.coeffs if p <= y and h.level % p != 0]
             st = abs_sum_ratio(h, y)
             n = len(lams)
             assert st.pi_yL == n and type(st.pi_yL) is int
@@ -355,20 +383,21 @@ def _witness_loop(seq, spec, x):
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
     y = math.isqrt(x)
+    sc = seq_signs(seq)
 
     def nonneg(n):
-        return seq.sign(n) in (0, 1)
+        return sc[n] in (0, 1)
 
     counts = {"v1": 0, "case_i": 0, "case_ii": 0, "outside": 0, "hypothesis_violated": 0}
     violated, failures, v1_set, v2_set = [], [], [], []
     for p in primes_up_to(y).tolist():
-        if spec.N % p == 0:
+        if spec.f.level % p == 0 or spec.g.level % p == 0:
             continue
         if not (nonneg(p) and nonneg(p * p)):
             counts["hypothesis_violated"] += 1
             violated.append(p)
             continue
-        lf, lg = abs(spec.f.lam(p)), abs(spec.g.lam(p))
+        lf, lg = abs(lam(spec.f, p)), abs(lam(spec.g, p))
         lF = float(seq.values[p])
         if lg <= V1_GAMMA:
             counts["v1"] += 1
@@ -458,7 +487,7 @@ def test_witness_matches_per_prime_loop_on_tampered_sequences():
             if rng.random() < 0.7:
                 seq.values[p * p] = rng.choice((0.0, -1.0, 1e-12, 1.0, 1.0, 1.0))
         x = xmax if rng.random() < 0.75 else rng.randrange(1, xmax + 1)
-        rep = _assert_witness_matches_loop(seq, spec, x)
+        rep = _assert_witness_matches_loop(_resigned(seq), spec, x)
         failing += bool(rep.bound_failures)
         seen.update(branch for _, branch, _ in rep.bound_failures)
     assert failing >= 10 and seen == {"v1", "case_i", "case_ii"}
@@ -472,7 +501,7 @@ def test_witness_lists_one_failure_per_branch():
     spec = _normalized_pair(lambda p: lam_f.get(p, 0.5), lambda p: lam_g.get(p, 0.5), 200)
     seq = lift_sequence(spec, 200)
     seq.values[[2, 5, 7]] = [0.3, 0.05, 0.4]
-    rep = _assert_witness_matches_loop(seq, spec, 200)
+    rep = _assert_witness_matches_loop(_resigned(seq), spec, 200)
     assert rep.counts == {"v1": 1, "case_i": 1, "case_ii": 1, "outside": 1,
                           "hypothesis_violated": 0}
     assert rep.bound_failures == [(2, "v1", 0.3), (5, "case_i", 0.05), (7, "case_ii", 0.4)]
