@@ -28,6 +28,7 @@ models should be globally minimal).  A declared level must equal it.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -189,74 +190,115 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
 def load_coeffs(path) -> NewformCoeffs:
     """Read a coefficient file.
 
-    All table invariants (squarefree level, Deligne bound, gap-free primes)
-    are re-validated on load.  Parse errors carry 1-based line numbers.
+    numpy's text reader parses every row in one call, and the table is built
+    from its arrays when it takes every row and the table accepts them.  Any
+    other file is read again by _rows_by_line, the row-at-a-time reader that
+    names the first bad line, so a refusal carries the same message, with its
+    1-based line number, whichever reader ran first.  All table invariants
+    (squarefree level, Deligne bound, gap-free primes) are re-validated on
+    load.
     """
-    level, weight, coeffs, normalized = _parse_coeffs(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        n_lines = _line_count(path, fh)
+        fh.seek(0)
+        level, weight, normalized = _parse_header(path, fh.readline())
+        coeffs = _rows_by_numpy(fh, normalized)
+        if coeffs is not None:
+            try:
+                return NewformCoeffs(level=level, weight=weight, coeffs=coeffs, normalized=normalized)
+            except ValidationError:
+                pass  # the row loop names the first bad line, or the table refuses again below
+        fh.seek(0)
+        fh.readline()
+        coeffs = _rows_by_line(path, fh, normalized, n_lines)
     return NewformCoeffs(level=level, weight=weight, coeffs=coeffs, normalized=normalized)
 
 
-def _parse_coeffs(path) -> tuple[int, int, dict, bool]:
-    """The header fields and the rows of a coefficient file, read a row at a
-    time, so that loading holds little beyond the table itself."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # a first pass refuses a file that is not UTF-8 before any row
-            # is read, and counts its lines for the row sieve
-            n_lines = fh.read().count("\n") + 1
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text (cannot decode byte "
-                                  f"{exc.object[exc.start]:#04x})") from None
-        fh.seek(0)
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
+def _line_count(path, fh) -> int:
+    """The number of lines of the file, read in blocks, so that a file that
+    is not UTF-8 is refused before its header or any row is read."""
+    try:
+        return sum(block.count("\n") for block in iter(lambda: fh.read(1 << 16), "")) + 1
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (cannot decode byte "
+                              f"{exc.object[exc.start]:#04x})") from None
 
-        header = first[1:].split()
-        fields: dict[str, str] = {}
-        flags: set[str] = set()
-        for tok in header:
-            if "=" in tok:
-                k, _, v = tok.partition("=")
-                fields[k] = v
-            else:
-                flags.add(tok)
+
+def _parse_header(path, first: str) -> tuple[int, int, bool]:
+    """level, weight and the normalized flag from the first line."""
+    if not first.startswith("#"):
+        raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
+    fields: dict[str, str] = {}
+    flags: set[str] = set()
+    for tok in first[1:].split():
+        if "=" in tok:
+            k, _, v = tok.partition("=")
+            fields[k] = v
+        else:
+            flags.add(tok)
+    try:
+        level = int(fields["level"])
+        weight = int(fields["weight"])
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing header field {exc.args[0]!r} (line 1)") from None
+    except ValueError:
+        raise ValidationError(f"{path}: malformed header field (line 1)") from None
+    return level, weight, "normalized" in flags
+
+
+def _rows_by_numpy(fh, normalized: bool) -> dict | None:
+    """{p: value} from one numpy.loadtxt call over the rest of the file, or
+    None when the reader refuses a row or warns, or a prime repeats.  The
+    prime column is int64 in every table.  Where the reader takes a field it
+    reads the value int() or float() reads; it refuses what int() alone
+    takes (1_0, non-ASCII digits) and integers past int64, so those files
+    fall to the row loop."""
+    dtype = np.dtype([("p", np.int64), ("v", np.float64 if normalized else np.int64)])
+    try:
+        with warnings.catch_warnings():
+            # an empty body, or a numpy version's deprecation, refuses the rows
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    ps, values = rows["p"].tolist(), rows["v"].tolist()
+    del rows  # freed before the dict grows, so a load peaks lower
+    coeffs = dict(zip(ps, values))
+    return coeffs if len(coeffs) == len(ps) else None
+
+
+def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> dict:
+    """{p: value} read a row at a time from line 2 on, naming the first bad
+    line: a row that is not two fields, a prime int() cannot read or that is
+    not prime or not above the one before, or a value int() (float() in a
+    normalized table) cannot read.  Reads integers of any size."""
+    coeffs: dict[int, int | float] = {}
+    last_p = 0
+    # one sieve to the largest prime a gap-free table of this many rows can
+    # hold; a larger p (which NewformCoeffs rejects) is tested by is_prime
+    sieve = prime_sieve(nth_prime_bound(n_lines))
+    for i, line in enumerate(fh, start=2):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise ValidationError(f"{path}: expected '<p> <value>' (line {i})")
         try:
-            level = int(fields["level"])
-            weight = int(fields["weight"])
-        except KeyError as exc:
-            raise ValidationError(f"{path}: missing header field {exc.args[0]!r} (line 1)") from None
+            p = int(parts[0])
         except ValueError:
-            raise ValidationError(f"{path}: malformed header field (line 1)") from None
-        normalized = "normalized" in flags
-
-        coeffs: dict[int, int | float] = {}
-        last_p = 0
-        # one sieve to the largest prime a gap-free table of this many rows can
-        # hold; a larger p (which NewformCoeffs rejects) is trial-divided
-        sieve = prime_sieve(nth_prime_bound(n_lines))
-        for i, line in enumerate(fh, start=2):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}: expected '<p> <value>' (line {i})")
-            try:
-                p = int(parts[0])
-            except ValueError:
-                raise ValidationError(f"{path}: bad prime {parts[0]!r} (line {i})") from None
-            if not (sieve[p] if 0 <= p < len(sieve) else is_prime(p)):
-                raise ValidationError(f"{path}: {p} is not prime (line {i})")
-            if p <= last_p:
-                raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")
-            last_p = p
-            try:
-                value = float(parts[1]) if normalized else int(parts[1])
-            except ValueError:
-                raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
-            coeffs[p] = value
-    return level, weight, coeffs, normalized
+            raise ValidationError(f"{path}: bad prime {parts[0]!r} (line {i})") from None
+        if not (sieve[p] if 0 <= p < len(sieve) else is_prime(p)):
+            raise ValidationError(f"{path}: {p} is not prime (line {i})")
+        if p <= last_p:
+            raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")
+        last_p = p
+        try:
+            value = float(parts[1]) if normalized else int(parts[1])
+        except ValueError:
+            raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
+        coeffs[p] = value
+    return coeffs
 
 
 def write_coeffs(nf: NewformCoeffs, path) -> None:

@@ -39,6 +39,10 @@ from .primes import factorize, is_prime, nth_prime_bound, primes_up_to
 # Normalised float tables may carry rounding in their last digit; exact
 # integer tables are checked with no slack.
 _FLOAT_BOUND_SLACK = 1e-9
+# |a_p| <= _EXACT_SCREEN p^((k-1)/2), computed in binary64 (a few roundings,
+# relative error below 1e-15), clears a_p^2 <= 4 p^(k-1) without squaring;
+# Python ints decide above it.
+_EXACT_SCREEN = 2.0 - 1e-9
 
 
 def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
@@ -84,8 +88,11 @@ class NewformCoeffs:
     built, so no layer divides the level (of any size).  Each level prime it
     holds is then checked to be of multiplicative type, and atkin_lehner
     reads the signs off it; integer_ap and lam_array are the one integer and
-    the one float reading of lambda(p).  No other module but curves (for I/O)
-    reads coeffs; exact tables are authoritative wherever signs matter.
+    the one float reading of lambda(p).  The Deligne bound is screened in one
+    binary64 pass over the values; the scalar rule (_check_bound) decides the
+    level primes and every good prime the screen does not clear, in exact
+    integers for an exact table.  No other module but curves (for I/O) reads coeffs;
+    exact tables are authoritative wherever signs matter.
     """
 
     level: int
@@ -111,8 +118,8 @@ class NewformCoeffs:
         # a gap-free table of n primes ends at p_n <= limit: sieve no further
         limit = nth_prime_bound(len(keys))
         prime_array = primes_up_to(min(pmax, limit))
-        expected = prime_array.tolist()
-        if keys != expected:
+        if not np.array_equal(np.array(keys), prime_array):
+            expected = prime_array.tolist()
             expected_set = set(expected)
             bad = next((p for p in keys
                         if not (p in expected_set if p <= limit else is_prime(p))), None)
@@ -132,10 +139,29 @@ class NewformCoeffs:
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
         good = np.isin(prime_array, self.level_primes, invert=True)
         object.__setattr__(self, "good", good)
-        for (p, v), is_good in zip(self.coeffs.items(), good.tolist()):
-            self._check_bound(p, v, is_good)
+        # one binary64 pass clears the good primes within the Deligne bound;
+        # the scalar rule decides every other prime, in table order, and
+        # names the first that breaks its bound
+        try:
+            mag = np.abs(np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(keys)))
+        except OverflowError:  # an a_p past binary64, which breaks the bound
+            mag = np.full(len(keys), np.inf)
+        if self.normalized:
+            cleared = mag <= 2.0 + _FLOAT_BOUND_SLACK
+        else:
+            cap = np.sqrt(prime_array, dtype=np.float64)
+            if k > 2:
+                cap *= prime_array.astype(np.float64) ** ((k - 2) // 2)
+            cap *= _EXACT_SCREEN
+            cleared = mag <= cap
+        for i in np.flatnonzero(~(good & cleared)).tolist():
+            p = keys[i]
+            self._check_bound(p, self.coeffs[p], bool(good[i]))
 
     def _check_bound(self, p: int, v, good: bool) -> None:
+        """The scalar rule at one prime: refuse v = coeffs[p] unless a level
+        prime's a_p is of multiplicative type, or a good prime's value keeps
+        the Deligne bound (exactly, in integers, for an exact table)."""
         k = self.weight
         if not good:
             a = self.integer_ap(p)

@@ -186,6 +186,11 @@ class EigenSequence:
         return np.fromiter(map(math.log, self.index.tolist()), dtype=np.float64,
                            count=self.index.size)
 
+    def count_upto(self, x) -> int:
+        """The number of stored n <= x (x >= 1 finite), so that index[:c] are
+        those n: a binary search for floor(x), an integer like index."""
+        return int(np.searchsorted(self.index, math.floor(x), side="right"))
+
 
 def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     """Assemble lambda_F(n) for all n <= xmax with (n, N) = 1.

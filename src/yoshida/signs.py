@@ -67,10 +67,10 @@ def weighted_sum(seq: EigenSequence, x: float) -> float:
     in ascending n (the canonical order)."""
     if x > seq.xmax:
         raise ValidationError(f"x={x} exceeds sequence range xmax={seq.xmax}")
-    if x < 1:
+    if not x >= 1:
         raise ValidationError(f"x must be >= 1, got {x}")
     lx = math.log(x)
-    upto = np.count_nonzero(seq.index <= x)
+    upto = seq.count_upto(x)
     terms = seq.values[seq.index[:upto]] * (lx - seq.log_index[:upto])
     return math.fsum(terms.tolist())
 
@@ -301,7 +301,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     active = "v1" if y >= 2 and v_density(spec.g, y, V1_GAMMA) >= 1 / 100 else "v2"
     m = counts["v1"] if active == "v1" else counts["v1"] + counts["case_i"] + counts["case_ii"]
 
-    esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
+    esum = math.fsum(seq.values[seq.index[:seq.count_upto(x)]].tolist())
     lx = math.log(x) if x > 1 else 1.0
     n0 = first_negative(seq)
     log_qg_sq = math.log(spec.g.level) ** 2

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from yoshida import curves, mestre
+from yoshida import curves, mestre, primes
 from yoshida.curves import (WeierstrassCurve, ap_table, conductor, count_ap, load_coeffs,
                             write_coeffs)
 from yoshida.errors import AdditiveReductionError, ValidationError
@@ -389,3 +389,165 @@ def test_load_coeffs_descending_rejected(tmp_path):
     path.write_text("# level=11 weight=2\n3 1\n2 1\n")
     with pytest.raises(ValidationError, match="ascending"):
         load_coeffs(path)
+
+
+# Differential corpus for the two row readers: numpy's text reader (the fast
+# path) and the row loop (the oracle, which names the first bad line).
+_EXACT = "# level=11 weight=2\n"
+_NORM = "# level=11 weight=2 normalized\n"
+_ROWS_11A = [(2, "-2"), (3, "-1"), (5, "1"), (7, "-2"), (11, "1"), (13, "4")]
+_ROWS_NORM = [(2, "-1.4142135623730951"), (3, "-0.5773502691896258"),
+              (5, "0.4472135954999579"), (7, "-0.7559289460184544"),
+              (11, "0.30151134457776363"), (13, "1.1094003924504583")]
+
+
+def _body(rows, sep=" ", end="\n", **at):
+    """rows as '<p><sep><value><end>' lines, with the value at p replaced by at[f'p{p}']."""
+    return "".join(f"{p}{sep}{at.get(f'p{p}', v)}{end}" for p, v in rows)
+
+
+LOADER_CORPUS = {
+    "plain": _EXACT + _body(_ROWS_11A),
+    "tabs": _EXACT + _body(_ROWS_11A, sep="\t"),
+    "crlf": _EXACT.replace("\n", "\r\n") + _body(_ROWS_11A, end="\r\n"),
+    "cr only": _EXACT.replace("\n", "\r") + _body(_ROWS_11A, end="\r"),
+    "no final newline": _EXACT + _body(_ROWS_11A).rstrip("\n"),
+    "blanks and comments": _EXACT + "\n# note\n" + _body(_ROWS_11A, end="  # trailing\n") + "\n \n",
+    "leading spaces": _EXACT + _body(_ROWS_11A).replace("\n", "\n   "),
+    "plus sign": _EXACT + _body(_ROWS_11A, p5="+1"),
+    "leading zeros": _EXACT + _body(_ROWS_11A, p5="01").replace("2 -2", "02 -2"),
+    "underscore value": _EXACT + _body(_ROWS_11A, p5="0_1"),
+    "underscore prime": _EXACT + _body(_ROWS_11A).replace("13 4", "1_3 4"),
+    "arabic-indic digit": _EXACT + _body(_ROWS_11A, p13="\u0663"),
+    "float value in exact table": _EXACT + _body(_ROWS_11A, p5="1.0"),
+    "exponent value": _EXACT + _body(_ROWS_11A, p5="1e3"),
+    "hex value": _EXACT + _body(_ROWS_11A, p5="0x1"),
+    "2**63": _EXACT + _body(_ROWS_11A, p7=str(2**63)),
+    "2**63 - 1": _EXACT + _body(_ROWS_11A, p7=str(2**63 - 1)),
+    "-2**63": _EXACT + _body(_ROWS_11A, p7=str(-2**63)),
+    "2**64 prime": _EXACT + _body(_ROWS_11A) + f"{2**64} 1\n",
+    "huge prime": _EXACT + _body(_ROWS_11A) + "1000000007 1\n",
+    "header only": _EXACT,
+    "comments only": _EXACT + "# nothing\n\n",
+    "one field": _EXACT + _body(_ROWS_11A) + "17\n",
+    "three fields": _EXACT + _body(_ROWS_11A, p5="1 1"),
+    "comma separated": _EXACT + _body(_ROWS_11A, sep=","),
+    "non-prime": _EXACT + _body(_ROWS_11A).replace("13 4", "15 4"),
+    "one": _EXACT + "1 1\n",
+    "negative prime": _EXACT + "-7 1\n",
+    "descending": _EXACT + "3 1\n2 1\n",
+    "repeated prime": _EXACT + _body(_ROWS_11A[:2]) + "3 -1\n" + _body(_ROWS_11A[2:]),
+    "gap": _EXACT + _body(_ROWS_11A[:2] + _ROWS_11A[3:]),
+    "deligne": _EXACT + _body(_ROWS_11A, p13="8"),
+    "bad level prime": _EXACT + _body(_ROWS_11A, p11="0"),
+    "squarefree level and bad row": "# level=4 weight=2\n" + _body(_ROWS_11A).replace("13 4", "15 4"),
+    "weight 4": "# level=11 weight=4\n" + _body([(2, "-1"), (3, "5"), (5, "-7"), (7, "3"),
+                                                  (11, "11"), (13, "-2")]),
+    "vertical tab": _EXACT + _body(_ROWS_11A, sep="\x0b"),
+    "form feed": _EXACT + _body(_ROWS_11A, sep="\x0c"),
+    "no-break space": _EXACT + _body(_ROWS_11A, sep="\xa0"),
+    "em space": _EXACT + _body(_ROWS_11A, sep="\u2003"),
+    "file separator": _EXACT + _body(_ROWS_11A, sep="\x1c"),
+    "next line": _EXACT + _body(_ROWS_11A, sep="\x85"),
+    "line separator": _EXACT + _body(_ROWS_11A, sep="\u2028"),
+    "nul": _EXACT + _body(_ROWS_11A, p5="1\x00"),
+    "quoted": _EXACT + _body(_ROWS_11A, p5='"1"'),
+    "normalized": _NORM + _body(_ROWS_NORM),
+    "normalized -0.0": _NORM + _body(_ROWS_NORM, p5="-0.0"),
+    "normalized subnormal": _NORM + _body(_ROWS_NORM, p5="5e-324"),
+    "normalized integer text": _NORM + _body(_ROWS_NORM, p5="0", p2="-1"),
+    "normalized nan": _NORM + _body(_ROWS_NORM, p5="nan"),
+    "normalized -nan": _NORM + _body(_ROWS_NORM, p5="-nan"),
+    "normalized inf": _NORM + _body(_ROWS_NORM, p5="inf"),
+    "normalized -Infinity": _NORM + _body(_ROWS_NORM, p5="-Infinity"),
+    "normalized 1e309": _NORM + _body(_ROWS_NORM, p5="1e309"),
+    "normalized nan at level prime": _NORM + _body(_ROWS_NORM, p11="nan"),
+    "normalized prime 2.0": _NORM + _body(_ROWS_NORM).replace("2 -1.41", "2.0 -1.41"),
+    "normalized underscore": _NORM + _body(_ROWS_NORM, p5="0_0.5"),
+    "normalized arabic-indic": _NORM + _body(_ROWS_NORM, p5="\u0661.5"),
+    "normalized hex float": _NORM + _body(_ROWS_NORM, p5="0x1p-1"),
+    "normalized long decimal": _NORM + _body(
+        _ROWS_NORM, p5="0.1000000000000000055511151231257827021181583404541015625"),
+    "normalized above slack": _NORM + _body(_ROWS_NORM, p7="2.000000001000001"),
+}
+
+
+def _outcome(path):
+    """A loaded table as comparable data (values by repr, so -0.0 and nan
+    compare), or the refusal's type and text."""
+    try:
+        nf = load_coeffs(path)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return nf.level, nf.weight, nf.normalized, [(p, repr(v)) for p, v in nf.coeffs.items()]
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+def test_load_coeffs_same_as_row_loop(tmp_path, monkeypatch, name):
+    path = tmp_path / "t.txt"
+    path.write_bytes(LOADER_CORPUS[name].encode("utf-8"))
+    fast = _outcome(path)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("numpy reader off")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert fast == _outcome(path)
+
+
+def test_load_coeffs_not_utf8_same_as_row_loop(tmp_path, monkeypatch):
+    # the decode error outranks the missing header and every bad row
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"2 1\n4 1\n\xff 1\n")
+    with pytest.raises(ValidationError, match="not UTF-8 text") as fast:
+        load_coeffs(path)
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: None)
+    with pytest.raises(ValidationError) as slow:
+        load_coeffs(path)
+    assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("name", ["plain", "tabs", "crlf", "blanks and comments", "plus sign",
+                                  "-2**63", "2**63 - 1", "normalized", "normalized -0.0",
+                                  "normalized subnormal", "weight 4"])
+def test_load_coeffs_plain_tables_skip_row_loop(tmp_path, monkeypatch, name):
+    """Well-formed tables, and tables the row loop refuses only for their
+    values, never reach the row loop once numpy has read every row."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(LOADER_CORPUS[name].encode("utf-8"))
+    want = _outcome(path)
+
+    def refuse(*args):
+        raise AssertionError("row loop reached")
+
+    monkeypatch.setattr(curves, "_rows_by_line", refuse)
+    if want[0] == "ValidationError":
+        # a refused table is handed to the row loop, which names its line
+        with pytest.raises(AssertionError, match="row loop reached"):
+            load_coeffs(path)
+    else:
+        assert _outcome(path) == want
+
+
+def test_load_coeffs_3e5_table_one_sieve(tmp_path, monkeypatch):
+    """A gap-free 3e5 table read by numpy sieves once, in NewformCoeffs, and
+    its prime_array is that sieve."""
+    ps = primes_up_to(3 * 10**5)
+    cap = np.array([math.isqrt(4 * p) for p in ps.tolist()])
+    a = np.clip(np.rint(np.sqrt(ps) * np.random.default_rng(18).uniform(-2, 2, ps.size)),
+                -cap, cap).astype(np.int64)
+    a[ps == 11] = -1
+    path = tmp_path / "big.txt"
+    path.write_text(_EXACT + "".join(f"{p} {v}\n" for p, v in zip(ps.tolist(), a.tolist())))
+    sieved = []
+    real = primes.prime_sieve
+
+    def counted(n):
+        sieved.append(n)
+        return real(n)
+
+    monkeypatch.setattr(primes, "prime_sieve", counted)
+    monkeypatch.setattr(curves, "prime_sieve", counted)
+    nf = load_coeffs(path)
+    assert sieved == [int(ps[-1])]
+    assert np.array_equal(nf.prime_array, ps) and nf.a_array.tolist() == a.tolist()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from yoshida.errors import ValidationError
-from yoshida.hecke import NewformCoeffs, hecke_power_seq
+from yoshida.hecke import _FLOAT_BOUND_SLACK, NewformCoeffs, hecke_power_seq
 from yoshida.primes import prime_sieve, primes_up_to
 
 
@@ -199,6 +199,82 @@ def test_table_rejects_bad_prime_out_of_range():
             NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: lam}, normalized=True)
     assert NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0.301511},
                          normalized=True).integer_ap(11) == 1
+
+
+def _refusal(make):
+    """The ValidationError text make() raises, or None."""
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _scalar_refusal(ref, coeffs):
+    """The first refusal of the scalar rule (_check_bound) over coeffs, in
+    table order; ref is a valid table of the same level, weight and kind
+    that holds the same level-prime values."""
+    for p, v in coeffs.items():
+        msg = _refusal(lambda: ref._check_bound(p, v, ref.level % p != 0))
+        if msg is not None:
+            return msg
+    return None
+
+
+@pytest.mark.parametrize("k,pmax,dtype", [(2, 50, np.int64), (4, 50, np.int64),
+                                          (12, 50, np.int64), (12, 2400, object)])
+def test_array_bound_check_matches_scalar_rule(k, pmax, dtype):
+    """The one-pass Deligne check over lam_array refuses exactly what the
+    scalar rule refuses, at the same first p, at the integer edges of the
+    bound, past int64 and past binary64, in int64 and object tables."""
+    ps = primes_up_to(pmax).tolist()
+    base = {p: 0 for p in ps}
+    base[11] = -(11 ** ((k - 2) // 2))
+    ref = NewformCoeffs(level=11, weight=k, coeffs=base)
+    assert ref.a_array.dtype == dtype
+    p, q = ps[-3], ps[-1]
+    edge = math.isqrt(4 * p ** (k - 1))
+    edge_q = math.isqrt(4 * q ** (k - 1))
+    values = [edge, -edge, edge + 1, -edge - 1, 2**32, -2**32, 2**63 - 1, -(2**63 - 1),
+              -2**63, 2**63, 2**64, 2**1100, -2**1100]
+    for a in values:
+        for later in (None, edge_q + 1, -edge_q):
+            coeffs = {**base, p: a}
+            if later is not None:
+                coeffs[q] = later
+            want = _scalar_refusal(ref, coeffs)
+            assert _refusal(lambda: NewformCoeffs(level=11, weight=k, coeffs=coeffs)) == want
+            assert (want is None) == (a * a <= 4 * p ** (k - 1) and later != edge_q + 1)
+
+
+@pytest.mark.parametrize("k", [2, 4, 12])
+def test_array_bound_check_matches_scalar_rule_normalized(k):
+    cap = 2.0 + _FLOAT_BOUND_SLACK
+    ps = primes_up_to(50).tolist()
+    base = {p: 0.0 for p in ps}
+    base[11] = -1 / math.sqrt(11)
+    ref = NewformCoeffs(level=11, weight=k, coeffs=base, normalized=True)
+    p, q = ps[-3], ps[-1]
+    values = [2.0, -2.0, cap, -cap, math.nextafter(cap, math.inf), -math.nextafter(cap, math.inf),
+              math.nan, -math.nan, math.inf, -math.inf, 1e308]
+    for lam in values:
+        for later in (None, math.nextafter(cap, math.inf), -2.0):
+            coeffs = {**base, p: lam}
+            if later is not None:
+                coeffs[q] = later
+            want = _scalar_refusal(ref, coeffs)
+            got = _refusal(lambda: NewformCoeffs(level=11, weight=k, coeffs=coeffs,
+                                                 normalized=True))
+            assert got == want
+            assert (want is None) == (abs(lam) <= cap and later != math.nextafter(cap, math.inf))
+
+
+def test_bound_check_names_first_prime_across_level_primes():
+    rows = {2: -2, 3: -1, 5: 1, 7: -2, 11: 0, 13: 4}
+    with pytest.raises(ValidationError, match=r"Deligne bound violated at p=7: a_p=6$"):
+        NewformCoeffs(level=11, weight=2, coeffs={**rows, 7: 6})
+    with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
+        NewformCoeffs(level=11, weight=2, coeffs={**rows, 13: 8})
 
 
 def test_cover_reporting():

@@ -84,6 +84,22 @@ def test_weighted_sum_order_insensitive(reg_seq):
 def test_weighted_sum_range_error(reg_seq):
     with pytest.raises(ValidationError):
         weighted_sum(reg_seq, reg_seq.xmax + 1)
+    with pytest.raises(ValidationError, match="x must be >= 1"):
+        weighted_sum(reg_seq, math.nan)
+
+
+def test_count_upto_matches_full_count(reg_seq):
+    """The binary-search count of stored n <= x equals the full comparison
+    pass at every bound_report grid point, at non-integer x and at xmax, and
+    the weighted sum over that prefix keeps its bits."""
+    grid = [float(2**j) for j in range(1, 14)] + [float(reg_seq.xmax)]
+    for x in grid + [1, 1.5, 2.999, 1000.5, 4096.25, reg_seq.xmax, reg_seq.xmax - 0.5]:
+        c = reg_seq.count_upto(x)
+        assert c == np.count_nonzero(reg_seq.index <= x)
+        lx = math.log(x)
+        full = reg_seq.index <= x
+        terms = reg_seq.values[reg_seq.index[full]] * (lx - reg_seq.log_index[full])
+        assert weighted_sum(reg_seq, x) == math.fsum(terms.tolist())
 
 
 def test_first_negative_absent():
