@@ -11,10 +11,12 @@ affine count plus the point at infinity less [p | disc], with no search.
 
 At good primes p > MESTRE_MIN_P, #E(F_p) is found by Mestre's baby-step
 giant-step method (yoshida.mestre), for all such primes of a table at once,
-one numpy lane per prime; count_ap is the one-lane case.  Points of E and of
-its quadratic twist cut the Hasse interval down to the one possible #E(F_p),
-so the count is exact.  In one process (2-core machine, Python 3.11), a table
-of 11a takes about 0.06 s at pmax = 3e4, 0.18 s at 1e5 and 3 s at 1e6.
+one numpy lane per prime; mestre.orders returns the counts aligned with the
+primes, and a_p = p + 1 - #E(F_p) and the Hasse check are array operations
+over them.  Points of E and of its quadratic twist cut the Hasse interval
+down to the one possible #E(F_p), so the count is exact.  In one process
+(2-core machine, Python 3.11), a table of 11a takes about 0.06 s at
+pmax = 3e4, 0.18 s at 1e5 and 3 s at 1e6.
 Smaller primes, primes dividing the discriminant, and the rare prime where no
 single N survives mestre.MAX_POINTS points are counted by a full enumeration
 over x with a squares table for the y-count, at every odd p (completing the
@@ -114,33 +116,34 @@ def _count_affine_fast(curve: WeierstrassCurve, p: int) -> int:
     return int(sq_count[t].sum())
 
 
-def count_ap(curve: WeierstrassCurve, p: int) -> int:
-    """a_p by point counting: p + 1 - #E(F_p) at good p, p - #E_ns(F_p) at
-    multiplicative p.  Raises ValidationError if p is not prime and
-    AdditiveReductionError at a cusp."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    return _ap_values(curve, [p])[p]
-
-
-def _ap_values(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
-    """{p: a_p} for primes p, in order: Mestre's counter at the good p >
-    MESTRE_MIN_P, the full count at every other p and where Mestre gives up."""
+def _ap_values(curve: WeierstrassCurve, primes) -> np.ndarray:
+    """a_p at the given primes, as an int64 array aligned with them: from
+    Mestre's #E(F_p) at the good p > MESTRE_MIN_P, as array operations, and
+    from the full count at every other p and where Mestre gives up."""
     # imported here, so that a process which counts no points never compiles it
     from . import mestre
 
+    ps = np.asarray(primes, dtype=np.int64)
     disc = curve.discriminant
-    orders = mestre.orders(*curve.c_invariants(),
-                           [p for p in primes if p > MESTRE_MIN_P and disc % p])
-    return {p: _ap_from_order(curve, p, orders.get(p)) for p in primes}
+    lane = np.array([p > MESTRE_MIN_P and disc % p != 0 for p in ps.tolist()], dtype=bool)
+    n = np.zeros_like(ps)
+    n[lane] = mestre.orders(*curve.c_invariants(), ps[lane].tolist())
+    a = ps + 1 - n
+    lane &= n != 0
+    hasse = np.flatnonzero(lane & (a * a > 4 * ps))
+    if hasse.size:
+        i = hasse[0]
+        raise ComputationError(f"Hasse bound violated at p={int(ps[i])}: a_p={int(a[i])}")
+    for i in np.flatnonzero(~lane).tolist():
+        a[i] = _ap_full_count(curve, int(ps[i]))
+    return a
 
 
-def _ap_from_order(curve: WeierstrassCurve, p: int, n: int | None) -> int:
-    """a_p from n = #E(F_p), or from the full count when n is None."""
+def _ap_full_count(curve: WeierstrassCurve, p: int) -> int:
+    """a_p from #E(F_p), or #E_ns(F_p) at p | disc, counted in full."""
     good = curve.discriminant % p != 0
-    if n is None:
-        # nonsingular points: affine ones and O, less the one singular point if p | disc
-        n = (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p) + good
+    # nonsingular points: affine ones and O, less the one singular point if p | disc
+    n = (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p) + good
     if good:
         a = p + 1 - n
         if a * a > 4 * p:
@@ -178,8 +181,8 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
         raise ValidationError(f"declared level {curve.declared_level} contradicts the model: "
                               f"it must divide the discriminant {curve.discriminant} and share "
                               f"its prime factors; the conductor is {level}")
-    coeffs = _ap_values(curve, primes_up_to(pmax).tolist())
-    return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=False)
+    ps = primes_up_to(pmax)
+    return NewformCoeffs(level, 2, ps, _ap_values(curve, ps))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +205,16 @@ def load_coeffs(path) -> NewformCoeffs:
         n_lines = _line_count(path, fh)
         fh.seek(0)
         level, weight, normalized = _parse_header(path, fh.readline())
-        coeffs = _rows_by_numpy(fh, normalized)
-        if coeffs is not None:
+        columns = _rows_by_numpy(fh, normalized)
+        if columns is not None:
             try:
-                return NewformCoeffs(level=level, weight=weight, coeffs=coeffs, normalized=normalized)
+                return NewformCoeffs(level, weight, *columns, normalized=normalized)
             except ValidationError:
                 pass  # the row loop names the first bad line, or the table refuses again below
         fh.seek(0)
         fh.readline()
-        coeffs = _rows_by_line(path, fh, normalized, n_lines)
-    return NewformCoeffs(level=level, weight=weight, coeffs=coeffs, normalized=normalized)
+        columns = _rows_by_line(path, fh, normalized, n_lines)
+    return NewformCoeffs(level, weight, *columns, normalized=normalized)
 
 
 def _line_count(path, fh) -> int:
@@ -246,13 +249,13 @@ def _parse_header(path, first: str) -> tuple[int, int, bool]:
     return level, weight, "normalized" in flags
 
 
-def _rows_by_numpy(fh, normalized: bool) -> dict | None:
-    """{p: value} from one numpy.loadtxt call over the rest of the file, or
-    None when the reader refuses a row or warns, or a prime repeats.  The
-    prime column is int64 in every table.  Where the reader takes a field it
-    reads the value int() or float() reads; it refuses what int() alone
-    takes (1_0, non-ASCII digits) and integers past int64, so those files
-    fall to the row loop."""
+def _rows_by_numpy(fh, normalized: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The prime and value columns from one numpy.loadtxt call over the rest
+    of the file, or None when the reader refuses a row or warns.  The prime
+    column is int64 in every table, the value column int64 or float64.
+    Where the reader takes a field it reads the value int() or float() reads;
+    it refuses what int() alone takes (1_0, non-ASCII digits) and integers
+    past int64, so those files fall to the row loop."""
     dtype = np.dtype([("p", np.int64), ("v", np.float64 if normalized else np.int64)])
     try:
         with warnings.catch_warnings():
@@ -261,18 +264,16 @@ def _rows_by_numpy(fh, normalized: bool) -> dict | None:
             rows = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
     except (ValueError, Warning):
         return None
-    ps, values = rows["p"].tolist(), rows["v"].tolist()
-    del rows  # freed before the dict grows, so a load peaks lower
-    coeffs = dict(zip(ps, values))
-    return coeffs if len(coeffs) == len(ps) else None
+    # each column contiguous, so that the table keeps its values and not the rows
+    return rows["p"].copy(), rows["v"].copy()
 
 
-def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> dict:
-    """{p: value} read a row at a time from line 2 on, naming the first bad
+def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> tuple[list, list]:
+    """(ps, values) read a row at a time from line 2 on, naming the first bad
     line: a row that is not two fields, a prime int() cannot read or that is
     not prime or not above the one before, or a value int() (float() in a
-    normalized table) cannot read.  Reads integers of any size."""
-    coeffs: dict[int, int | float] = {}
+    normalized table) cannot read.  Reads integers of any size, as lists."""
+    ps, values = [], []
     last_p = 0
     # one sieve to the largest prime a gap-free table of this many rows can
     # hold; a larger p (which NewformCoeffs rejects) is tested by is_prime
@@ -297,8 +298,9 @@ def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> dict:
             value = float(parts[1]) if normalized else int(parts[1])
         except ValueError:
             raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
-        coeffs[p] = value
-    return coeffs
+        ps.append(p)
+        values.append(value)
+    return ps, values
 
 
 def write_coeffs(nf: NewformCoeffs, path) -> None:
@@ -306,5 +308,5 @@ def write_coeffs(nf: NewformCoeffs, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         flag = " normalized" if nf.normalized else ""
         fh.write(f"# level={nf.level} weight={nf.weight}{flag}\n")
-        for p, v in nf.coeffs.items():
+        for p, v in zip(nf.prime_array.tolist(), nf.values.tolist()):
             fh.write(f"{p} {v!r}\n" if nf.normalized else f"{p} {v}\n")

@@ -28,7 +28,7 @@ Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2) (NewformCoeffs.atkin_lehner).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,58 +75,68 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
 
 @dataclass(frozen=True, eq=False)
 class NewformCoeffs:
-    """Prime-indexed coefficient table of a newform of squarefree level.
+    """Prime-indexed coefficient table of a newform of squarefree level: two
+    aligned columns, prime_array and values.  values holds a_p (exact
+    integers), or lambda(p) (finite binary64) when normalized, at the given
+    primes, which must be exactly the primes up to pmax, ascending;
+    prime_array holds them as the int64 sieve that validated them.  A layer
+    that needs the primes up to y slices the first require_cover(y) entries
+    of prime_array, good, values, lam_array and a_array, and sieves nothing.
+    values is typed once, after the bound check: float64 when normalized,
+    else int64 while 16 pmax^(k-1) < 2^126 (so that p^((k-2)/2) and, for the
+    f of a lift, |a_f(p)| + |a_g(p)| p^((k-2)/2) <= 4 p^((k-1)/2) fit too)
+    and Python ints beyond, the one integer-width decision of the program.
 
-    coeffs maps p -> a_p (exact integers) when normalized is False, or
-    p -> lambda(p) (finite binary64) when normalized is True.  Keys must be
-    exactly the primes up to pmax (gap-free).  prime_array holds them as
-    the int64 sieve that validated the keys; a layer that needs the table's
-    primes up to y slices the first require_cover(y) entries of it and of
-    good, lam_array and a_array, and sieves nothing.  level_primes holds
-    the level's primes, ascending, from its one factorization; good marks,
-    in table order, the primes outside it, decided once when the table is
-    built, so no layer divides the level (of any size).  Each level prime it
-    holds is then checked to be of multiplicative type, and atkin_lehner
-    reads the signs off it; integer_ap and lam_array are the one integer and
-    the one float reading of lambda(p).  The Deligne bound is screened in one
-    binary64 pass over the values; the scalar rule (_check_bound) decides the
-    level primes and every good prime the screen does not clear, in exact
-    integers for an exact table.  No other module but curves (for I/O) reads coeffs;
-    exact tables are authoritative wherever signs matter.
+    level_primes holds the level's primes, ascending, from its one
+    factorization; good marks, in table order, the primes outside it, decided
+    once when the table is built, so no layer divides the level (of any
+    size).  Each level prime it holds is then checked to be of multiplicative
+    type, and atkin_lehner reads the signs off it; integer_ap and lam_array
+    are the one integer and the one float reading of lambda(p).  The Deligne
+    bound is screened in one binary64 pass over the values; the scalar rule
+    (_check_bound) decides the level primes and every good prime the screen
+    does not clear, in exact integers for an exact table.
     """
 
     level: int
     weight: int
-    coeffs: dict
+    primes: InitVar[object]
+    values: np.ndarray = field(repr=False)
     normalized: bool = False
     pmax: int = field(init=False, default=0)
     level_primes: tuple = field(init=False, default=())
     prime_array: np.ndarray = field(init=False, default=None, repr=False)
     good: np.ndarray = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, primes):
         factors = factorize(self.level) if self.level >= 1 else None
         if factors is None or any(e > 1 for _, e in factors):
             raise ValidationError(f"level {self.level} is not squarefree")
         object.__setattr__(self, "level_primes", tuple(p for p, _ in factors))
         if self.weight < 2 or self.weight % 2 != 0:
             raise ValidationError(f"weight must be an even integer >= 2, got {self.weight}")
-        keys = list(self.coeffs.keys())
-        if sorted(keys) != keys:
-            raise ValidationError("table primes are not strictly ascending")
-        pmax = int(keys[-1]) if keys else 0
+        n = len(primes)
+        if len(self.values) != n:
+            raise ValidationError(f"table has {n} primes but {len(self.values)} values")
+        pmax = int(primes[-1]) if n else 0
         # a gap-free table of n primes ends at p_n <= limit: sieve no further
-        limit = nth_prime_bound(len(keys))
+        limit = nth_prime_bound(n)
         prime_array = primes_up_to(min(pmax, limit))
-        if not np.array_equal(np.array(keys), prime_array):
+        try:
+            same = np.array_equal(np.asarray(primes, dtype=np.int64), prime_array)
+        except OverflowError:  # a prime past int64, which no gap-free table of n holds
+            same = False
+        if not same:
+            keys = [int(p) for p in primes]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ValidationError("table primes are not strictly ascending")
             expected = prime_array.tolist()
             expected_set = set(expected)
             bad = next((p for p in keys
                         if not (p in expected_set if p <= limit else is_prime(p))), None)
             if bad is not None:
                 raise ValidationError(f"{bad} is not prime")
-            key_set = set(keys)
-            missing = next(p for p in expected if p not in key_set)
+            missing = min(expected_set.difference(keys))
             raise ValidationError(f"prime table has a gap: missing p={missing}")
         object.__setattr__(self, "pmax", pmax)
         object.__setattr__(self, "prime_array", prime_array)
@@ -139,13 +149,18 @@ class NewformCoeffs:
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
         good = np.isin(prime_array, self.level_primes, invert=True)
         object.__setattr__(self, "good", good)
+        try:
+            values = np.asarray(self.values, dtype=np.float64 if self.normalized else np.int64)
+        except OverflowError:  # Python ints past int64, which the bound check decides
+            values = np.array(self.values, dtype=object)
+        object.__setattr__(self, "values", values)
         # one binary64 pass clears the good primes within the Deligne bound;
         # the scalar rule decides every other prime, in table order, and
         # names the first that breaks its bound
         try:
-            mag = np.abs(np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(keys)))
+            mag = np.abs(values.astype(np.float64))
         except OverflowError:  # an a_p past binary64, which breaks the bound
-            mag = np.full(len(keys), np.inf)
+            mag = np.full(n, np.inf)
         if self.normalized:
             cleared = mag <= 2.0 + _FLOAT_BOUND_SLACK
         else:
@@ -154,14 +169,17 @@ class NewformCoeffs:
                 cap *= prime_array.astype(np.float64) ** ((k - 2) // 2)
             cap *= _EXACT_SCREEN
             cleared = mag <= cap
-        for i in np.flatnonzero(~(good & cleared)).tolist():
-            p = keys[i]
-            self._check_bound(p, self.coeffs[p], bool(good[i]))
+        at = np.flatnonzero(~(good & cleared))
+        for p, v, is_good in zip(prime_array[at].tolist(), values[at].tolist(), good[at].tolist()):
+            self._check_bound(p, v, is_good)
+        if not self.normalized:
+            dtype = np.int64 if 16 * pmax ** (k - 1) < 2**126 else object
+            object.__setattr__(self, "values", values.astype(dtype, copy=False))
 
     def _check_bound(self, p: int, v, good: bool) -> None:
-        """The scalar rule at one prime: refuse v = coeffs[p] unless a level
-        prime's a_p is of multiplicative type, or a good prime's value keeps
-        the Deligne bound (exactly, in integers, for an exact table)."""
+        """The scalar rule at one prime: refuse v, the value at p, unless a
+        level prime's a_p is of multiplicative type, or a good prime's value
+        keeps the Deligne bound (exactly, in integers, for an exact table)."""
         k = self.weight
         if not good:
             a = self.integer_ap(p)
@@ -176,13 +194,13 @@ class NewformCoeffs:
             raise ValidationError(f"Deligne bound violated at p={p}: a_p={v}")
 
     def integer_ap(self, p: int) -> int | None:
-        """The integer a_p = lambda(p) p^((k-1)/2): the stored value, or the
-        integer a normalized lambda(p) rounds to within decimal rounding;
-        None if it is not finite or not that close to one."""
-        v = self.coeffs[p]
+        """The integer a_p = lambda(p) p^((k-1)/2) at the table prime p: the
+        stored value, or the integer a normalized lambda(p) rounds to within
+        decimal rounding; None if it is not finite or not that close to one."""
+        v = self.values[int(np.searchsorted(self.prime_array, p))]
         if not self.normalized:
-            return v
-        scaled = v * math.sqrt(p) * p ** ((self.weight - 2) // 2)
+            return int(v)
+        scaled = float(v) * math.sqrt(p) * p ** ((self.weight - 2) // 2)
         if not math.isfinite(scaled):
             return None
         a = round(scaled)
@@ -200,30 +218,23 @@ class NewformCoeffs:
             out[p] = -self.integer_ap(p) // p ** ((self.weight - 2) // 2)
         return out
 
-    @cached_property
+    @property
     def a_array(self) -> np.ndarray:
-        """The exact a_p of every table prime, in table order; refuses
-        normalized tables.
-
-        int64 while 16 pmax^(k-1) < 2^126, so that p^((k-2)/2) and, for the
-        f of a lift, |a_f(p)| + |a_g(p)| p^((k-2)/2) <= 4 p^((k-1)/2) fit as
-        well; beyond that an object array of Python ints.  This is the one
-        integer-width decision of the program.
-        """
+        """The exact a_p of every table prime, in table order: values itself,
+        int64 or Python ints by the rule above; refuses normalized tables."""
         if self.normalized:
             raise ValidationError("table holds normalised floats, exact a_p unavailable")
-        dtype = np.int64 if 16 * self.pmax ** (self.weight - 1) < 2**126 else object
-        return np.fromiter(self.coeffs.values(), dtype=dtype, count=len(self.coeffs))
+        return self.values
 
     @cached_property
     def lam_array(self) -> np.ndarray:
         """lambda(p) of every table prime, in table order: a normalized table's
-        floats, or a_p / (p^((k-2)/2) sqrt(p)) over a_array, in its dtype, with
+        values, or a_p / (p^((k-2)/2) sqrt(p)) over a_array, in its dtype, with
         the roundings of the scalar a / (p**((k-2)//2) * math.sqrt(p)): int to
         binary64 (correctly rounded for int64 and Python ints alike), the
         correctly rounded sqrt, one multiply, one divide."""
         if self.normalized:
-            return np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
+            return self.values
         a, ps = self.a_array, self.prime_array
         scale = ps.astype(a.dtype) ** ((self.weight - 2) // 2)
         return a.astype(np.float64) / (scale.astype(np.float64) * np.sqrt(ps.astype(np.float64)))

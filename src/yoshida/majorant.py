@@ -106,20 +106,6 @@ _BETA_STAR = 3 / 10 + 3 * math.sqrt(6) / 40
 OPTIMUM_PARAMS = MajorantParams(DELTA_STAR + 1e-12, _ALPHA_STAR, _BETA_STAR / _ALPHA_STAR)
 
 
-def q_eval(params: MajorantParams, t):
-    """delta + alpha (t^4 + (Upsilon - 3) t^2 + 1 - Upsilon); exact when the
-    params and t are Fractions.  No command calls it or r_eval: the tests
-    keep both as the exact evaluator of q and r."""
-    d, a, u = params.delta, params.alpha, params.upsilon
-    t2 = t * t
-    return d + a * (t2 * t2 + (u - 3) * t2 + (1 - u))
-
-
-def r_eval(params: MajorantParams, t):
-    """r(t) = q(t) - t; _grid_min inlines this expression in binary64."""
-    return q_eval(params, t) - t
-
-
 @dataclass
 class InequalityCheck:
     """A strict inequality lhs < rhs with exact slack = rhs - lhs."""
@@ -228,7 +214,7 @@ def _grid_min(params: MajorantParams, grid_step: float) -> tuple[float, float]:
     best, best_t = math.inf, 0.0
     for t in chain(map((2.0 / n).__mul__, range(n)), (2.0,)):
         t2 = t * t
-        v = d + a * (t2 * t2 + um3 * t2 + omu) - t  # r_eval's expression
+        v = d + a * (t2 * t2 + um3 * t2 + omu) - t  # r_eval's expression (tests/conftest.py)
         if v < best:
             best, best_t = v, t
     return best, best_t

@@ -233,10 +233,10 @@ def _round(x, A, B, p):
     return x, fl, np.where(twist[fl], 2 * p[fl] + 2 - fN, fN), twist, small
 
 
-def orders(c4: int, c6: int, primes: list[int], tally=None) -> dict[int, int]:
-    """{p: #E(F_p)} at the given good primes p > 3 of a curve with invariants
-    c4, c6, leaving out a prime where no single candidate survives MAX_POINTS
-    points.
+def orders(c4: int, c6: int, primes: list[int], tally=None) -> np.ndarray:
+    """#E(F_p) at the given good primes p > 3 of a curve with invariants c4,
+    c6, as an int64 array aligned with primes, holding 0 at a prime where no
+    single candidate survives MAX_POINTS points.
 
     Each round takes one point per open lane, LANES lanes at a time, and
     intersects the lane's candidate set with the N it finds; a lane closes
@@ -245,7 +245,7 @@ def orders(c4: int, c6: int, primes: list[int], tally=None) -> dict[int, int]:
     left out.
     """
     if not primes:
-        return {}
+        return np.zeros(0, dtype=np.int64)
     dtype = np.int64 if max(primes) < INT64_BELOW else object
     A, B = (np.fromiter((c % q for q in primes), dtype, len(primes)) for c in (-27 * c4, -54 * c6))
     p = np.array(primes, dtype=dtype)
@@ -275,4 +275,4 @@ def orders(c4: int, c6: int, primes: list[int], tally=None) -> dict[int, int]:
             break
     if tally is not None:
         tally.update(fallback=int((n == 0).sum()))
-    return {q: v for q, v in zip(primes, n.tolist()) if v}
+    return n.astype(np.int64, copy=False)

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+from yoshida import curves
 from yoshida.curves import WeierstrassCurve, ap_table
+from yoshida.hecke import NewformCoeffs
 from yoshida.lift import lift_sequence, validate_pair
 
 # Regression pair: the discriminant -11 curve (level 11) and a conductor-33
@@ -44,10 +47,45 @@ def seq_signs(seq):
     return dict(zip(seq.index.tolist(), seq.signs.tolist()))
 
 
+def table(level, weight, rows, normalized=False):
+    """A NewformCoeffs from a {p: value} dict, in its order."""
+    return NewformCoeffs(level, weight, list(rows), list(rows.values()), normalized=normalized)
+
+
+def rows(h):
+    """{p: value} of table h, as Python ints and floats, in table order."""
+    return dict(zip(h.prime_array.tolist(), h.values.tolist()))
+
+
+def value(h, p):
+    """The value table h holds at its prime p, read by position, as a Python
+    int or float."""
+    i = int(np.searchsorted(h.prime_array, p))
+    return h.values[i:i + 1].tolist()[0]
+
+
 def lam(h, p):
     """lambda(p) of table h by the scalar formula a_p / (p^((k-2)/2) sqrt(p)),
     the reading NewformCoeffs.lam_array must equal bit for bit."""
-    v = h.coeffs[p]
+    v = value(h, p)
     if h.normalized:
         return float(v)
     return v / (p ** ((h.weight - 2) // 2) * math.sqrt(p))
+
+
+def count_ap(curve, p):
+    """a_p of curve at one prime p: the one-lane case of the table's counter."""
+    return int(curves._ap_values(curve, [p])[0])
+
+
+def q_eval(params, t):
+    """delta + alpha (t^4 + (Upsilon - 3) t^2 + 1 - Upsilon): the exact
+    evaluator of the majorant q when the params and t are Fractions."""
+    d, a, u = params.delta, params.alpha, params.upsilon
+    t2 = t * t
+    return d + a * (t2 * t2 + (u - 3) * t2 + (1 - u))
+
+
+def r_eval(params, t):
+    """r(t) = q(t) - t; majorant._grid_min inlines this expression in binary64."""
+    return q_eval(params, t) - t

@@ -12,15 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from yoshida.curves import WeierstrassCurve, ap_table, count_ap
-from yoshida.hecke import NewformCoeffs
+from yoshida.curves import WeierstrassCurve, ap_table
 from yoshida.lift import lift_euler_coeffs, lift_sequence, validate_pair
 from yoshida.majorant import (
     REFERENCE_PARAMS,
     feasible_numeric,
     feasible_sufficient,
     optimize_delta,
-    r_eval,
 )
 from yoshida.primes import primes_up_to
 from yoshida.signs import (
@@ -33,7 +31,7 @@ from yoshida.signs import (
     lower_bound_witness,
     weighted_sum,
 )
-from tests.conftest import CURVE_11A, CURVE_33A, seq_items
+from tests.conftest import CURVE_11A, CURVE_33A, count_ap, r_eval, seq_items
 from tests.test_curves import ap_character_sum
 from tests.test_lift import dirichlet_oracle
 
@@ -136,7 +134,7 @@ def test_c06_point_counting(table_11a):
     assert count_ap(CURVE_11A, 2) == -2
     assert count_ap(CURVE_11A, 3) == -1
     assert count_ap(CURVE_11A, 5) == 1
-    for p, a in table_11a.coeffs.items():
+    for p, a in zip(table_11a.prime_array.tolist(), table_11a.values.tolist()):
         if p != 11:
             assert a * a <= 4 * p
     dual = 0

@@ -39,7 +39,7 @@ def test_ap_writes_header_and_rows(tmp_path):
 def test_ap_roundtrip_bit_exact(pair_files, tmp_path):
     f, _ = pair_files
     nf = load_coeffs(f)
-    assert nf.level == 11 and nf.coeffs[2] == -2
+    assert nf.level == 11 and nf.prime_array[0] == 2 and nf.values[0] == -2
     from yoshida.curves import write_coeffs
     again = tmp_path / "again.txt"
     write_coeffs(nf, again)
@@ -118,7 +118,8 @@ def test_normalized_copy_of_same_newform_exits_1(tmp_path, capsys):
     assert run(["ap", "--curve", "0,-1,1,0,0", "--pmax", "100", "--out", str(g)]) == 0
     t = load_coeffs(g)
     f.write_text("# level=11 weight=2 normalized\n"
-                 + "".join(f"{p} {v:.6f}\n" for p, v in zip(t.coeffs, t.lam_array.tolist())))
+                 + "".join(f"{p} {v:.6f}\n"
+                           for p, v in zip(t.prime_array.tolist(), t.lam_array.tolist())))
     out = tmp_path / "l.csv"
     assert run(["lift", "--f", str(f), "--g", str(g), "--xmax", "100", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: f and g are the same newform")

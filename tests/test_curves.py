@@ -1,18 +1,19 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from yoshida import curves, mestre, primes
-from yoshida.curves import (WeierstrassCurve, ap_table, conductor, count_ap, load_coeffs,
-                            write_coeffs)
+from yoshida.curves import WeierstrassCurve, ap_table, conductor, load_coeffs, write_coeffs
 from yoshida.errors import AdditiveReductionError, ValidationError
 from yoshida.primes import primes_up_to
-from tests.conftest import CURVE_11A, CURVE_33A
+from tests.conftest import CURVE_11A, CURVE_33A, count_ap, rows, table
 
 
 def ap_character_sum(curve, p):
@@ -106,7 +107,7 @@ def test_additive_reduction_rejected():
 
 
 def test_hasse_bound_up_to_1e4(table_11a):
-    for p, a in table_11a.coeffs.items():
+    for p, a in rows(table_11a).items():
         if 11 % p != 0:
             assert a * a <= 4 * p
 
@@ -128,7 +129,7 @@ def test_mestre_tables_match_full_count_up_to_1e4(monkeypatch):
     fast = {c: curves._ap_values(c, _good_primes(c, 10**4)) for c in ORACLE_CURVES}
     monkeypatch.setattr(curves, "MESTRE_MIN_P", 10**9)  # every prime takes the O(p) path
     for c in ORACLE_CURVES:
-        assert fast[c] == curves._ap_values(c, _good_primes(c, 10**4)), c
+        assert np.array_equal(fast[c], curves._ap_values(c, _good_primes(c, 10**4))), c
 
 
 # SHA-256 of the ap tables as written by write_coeffs, frozen from the
@@ -175,7 +176,8 @@ def test_mestre_runs_twist_and_small_order_branches():
         ps = [p for p in _good_primes(c, 3000) if p > curves.MESTRE_MIN_P]
         tally = Counter()
         n = mestre.orders(*c.c_invariants(), ps, tally)
-        assert n == {p: curves._count_affine_fast(c, p) + 1 for p in ps}, c
+        assert n.dtype == np.int64
+        assert n.tolist() == [curves._count_affine_fast(c, p) + 1 for p in ps], c
         assert tally["twist"] > 0 and tally["small_order"] > 0, (c, tally)
         # a second round runs on the lanes the first leaves open, and none is left
         assert tally["rounds"] >= 2 and tally["points"] > len(ps) and tally["fallback"] == 0
@@ -235,12 +237,12 @@ def test_hasse_multiples_match_scalar_multiplication():
 def test_mestre_falls_back_when_no_single_candidate(monkeypatch):
     # 15a has rational 8-torsion: one point often leaves several candidates
     c = WeierstrassCurve(1, 1, 1, -10, -10)
-    expected = ap_table(c, 3000).coeffs
+    expected = ap_table(c, 3000).values
     full = []
     count = curves._count_affine_fast
     monkeypatch.setattr(curves, "_count_affine_fast", lambda c, p: full.append(p) or count(c, p))
     monkeypatch.setattr(mestre, "MAX_POINTS", 1)
-    assert ap_table(c, 3000).coeffs == expected
+    assert np.array_equal(ap_table(c, 3000).values, expected)
     assert any(p > curves.MESTRE_MIN_P for p in full)
 
 
@@ -248,7 +250,7 @@ def test_object_lanes_match_int64_lanes(monkeypatch):
     ps = [p for p in _good_primes(CURVE_11A, 10**4) if p > curves.MESTRE_MIN_P]
     want = mestre.orders(*CURVE_11A.c_invariants(), ps)
     monkeypatch.setattr(mestre, "INT64_BELOW", 0)  # every lane holds a Python int
-    assert mestre.orders(*CURVE_11A.c_invariants(), ps) == want
+    assert np.array_equal(mestre.orders(*CURVE_11A.c_invariants(), ps), want)
 
 
 @pytest.mark.parametrize("curve,p,a", [
@@ -268,7 +270,7 @@ def test_mestre_character_sum_oracle_above_1e5():
 
 def test_ap_table_empty_below_first_prime():
     t = ap_table(CURVE_11A, 1)
-    assert t.coeffs == {}
+    assert t.prime_array.size == t.values.size == 0
 
 
 @pytest.mark.parametrize("ai,want", [
@@ -301,9 +303,9 @@ def test_ap_table_refuses_level_the_model_contradicts():
 def test_ap_table_tests_no_sieve_prime_for_primality(monkeypatch):
     def refuse(n):
         raise AssertionError(f"is_prime({n}) called")
-    want = ap_table(CURVE_33A, 500).coeffs
+    want = ap_table(CURVE_33A, 500).values
     monkeypatch.setattr(curves, "is_prime", refuse)
-    assert ap_table(CURVE_33A, 500).coeffs == want
+    assert np.array_equal(ap_table(CURVE_33A, 500).values, want)
 
 
 def test_ap_table_propagates_additive_error():
@@ -320,24 +322,65 @@ def test_load_coeffs_roundtrip(tmp_path, table_33a):
     path = tmp_path / "g.txt"
     write_coeffs(table_33a, path)
     back = load_coeffs(path)
-    assert back.coeffs == table_33a.coeffs
+    assert np.array_equal(back.prime_array, table_33a.prime_array)
+    assert np.array_equal(back.values, table_33a.values)
     assert (back.level, back.weight, back.normalized) == (33, 2, False)
 
 
 def test_load_coeffs_normalized_roundtrip(tmp_path):
-    from yoshida.hecke import NewformCoeffs
-    nf = NewformCoeffs(level=11, weight=2, coeffs={2: -0.5, 3: 0.25}, normalized=True)
+    nf = table(11, 2, {2: -0.5, 3: 0.25}, normalized=True)
     path = tmp_path / "n.txt"
     write_coeffs(nf, path)
     back = load_coeffs(path)
-    assert back.normalized and back.coeffs == nf.coeffs
+    assert back.normalized and rows(back) == {2: -0.5, 3: 0.25}
+
+
+@pytest.mark.parametrize("k,normalized,dtype", [(2, False, np.int64), (12, False, object),
+                                                 (2, True, np.float64)])
+def test_write_load_roundtrip_each_dtype(tmp_path, k, normalized, dtype):
+    ps = primes_up_to(2203).tolist()
+    rng = random.Random(k)
+    if normalized:
+        rows_in = {p: rng.uniform(-2, 2) for p in ps}
+        rows_in[5], rows_in[7], rows_in[11] = -0.0, 5e-324, -(11**-0.5)
+    else:
+        rows_in = {p: rng.randint(-math.isqrt(4 * p ** (k - 1)), math.isqrt(4 * p ** (k - 1)))
+                   for p in ps}
+        rows_in[11] = 11 ** ((k - 2) // 2)
+    nf = table(11, k, rows_in, normalized=normalized)
+    assert nf.values.dtype == dtype
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_coeffs(nf, first)
+    back = load_coeffs(first)
+    write_coeffs(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert back.values.dtype == dtype and np.array_equal(back.prime_array, nf.prime_array)
+    assert [repr(v) for v in back.values.tolist()] == [repr(v) for v in rows_in.values()]
+
+
+def test_loaded_table_keeps_two_columns(tmp_path):
+    # the primes, the values and the good mask: 8 + 8 + 1 bytes a prime, where
+    # a {p: a_p} dict of Python ints kept about 110
+    ps = primes_up_to(10**5).tolist()
+    path = tmp_path / "t.txt"
+    path.write_text(_EXACT + "".join(f"{p} {-1 if p == 11 else p % 3 - 1}\n" for p in ps))
+    load_coeffs(path)  # imports and first-call caches outside the measure
+    tracemalloc.start()
+    try:
+        nf = load_coeffs(path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nf.values.dtype == np.int64 and nf.values.flags.owndata
+    assert kept < 48 * len(ps), kept
 
 
 def test_load_coeffs_simple(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# level=11 weight=2\n2 -2\n3 -1\n5 1\n")
     nf = load_coeffs(path)
-    assert nf.coeffs == {2: -2, 3: -1, 5: 1}
+    assert rows(nf) == {2: -2, 3: -1, 5: 1}
 
 
 def test_load_coeffs_nonprime_line(tmp_path):
@@ -381,7 +424,7 @@ def test_load_coeffs_comments_and_overrides(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# level=33 weight=2\n# a comment\n2 -2  # trailing\n\n3 -1\n")
     nf = load_coeffs(path)
-    assert nf.level == 33 and nf.coeffs == {2: -2, 3: -1}
+    assert nf.level == 33 and rows(nf) == {2: -2, 3: -1}
 
 
 def test_load_coeffs_descending_rejected(tmp_path):
@@ -479,7 +522,7 @@ def _outcome(path):
         nf = load_coeffs(path)
     except ValidationError as exc:
         return type(exc).__name__, str(exc)
-    return nf.level, nf.weight, nf.normalized, [(p, repr(v)) for p, v in nf.coeffs.items()]
+    return nf.level, nf.weight, nf.normalized, [(p, repr(v)) for p, v in rows(nf).items()]
 
 
 @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))

@@ -8,6 +8,7 @@ import pytest
 from yoshida.errors import ValidationError
 from yoshida.hecke import _FLOAT_BOUND_SLACK, NewformCoeffs, hecke_power_seq
 from yoshida.primes import prime_sieve, primes_up_to
+from tests.conftest import table
 
 
 def chebyshev_u(r, x):
@@ -79,18 +80,16 @@ def test_power_exact_float_agreement():
 # ---------------------------------------------------------------------------
 
 def test_atkin_lehner_inference():
-    assert NewformCoeffs(level=11, weight=2,
-                         coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).atkin_lehner == {11: -1}
-    assert NewformCoeffs(level=3, weight=2, coeffs={2: 0, 3: -1}).atkin_lehner == {3: 1}
+    assert table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).atkin_lehner == {11: -1}
+    assert table(3, 2, {2: 0, 3: -1}).atkin_lehner == {3: 1}
     # weight 4: w_p = -a_p / p (an a_p of another size is refused when the
     # table is built: test_table_rejects_bad_prime_out_of_range)
-    assert NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5}).atkin_lehner == {5: 1}
+    assert table(5, 4, {2: 3, 3: -1, 5: -5}).atkin_lehner == {5: 1}
     # a normalized lambda(p) is read as the integer it rounds to
-    nf = NewformCoeffs(level=11, weight=2, coeffs={2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: -0.301511},
-                       normalized=True)
+    nf = table(11, 2, {2: 0.0, 3: 0.0, 5: 0.0, 7: 0.0, 11: -0.301511}, normalized=True)
     assert nf.atkin_lehner == {11: 1}
     # a table that stops below its level prime has no sign there
-    short = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2})
+    short = table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2})
     with pytest.raises(ValidationError, match="missing bad-prime coefficient at p=11"):
         short.atkin_lehner
 
@@ -112,11 +111,48 @@ def test_atkin_lehner_matches_the_pair_signs(table_11a, table_33a):
 # ---------------------------------------------------------------------------
 
 def test_table_accepts_valid():
-    nf = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2, 11: 1})
+    nf = table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2, 11: 1})
     assert nf.pmax == 11
     assert nf.lam_array[0] == pytest.approx(-math.sqrt(2))
-    assert nf.coeffs[11] == 1
+    assert nf.values.tolist() == [-2, -1, 1, -2, 1]
     assert nf.level_primes == (11,)
+
+
+def _weight12(pmax):
+    ps = primes_up_to(pmax).tolist()
+    return table(11, 12, {p: -(11**5) if p == 11 else 0 for p in ps})
+
+
+def test_values_typed_once_by_the_integer_width_rule():
+    # weight 12: 16 pmax^11 < 2^126 holds at 2179 and fails at the next prime, 2203
+    assert 16 * 2179**11 < 2**126 <= 16 * 2203**11
+    below, above = _weight12(2179), _weight12(2203)
+    assert below.values.dtype == np.int64 and below.pmax == 2179
+    assert above.values.dtype == object and above.pmax == 2203
+    assert {type(v) for v in above.values.tolist()} == {int}
+    assert table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).values.dtype == np.int64
+    nf = table(11, 2, {2: -1, 3: 0, 5: 1, 7: 0, 11: 11**-0.5}, normalized=True)
+    assert nf.values.dtype == np.float64 and nf.values.tolist()[:3] == [-1.0, 0.0, 1.0]
+    # an int64 column is kept as it was given, and a_array is that column
+    col = np.array([-2, -1, 1, -2, 1], dtype=np.int64)
+    t = NewformCoeffs(11, 2, primes_up_to(11), col)
+    assert t.a_array is t.values and np.shares_memory(t.a_array, col)
+    assert nf.lam_array is nf.values
+    with pytest.raises(ValidationError, match="exact a_p unavailable"):
+        nf.a_array
+
+
+def test_column_refusals():
+    with pytest.raises(ValidationError, match="^table has 2 primes but 1 values$"):
+        NewformCoeffs(11, 2, [2, 3], [0])
+    # a dict cannot repeat a prime, but two columns can
+    with pytest.raises(ValidationError, match="^table primes are not strictly ascending$"):
+        NewformCoeffs(11, 2, [2, 3, 3, 5], [0, 0, 0, 0])
+    with pytest.raises(ValidationError, match="^table primes are not strictly ascending$"):
+        NewformCoeffs(11, 2, np.array([2, 5, 3]), np.zeros(3, dtype=np.int64))
+    # a prime past int64 holds no place in a gap-free table of seven rows
+    with pytest.raises(ValidationError, match="^prime table has a gap: missing p=17$"):
+        NewformCoeffs(11, 2, [2, 3, 5, 7, 11, 13, 2**64 + 13], [0, 0, 0, 0, 1, 0, 0])
 
 
 def test_good_primes_read_from_the_factorized_level():
@@ -124,39 +160,38 @@ def test_good_primes_read_from_the_factorized_level():
     # above 2^64: neither level fits an int64 array
     ps = primes_up_to(59).tolist()
     for level in (math.prod(ps[:-1]), 2**64 + 13, 11, 1):
-        nf = NewformCoeffs(level=level, weight=2,
-                           coeffs={p: (-1 if level % p == 0 else 0) for p in ps})
+        nf = table(level, 2, {p: (-1 if level % p == 0 else 0) for p in ps})
         assert nf.good.dtype == bool
         assert nf.good.tolist() == [level % p != 0 for p in ps], level
 
 
 def test_table_rejects_nonsquarefree_level():
     with pytest.raises(ValidationError, match="squarefree"):
-        NewformCoeffs(level=12, weight=2, coeffs={2: 0})
+        table(12, 2, {2: 0})
 
 
 def test_integer_table_weight_bound_is_exact():
     # 2^(k-1) < 2^2046 at k = 2046: the largest a_2 still gives a finite lambda
-    nf = NewformCoeffs(level=1, weight=2046, coeffs={2: -(2**1023)})
+    nf = table(1, 2046, {2: -(2**1023)})
     assert nf.lam_array[0] == -2 / math.sqrt(2)
     for k in (2048, 10**6):
         with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
-            NewformCoeffs(level=1, weight=k, coeffs={2: 0})
+            table(1, k, {2: 0})
     # normalized tables are bounded alike: a_p = lambda(p) p^((k-1)/2) must be finite
-    nf = NewformCoeffs(level=1, weight=2046, coeffs={2: 1.0}, normalized=True)
+    nf = table(1, 2046, {2: 1.0}, normalized=True)
     assert nf.lam_array[0] == 1.0
     with pytest.raises(ValidationError, match="must stay below 2\\^2046"):
-        NewformCoeffs(level=1, weight=2048, coeffs={2: 1.0}, normalized=True)
+        table(1, 2048, {2: 1.0}, normalized=True)
 
 
 def test_table_rejects_odd_weight():
     with pytest.raises(ValidationError):
-        NewformCoeffs(level=11, weight=3, coeffs={2: 0})
+        table(11, 3, {2: 0})
 
 
 def test_table_rejects_gap():
     with pytest.raises(ValidationError, match="missing p=3"):
-        NewformCoeffs(level=7, weight=2, coeffs={2: 1, 5: 1})
+        table(7, 2, {2: 1, 5: 1})
 
 
 def test_table_rejects_gap_in_large_table():
@@ -164,21 +199,21 @@ def test_table_rejects_gap_in_large_table():
     coeffs = {p: 0 for p in primes_up_to(10**5).tolist() if p != 99989}
     t0 = time.perf_counter()
     with pytest.raises(ValidationError, match="missing p=99989"):
-        NewformCoeffs(level=7, weight=2, coeffs=coeffs)
+        table(7, 2, coeffs)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_rejects_nonprime_key():
     with pytest.raises(ValidationError, match="not prime"):
-        NewformCoeffs(level=7, weight=2, coeffs={2: 1, 3: 1, 4: 1, 5: 1})
+        table(7, 2, {2: 1, 3: 1, 4: 1, 5: 1})
 
 
 def test_table_rejects_deligne_violation():
     with pytest.raises(ValidationError, match="Deligne"):
-        NewformCoeffs(level=11, weight=2, coeffs={2: 5})
-    NewformCoeffs(level=11, weight=2, coeffs={2: -2.0}, normalized=True)  # |lam| = 2 allowed
+        table(11, 2, {2: 5})
+    table(11, 2, {2: -2.0}, normalized=True)  # |lam| = 2 allowed
     with pytest.raises(ValidationError, match="Deligne"):
-        NewformCoeffs(level=11, weight=2, coeffs={2: 2.1}, normalized=True)
+        table(11, 2, {2: 2.1}, normalized=True)
 
 
 def test_table_rejects_bad_prime_out_of_range():
@@ -186,19 +221,18 @@ def test_table_rejects_bad_prime_out_of_range():
     rows = {2: -2, 3: -1, 5: 1, 7: -2}
     for a11 in (0, 2):
         with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
-            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: a11})
-    NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: -5})
+            table(11, 2, {**rows, 11: a11})
+    table(5, 4, {2: 3, 3: -1, 5: -5})
     # 3 passes a_p^2 <= p^(k-2), 10 passes a_p^2 <= p^(k-1)
     for a5 in (3, 10, 12):
         with pytest.raises(ValidationError,
                            match=rf"p=5: need \|a_p\| = p\^\(\(k-2\)/2\), got {a5}$"):
-            NewformCoeffs(level=5, weight=4, coeffs={2: 3, 3: -1, 5: a5})
+            table(5, 4, {2: 3, 3: -1, 5: a5})
     # normalized: lambda(11) sqrt(11) must round to +-1 within the decimal slack
     for lam in (0.3, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
-            NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: lam}, normalized=True)
-    assert NewformCoeffs(level=11, weight=2, coeffs={**rows, 11: 0.301511},
-                         normalized=True).integer_ap(11) == 1
+            table(11, 2, {**rows, 11: lam}, normalized=True)
+    assert table(11, 2, {**rows, 11: 0.301511}, normalized=True).integer_ap(11) == 1
 
 
 def _refusal(make):
@@ -230,7 +264,7 @@ def test_array_bound_check_matches_scalar_rule(k, pmax, dtype):
     ps = primes_up_to(pmax).tolist()
     base = {p: 0 for p in ps}
     base[11] = -(11 ** ((k - 2) // 2))
-    ref = NewformCoeffs(level=11, weight=k, coeffs=base)
+    ref = table(11, k, base)
     assert ref.a_array.dtype == dtype
     p, q = ps[-3], ps[-1]
     edge = math.isqrt(4 * p ** (k - 1))
@@ -243,7 +277,7 @@ def test_array_bound_check_matches_scalar_rule(k, pmax, dtype):
             if later is not None:
                 coeffs[q] = later
             want = _scalar_refusal(ref, coeffs)
-            assert _refusal(lambda: NewformCoeffs(level=11, weight=k, coeffs=coeffs)) == want
+            assert _refusal(lambda: table(11, k, coeffs)) == want
             assert (want is None) == (a * a <= 4 * p ** (k - 1) and later != edge_q + 1)
 
 
@@ -253,7 +287,7 @@ def test_array_bound_check_matches_scalar_rule_normalized(k):
     ps = primes_up_to(50).tolist()
     base = {p: 0.0 for p in ps}
     base[11] = -1 / math.sqrt(11)
-    ref = NewformCoeffs(level=11, weight=k, coeffs=base, normalized=True)
+    ref = table(11, k, base, normalized=True)
     p, q = ps[-3], ps[-1]
     values = [2.0, -2.0, cap, -cap, math.nextafter(cap, math.inf), -math.nextafter(cap, math.inf),
               math.nan, -math.nan, math.inf, -math.inf, 1e308]
@@ -263,8 +297,7 @@ def test_array_bound_check_matches_scalar_rule_normalized(k):
             if later is not None:
                 coeffs[q] = later
             want = _scalar_refusal(ref, coeffs)
-            got = _refusal(lambda: NewformCoeffs(level=11, weight=k, coeffs=coeffs,
-                                                 normalized=True))
+            got = _refusal(lambda: table(11, k, coeffs, normalized=True))
             assert got == want
             assert (want is None) == (abs(lam) <= cap and later != math.nextafter(cap, math.inf))
 
@@ -272,13 +305,13 @@ def test_array_bound_check_matches_scalar_rule_normalized(k):
 def test_bound_check_names_first_prime_across_level_primes():
     rows = {2: -2, 3: -1, 5: 1, 7: -2, 11: 0, 13: 4}
     with pytest.raises(ValidationError, match=r"Deligne bound violated at p=7: a_p=6$"):
-        NewformCoeffs(level=11, weight=2, coeffs={**rows, 7: 6})
+        table(11, 2, {**rows, 7: 6})
     with pytest.raises(ValidationError, match="bad-prime bound violated at p=11"):
-        NewformCoeffs(level=11, weight=2, coeffs={**rows, 13: 8})
+        table(11, 2, {**rows, 13: 8})
 
 
 def test_cover_reporting():
-    nf = NewformCoeffs(level=11, weight=2, coeffs={2: -2, 3: -1, 5: 1, 7: -2})
+    nf = table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2})
     assert nf.require_cover(7) == 4
     assert nf.require_cover(10) == 4  # no prime in (7, 10]
     assert nf.require_cover(6) == 3 and nf.require_cover(1) == 0
@@ -288,7 +321,7 @@ def test_cover_reporting():
         nf.require_cover(20)
     # the first prime above pmax is found by stepping from pmax + 1, with no
     # sieve up to y
-    big = NewformCoeffs(level=1, weight=2, coeffs={p: 0 for p in primes_up_to(199).tolist()})
+    big = table(1, 2, {p: 0 for p in primes_up_to(199).tolist()})
     t0 = time.perf_counter()
     assert big.require_cover(210) == 46
     with pytest.raises(ValidationError, match="missing p=211"):
@@ -297,7 +330,7 @@ def test_cover_reporting():
 
 
 def test_require_cover_counts_the_primes_up_to_y():
-    nf = NewformCoeffs(level=1, weight=2, coeffs=dict.fromkeys(primes_up_to(30000).tolist(), 0))
+    nf = table(1, 2, dict.fromkeys(primes_up_to(30000).tolist(), 0))
     # pi[y + 1] is the number of primes <= y, from one sieve
     pi = np.concatenate(([0], np.cumsum(prime_sieve(nf.pmax))))
     assert [nf.require_cover(y) for y in range(-1, nf.pmax + 1)] == pi.tolist()
@@ -305,7 +338,7 @@ def test_require_cover_counts_the_primes_up_to_y():
         c = nf.require_cover(y)
         assert c == primes_up_to(y).size
         assert nf.prime_array[:c].tolist() == primes_up_to(y).tolist()
-    empty = NewformCoeffs(level=1, weight=2, coeffs={})
+    empty = table(1, 2, {})
     assert empty.pmax == 0 and empty.prime_array.size == 0
     assert [empty.require_cover(y) for y in (-1, 0, 1)] == [0, 0, 0]
     with pytest.raises(ValidationError, match="missing p=2"):

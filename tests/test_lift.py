@@ -5,7 +5,6 @@ import pytest
 
 from yoshida.curves import ap_table
 from yoshida.errors import ValidationError
-from yoshida.hecke import NewformCoeffs
 from yoshida.lift import (
     SIGN_TOL,
     UNCERTAIN,
@@ -17,7 +16,7 @@ from yoshida.lift import (
     validate_pair,
 )
 from yoshida.primes import factorize, primes_up_to
-from tests.conftest import CURVE_11A, CURVE_33A, lam, seq_items, seq_signs
+from tests.conftest import CURVE_11A, CURVE_33A, lam, rows, seq_items, seq_signs, table, value
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,7 @@ from tests.conftest import CURVE_11A, CURVE_33A, lam, seq_items, seq_signs
 # ---------------------------------------------------------------------------
 
 def _toy_table(level, coeffs):
-    return NewformCoeffs(level=level, weight=2, coeffs=coeffs)
+    return table(level, 2, coeffs)
 
 
 def test_validate_pair_basic(table_11a, table_33a):
@@ -49,13 +48,13 @@ def test_validate_pair_nonsquarefree_level_cannot_exist():
 
 
 def test_validate_pair_al_mismatch(table_11a, table_33a):
-    f = NewformCoeffs(level=11, weight=2, coeffs={**table_11a.coeffs, 11: -1})
+    f = table(11, 2, {**rows(table_11a), 11: -1})
     with pytest.raises(ValidationError, match="Atkin-Lehner mismatch at p=11"):
         validate_pair(f, table_33a)
 
 
 def test_validate_pair_rejects_non_weight2_g(table_11a):
-    g4 = NewformCoeffs(level=33, weight=4, coeffs={2: 0, 3: 3, 5: 0, 7: 0, 11: -11})
+    g4 = table(33, 4, {2: 0, 3: 3, 5: 0, 7: 0, 11: -11})
     with pytest.raises(ValidationError, match="weight 2"):
         validate_pair(table_11a, g4)
 
@@ -224,8 +223,8 @@ def _synthetic_pair(k, xmax, seed):
     fa = {p: draw(math.isqrt(4 * p ** (k - 1))) for p in ps}
     ga = {p: draw(math.isqrt(4 * p)) for p in ps}
     fa[11], ga[3], ga[11] = 11 ** ((k - 2) // 2), -1, 1
-    f = NewformCoeffs(level=11, weight=k, coeffs=fa)
-    g = NewformCoeffs(level=33, weight=2, coeffs=ga)
+    f = table(11, k, fa)
+    g = table(33, 2, ga)
     return validate_pair(f, g)
 
 
@@ -342,11 +341,8 @@ def test_sequence_table_too_short(table_11a, table_33a):
 
 
 def test_sequence_rejects_exact_on_normalized():
-    f = NewformCoeffs(level=11, weight=2,
-                      coeffs={2: -0.7, 3: -0.5, 5: 0.4, 7: -0.7, 11: 11**-0.5}, normalized=True)
-    g = NewformCoeffs(level=33, weight=2,
-                      coeffs={2: 0.7, 3: -(3**-0.5), 5: -0.9, 7: 1.5, 11: 11**-0.5},
-                      normalized=True)
+    f = table(11, 2, {2: -0.7, 3: -0.5, 5: 0.4, 7: -0.7, 11: 11**-0.5}, normalized=True)
+    g = table(33, 2, {2: 0.7, 3: -(3**-0.5), 5: -0.9, 7: 1.5, 11: 11**-0.5}, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 10)
     assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
@@ -379,7 +375,7 @@ def dict_lift_reference(spec, xmax):
             rmax += 1
         pw_float[p] = lift_euler_coeffs(lam(spec.f, p), lam(spec.g, p), p, rmax)
         if exact:
-            pw_int[p] = lift_euler_ints(spec.f.coeffs[p], spec.g.coeffs[p], p, rmax, spec.weight)
+            pw_int[p] = lift_euler_ints(value(spec.f, p), value(spec.g, p), p, rmax, spec.weight)
     spf = np.zeros(xmax + 1, dtype=np.int64)
     for p in ps.tolist():
         block = spf[p::p]
@@ -448,8 +444,8 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
     fc = {p: (-0.0 if p in (13, 17, 19) else 0.3) for p in ps}
     gc = {p: (-0.0 if p in (13, 17, 19) else -0.7) for p in ps}
     fc[11], gc[3], gc[11] = 11**-0.5, -(3**-0.5), 11**-0.5
-    f = NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
-    g = NewformCoeffs(level=33, weight=2, coeffs=gc, normalized=True)
+    f = table(11, 2, fc, normalized=True)
+    g = table(33, 2, gc, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
     assert math.copysign(1.0, seq.values[13]) == 1.0
@@ -502,11 +498,8 @@ def test_signs_array_matches_scalar_rule(reg_seq):
     assert codes == [_scalar_sign(v, e) for v, e in zip(values[index].tolist(),
                                                          exact[index].tolist())]
     # a lifted normalized pair, whose lambda_F(2) = 0.0 is uncertain
-    f = NewformCoeffs(level=11, weight=2,
-                      coeffs={2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
-    g = NewformCoeffs(level=33, weight=2,
-                      coeffs={2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5},
-                      normalized=True)
+    f = table(11, 2, {2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
+    g = table(33, 2, {2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5}, normalized=True)
     seq = lift_sequence(validate_pair(f, g), 10)
     codes = seq.signs.tolist()
     assert codes == [_scalar_sign(v) for _, v in seq_items(seq)]
@@ -529,10 +522,10 @@ def test_lam_array_bit_identical_to_lam():
     for k, seed in ((2, 2), (4, 4), (12, 12), (24, 24), (100, 100)):
         spec = _synthetic_pair(k, 3000, seed)
         for h in (spec.f, spec.g):
-            want = np.array([lam(h, p) for p in h.coeffs])
+            want = np.array([lam(h, p) for p in h.prime_array.tolist()])
             assert h.a_array.dtype == (object if h.weight >= 12 else np.int64)
             assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
-            assert h.prime_array.tolist() == list(h.coeffs)
+            assert h.values.shape == h.prime_array.shape
 
 
 def test_sequence_rejects_nan_above_sqrt_xmax():
@@ -543,4 +536,4 @@ def test_sequence_rejects_nan_above_sqrt_xmax():
     for bad in (math.nan, math.inf, -math.inf):
         fc[97] = bad
         with pytest.raises(ValidationError, match=r"p=97: need \|lambda\| <= 2"):
-            NewformCoeffs(level=11, weight=2, coeffs=fc, normalized=True)
+            table(11, 2, fc, normalized=True)

@@ -15,10 +15,9 @@ from yoshida.majorant import (
     feasible_sufficient,
     optimize_delta,
     parameter,
-    q_eval,
-    r_eval,
     r_positive,
 )
+from tests.conftest import q_eval, r_eval
 
 # Optimum of the 1e-5-grid LP oracle (dense linprog over 200001 points),
 # frozen at first build; re-derived live in test_optimize_against_dense_oracle.

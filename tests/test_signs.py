@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from yoshida.errors import SignUncertainError, ValidationError
-from yoshida.hecke import NewformCoeffs
 from yoshida.lift import EigenSequence, certified_signs, lift_sequence, validate_pair
 from yoshida.primes import factorize, primes_up_to
 from yoshida.signs import (
@@ -23,7 +22,7 @@ from yoshida.signs import (
     weighted_sum,
 )
 
-from tests.conftest import lam, seq_items, seq_signs
+from tests.conftest import lam, seq_items, seq_signs, table
 
 
 def _flat_table(level, pmax, lam):
@@ -32,7 +31,7 @@ def _flat_table(level, pmax, lam):
     for p in list(coeffs):
         if level % p == 0:
             coeffs[p] = 0.0
-    return NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=True)
+    return table(level, 2, coeffs, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def test_corollary_check_edge_table():
 # ---------------------------------------------------------------------------
 
 def test_bad_factor_level_11():
-    t = NewformCoeffs(level=11, weight=2, coeffs={2: 0, 3: 0, 5: 0, 7: 0, 11: 1})
+    t = table(11, 2, {2: 0, 3: 0, 5: 0, 7: 0, 11: 1})
     bb = bad_factor_bound(t)
     assert bb.lhs == pytest.approx(1 + 1 / 11, abs=1e-12)  # 1 + (1/sqrt(11))/sqrt(11)
     assert bb.rhs == pytest.approx(1 + 1 / math.sqrt(11), abs=1e-12)
@@ -264,7 +263,7 @@ def test_bad_factor_level_1():
 
 def test_bad_factor_level_6():
     # |lambda(p)| = p^(-1/2) at each level prime: lhs = (1 + 1/2)(1 + 1/3)
-    t = NewformCoeffs(level=6, weight=2, coeffs={2: -1, 3: 1})
+    t = table(6, 2, {2: -1, 3: 1})
     bb = bad_factor_bound(t)
     assert bb.lhs == pytest.approx(1.5 * (4 / 3))
     assert bb.rhs == pytest.approx(1 + 1 / math.sqrt(2) + 1 / math.sqrt(3) + 1 / math.sqrt(6))
@@ -281,8 +280,7 @@ def test_bad_factor_rhs_matches_the_divisor_sum():
         for p, _ in factors:
             divisors += [d * p for d in divisors]
         oracle = math.fsum(1.0 / math.sqrt(d) for d in divisors)
-        t = NewformCoeffs(level=level, weight=2,
-                          coeffs={p: -1 if level % p == 0 else 0 for p in ps})
+        t = table(level, 2, {p: -1 if level % p == 0 else 0 for p in ps})
         rhs = bad_factor_bound(t).rhs
         assert abs(rhs - oracle) <= 4e-16 * oracle, level
         if level in (11, 33):
@@ -298,9 +296,8 @@ def test_bad_factor_lhs_matches_per_prime_loop():
         for k in (2, 4, 12):
             root = {p: p ** ((k - 2) // 2) for p in ps}
             coeffs = {p: rng.choice((-1, 1)) * root[p] if level % p == 0 else 0 for p in ps}
-            t = NewformCoeffs(level=level, weight=k, coeffs=coeffs)
-            tn = NewformCoeffs(level=level, weight=k, normalized=True,
-                               coeffs={p: lam(t, p) for p in ps})
+            t = table(level, k, coeffs)
+            tn = table(level, k, {p: lam(t, p) for p in ps}, normalized=True)
             for h in (t, tn):
                 want = 1.0
                 for p in ps:
@@ -310,7 +307,7 @@ def test_bad_factor_lhs_matches_per_prime_loop():
 
 
 def test_bad_factor_missing_coefficient():
-    t = NewformCoeffs(level=11, weight=2, coeffs={2: 0, 3: 0})
+    t = table(11, 2, {2: 0, 3: 0})
     with pytest.raises(ValidationError, match="p=11"):
         bad_factor_bound(t)
 
@@ -329,9 +326,8 @@ def test_witness_all_zero_tables_hypothesis_violated():
     # lambda_f = lambda_g = 0 at every good prime: lambda_F(p^2) = -2 - 1/p < 0, so
     # every prime lands in the violated list, none in the branches
     zeros = {p: 0.0 for p in primes_up_to(200).tolist()}
-    f = NewformCoeffs(level=11, weight=2, coeffs={**zeros, 11: 11**-0.5}, normalized=True)
-    g = NewformCoeffs(level=33, weight=2, coeffs={**zeros, 3: -(3**-0.5), 11: 11**-0.5},
-                      normalized=True)
+    f = table(11, 2, {**zeros, 11: 11**-0.5}, normalized=True)
+    g = table(33, 2, {**zeros, 3: -(3**-0.5), 11: 11**-0.5}, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
     rep = lower_bound_witness(seq, spec, 196)
@@ -370,7 +366,7 @@ def test_prime_statistics_bit_identical_to_per_prime_loop(table_11a, table_33a):
     from yoshida.hecke import hecke_power_seq
     for h in (table_11a, table_33a):
         for y in (2, 100, 10**4):
-            lams = [lam(h, p) for p in h.coeffs if p <= y and h.level % p != 0]
+            lams = [lam(h, p) for p in h.prime_array.tolist() if p <= y and h.level % p != 0]
             st = abs_sum_ratio(h, y)
             n = len(lams)
             assert st.pi_yL == n and type(st.pi_yL) is int
@@ -389,7 +385,7 @@ def test_abs_sum_ratio_rejects_nan():
     for level in (1, 7):
         coeffs = {2: 0.5, 3: 0.5, 5: 0.5, 7: math.nan}
         with pytest.raises(ValidationError, match="p=7: need"):
-            NewformCoeffs(level=level, weight=2, coeffs=coeffs, normalized=True)
+            table(level, 2, coeffs, normalized=True)
 
 
 def _witness_loop(seq, spec, x):
@@ -464,10 +460,8 @@ def _normalized_pair(lam_f, lam_g, pmax):
     ps = [p for p in primes_up_to(max(pmax, 11)).tolist() if 33 % p]
     fc = {**{p: lam_f(p) for p in ps}, 3: 0.0, 11: 11**-0.5}
     gc = {**{p: lam_g(p) for p in ps}, 3: -(3**-0.5), 11: 11**-0.5}
-    return validate_pair(NewformCoeffs(level=11, weight=2, coeffs=dict(sorted(fc.items())),
-                                       normalized=True),
-                         NewformCoeffs(level=33, weight=2, coeffs=dict(sorted(gc.items())),
-                                       normalized=True))
+    return validate_pair(table(11, 2, dict(sorted(fc.items())), normalized=True),
+                         table(33, 2, dict(sorted(gc.items())), normalized=True))
 
 
 def test_witness_matches_per_prime_loop(reg_spec, reg_seq):
