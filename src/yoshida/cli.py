@@ -58,11 +58,13 @@ def _jsonable(obj):
 
 
 def _flatten(obj, prefix=""):
-    """Dotted-key rows for the CSV rendering of a nested report."""
-    if isinstance(obj, dict):
-        return [row for k, v in obj.items() for row in _flatten(v, f"{prefix}{k}.")]
-    if isinstance(obj, (list, tuple)):
-        return [row for i, v in enumerate(obj) for row in _flatten(v, f"{prefix}{i}.")]
+    """Dotted-key rows for the CSV rendering of a nested report; an empty list
+    or dict is one row with an empty value, so the keys never hang on the data."""
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            return [(prefix[:-1], "")]
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [row for k, v in items for row in _flatten(v, f"{prefix}{k}.")]
     return [(prefix[:-1], obj)]
 
 
@@ -107,9 +109,6 @@ def _build_sequence(args):
     return spec, seq
 
 
-_CSV_BLOCK = 2**14
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -128,12 +127,11 @@ def _cmd_lift(args) -> int:
     sg = seq.signs
     with _open_out(args.out) as fh:
         fh.write("n,lambda,sign\n")
-        # a block of rows at a time, so the whole CSV is never held at once;
+        # 2^14 rows at a time, so the whole CSV is never held at once;
         # tolist() gives Python floats: numpy 2 reprs np.float64 differently
-        for i in range(0, seq.index.size, _CSV_BLOCK):
-            block = slice(i, i + _CSV_BLOCK)
-            n = seq.index[block]
-            rows = zip(n.tolist(), seq.values[n].tolist(), sg[block].tolist())
+        for i in range(0, seq.index.size, 2**14):
+            block = slice(i, i + 2**14)
+            rows = zip(seq.index[block].tolist(), seq.values[block].tolist(), sg[block].tolist())
             fh.write("".join(f"{m},{v!r},{SIGN_CHARS[s]}\n" for m, v, s in rows))
     return 0
 

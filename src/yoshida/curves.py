@@ -304,9 +304,12 @@ def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> tuple[list, list]
 
 
 def write_coeffs(nf: NewformCoeffs, path) -> None:
-    """Write a table in the coefficient file format (UTF-8, LF)."""
+    """Write a table in the coefficient file format (UTF-8, LF), 2^14 rows
+    a write call, as the lift CSV is written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         flag = " normalized" if nf.normalized else ""
         fh.write(f"# level={nf.level} weight={nf.weight}{flag}\n")
-        for p, v in zip(nf.prime_array.tolist(), nf.values.tolist()):
-            fh.write(f"{p} {v!r}\n" if nf.normalized else f"{p} {v}\n")
+        ps, vs = nf.prime_array.tolist(), nf.values.tolist()
+        for i in range(0, len(ps), 2**14):
+            rows = zip(ps[i:i + 2**14], vs[i:i + 2**14])
+            fh.write("".join(f"{p} {v!r}\n" if nf.normalized else f"{p} {v}\n" for p, v in rows))

@@ -34,14 +34,14 @@ lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
 Normalized float tables get float signs, certified only outside
 |lambda_F(n)| <= SIGN_TOL.
 
-lift_sequence assembles both channels as dense numpy arrays indexed by n,
+lift_sequence assembles both channels in dense numpy arrays indexed by n,
 one good prime at a time, largest first, without a per-n Python loop but
 with the same float operations as the per-n recurrence, so every printed bit
 is that of the textbook loop.  The exact channel holds signs only: the sign
 of the integer at each prime power q is taken exactly, and
 sign(n) = sign(q) sign(n/q) by multiplicativity, so no per-n integer (which
-grows like n^((k-1)/2)) is ever formed.  certified_signs then gives each n
-of the EigenSequence one certified sign.
+grows like n^((k-1)/2)) is ever formed.  The EigenSequence holds the n, their
+lambda_F(n) and their certified signs as three aligned columns.
 """
 
 import math
@@ -149,17 +149,15 @@ def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
     return [conv(r) - p ** (k - 2) * conv(r - 2) for r in range(rmax + 1)]
 
 
-def certified_signs(index: np.ndarray, values: np.ndarray,
-                    exact: np.ndarray | None = None) -> np.ndarray:
-    """The certified sign of lambda_F(n) for every n in index, as a read-only
-    int8 array aligned with index: exact[n] from the exact channel (int8,
-    indexed by n like values) when given, otherwise +-1 from values[n] when
-    |lambda_F(n)| > SIGN_TOL, and UNCERTAIN inside that band."""
+def certified_signs(values: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
+    """The certified sign of each lambda_F(n) in values, as a read-only int8
+    array aligned with it: the exact channel's sign (exact, aligned with
+    values) when given, otherwise +-1 from the value when |lambda_F(n)| >
+    SIGN_TOL, and UNCERTAIN inside that band."""
     if exact is not None:
-        codes = exact[index]
+        codes = exact.astype(np.int8)
     else:
-        v = values[index]
-        codes = np.where(np.abs(v) <= SIGN_TOL, UNCERTAIN, np.sign(v)).astype(np.int8)
+        codes = np.where(np.abs(values) <= SIGN_TOL, UNCERTAIN, np.sign(values)).astype(np.int8)
     codes.flags.writeable = False
     return codes
 
@@ -168,10 +166,10 @@ def certified_signs(index: np.ndarray, values: np.ndarray,
 class EigenSequence:
     """lambda_F(n) and its certified sign for the n <= xmax coprime to N.
 
-    index holds those n in ascending order.  values[n] is the binary64
-    lambda_F(n) for n in index; every other slot holds 0.0 and is never read.
-    signs[i] is the certified sign of lambda_F(index[i]) from certified_signs:
-    -1, 0, +1, or UNCERTAIN.
+    Three columns of one length, read-only from lift_sequence: index holds
+    those n in ascending order, values[i] is the binary64 lambda_F(index[i]),
+    and signs[i] its certified sign from certified_signs: -1, 0, +1, or
+    UNCERTAIN.
     """
 
     xmax: int
@@ -202,12 +200,14 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 = a_f(p) +
     a_g(p) p^((k-2)/2) are array operations, the latter in the dtype of f's
     a_array.  The good primes p <= sqrt(xmax) follow from the largest down:
-    done marks the n built so far, all of whose primes exceed p, and each
-    power q of p multiplies c(q) from lift_euler_coeffs into every done
-    m <= xmax / q at once.  Multiples of the primes dividing N are never
-    marked, so done ends as the index.  The exact sign channel, sign(n) =
-    sign(I(q)) sign(m) in int8 with sign(I(q)) from lift_euler_ints, rides
-    along whenever neither table is normalized; certified_signs reads it.
+    done marks the n built so far, all of whose primes exceed p, read once
+    per p, and each power q of p multiplies c(q) from lift_euler_coeffs into
+    every such m <= xmax / q at once.  Multiples of the primes dividing N are
+    never marked, so done ends as the index.  The exact sign channel,
+    sign(n) = sign(I(q)) sign(m) in int8 with sign(I(q)) from
+    lift_euler_ints, rides along whenever neither table is normalized.  The
+    dense lam (lambda_F by n), sign and done are each gathered at the index,
+    or dropped, before the next.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -224,11 +224,11 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     done = np.zeros(xmax + 1, dtype=bool)
     done[1] = True
     done[big_ps] = True
-    values = np.zeros(xmax + 1)
-    values[1] = 1.0
+    lam = np.zeros(xmax + 1)
+    lam[1] = 1.0
     # The two-term fsum of lift_euler_coeffs at r = 1 is one IEEE add; + 0.0
     # turns the -0.0 of (-0.0) + (-0.0) into fsum's 0.0.
-    values[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
+    lam[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
     sign = None
     if exact:
         # sign of I_1 = lambda_F(p) p^((k-1)/2); a_array's dtype holds I_1
@@ -247,18 +247,22 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         coeffs = lift_euler_coeffs(lam_f, lam_g, p, len(qs))[1:]
         if exact:
             ints = lift_euler_ints(*ap, p, len(qs), k)[1:]
-        built = []
+        # the m built before p, read once: no power of p reads another
+        ms = np.flatnonzero(done[: xmax // p + 1])
         for e, q in enumerate(qs):
-            m = np.flatnonzero(done[: xmax // q + 1])
+            m = ms[: np.searchsorted(ms, xmax // q, side="right")]
             n = q * m
-            values[n] = coeffs[e] * values[m]
+            lam[n] = coeffs[e] * lam[m]
             if exact:
                 # a Python int times int8 stays int8
                 sign[n] = ((ints[e] > 0) - (ints[e] < 0)) * sign[m]
-            built.append(n)
-        for n in built:  # only now, so that no power of p reads another
             done[n] = True
 
     index = np.flatnonzero(done)
+    del done
+    sign = sign[index] if exact else None
+    values = lam[index]
+    del lam
+    index.flags.writeable = values.flags.writeable = False
     return EigenSequence(xmax=xmax, index=index, values=values,
-                         signs=certified_signs(index, values, sign))
+                         signs=certified_signs(values, sign))

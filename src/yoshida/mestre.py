@@ -233,16 +233,14 @@ def _round(x, A, B, p):
     return x, fl, np.where(twist[fl], 2 * p[fl] + 2 - fN, fN), twist, small
 
 
-def orders(c4: int, c6: int, primes: list[int], tally=None) -> np.ndarray:
+def orders(c4: int, c6: int, primes: list[int]) -> np.ndarray:
     """#E(F_p) at the given good primes p > 3 of a curve with invariants c4,
     c6, as an int64 array aligned with primes, holding 0 at a prime where no
     single candidate survives MAX_POINTS points.
 
     Each round takes one point per open lane, LANES lanes at a time, and
     intersects the lane's candidate set with the N it finds; a lane closes
-    when one N is left.  tally, if given, counts the rounds, the points used,
-    how many of them lay on the twist or had small order, and the primes
-    left out.
+    when one N is left.
     """
     if not primes:
         return np.zeros(0, dtype=np.int64)
@@ -256,11 +254,9 @@ def orders(c4: int, c6: int, primes: list[int], tally=None) -> np.ndarray:
         xs, keys = [], []
         for i in range(0, len(live), LANES):
             b = live[i:i + LANES]
-            xb, fl, fN, twist, small = _round(x[i:i + LANES], A[b], B[b], p[b])
+            xb, fl, fN, _, _ = _round(x[i:i + LANES], A[b], B[b], p[b])
             xs.append(xb)
             keys.append(b[fl].astype(p.dtype) * radix + fN)
-            if tally is not None:
-                tally.update(points=len(b), twist=int(twist.sum()), small_order=int(small.sum()))
         keys = np.concatenate(keys)
         alive = keys if alive is None else np.intersect1d(alive, keys, assume_unique=True)
         lanes = (alive // radix).astype(np.int64)
@@ -269,10 +265,6 @@ def orders(c4: int, c6: int, primes: list[int], tally=None) -> np.ndarray:
         n[lanes[single]] = alive[single] % radix
         still = count[live] > 1
         live, x, alive = live[still], np.concatenate(xs)[still] + 1, alive[~single]
-        if tally is not None:
-            tally.update(rounds=1)
         if not live.size:
             break
-    if tally is not None:
-        tally.update(fallback=int((n == 0).sum()))
     return n.astype(np.int64, copy=False)

@@ -71,7 +71,7 @@ def weighted_sum(seq: EigenSequence, x: float) -> float:
         raise ValidationError(f"x must be >= 1, got {x}")
     lx = math.log(x)
     upto = seq.count_upto(x)
-    terms = seq.values[seq.index[:upto]] * (lx - seq.log_index[:upto])
+    terms = seq.values[:upto] * (lx - seq.log_index[:upto])
     return math.fsum(terms.tolist())
 
 
@@ -82,13 +82,13 @@ def first_negative(seq: EigenSequence) -> int | None:
     SignUncertainError, since no smaller negative exists to rescue it.
     """
     sg = seq.signs
-    hit = np.flatnonzero((sg == -1) | ((sg == UNCERTAIN) & (seq.values[seq.index] < 0.0)))
+    hit = np.flatnonzero((sg == -1) | ((sg == UNCERTAIN) & (seq.values < 0.0)))
     if hit.size == 0:
         return None
-    n = int(seq.index[hit[0]])
-    if sg[hit[0]] == -1:
-        return n
-    raise SignUncertainError(n, float(seq.values[n]))
+    i = hit[0]
+    if sg[i] == -1:
+        return int(seq.index[i])
+    raise SignUncertainError(int(seq.index[i]), float(seq.values[i]))
 
 
 def conductor_proxy(spec: LiftSpec, cfg: BoundConfig) -> float:
@@ -285,7 +285,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
         raise ValidationError("the sequence was not lifted from this pair up to x")
     hyp = np.isin(seq.signs[at], (0, 1)).all(axis=0)
     lf, lg = (np.abs(h.lam_array[:c][good]) for h in (spec.f, spec.g))
-    lF = seq.values[ps]
+    lF = seq.values[at[0]]
 
     v1 = hyp & (lg <= V1_GAMMA)
     v2 = hyp & (lg > V1_GAMMA) & (lg <= V2_GAMMA)
@@ -301,7 +301,7 @@ def lower_bound_witness(seq: EigenSequence, spec: LiftSpec, x: int) -> WitnessRe
     active = "v1" if y >= 2 and v_density(spec.g, y, V1_GAMMA) >= 1 / 100 else "v2"
     m = counts["v1"] if active == "v1" else counts["v1"] + counts["case_i"] + counts["case_ii"]
 
-    esum = math.fsum(seq.values[seq.index[:seq.count_upto(x)]].tolist())
+    esum = math.fsum(seq.values[:seq.count_upto(x)].tolist())
     lx = math.log(x) if x > 1 else 1.0
     n0 = first_negative(seq)
     log_qg_sq = math.log(spec.g.level) ** 2

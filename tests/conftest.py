@@ -39,7 +39,15 @@ def reg_seq(reg_spec):
 def seq_items(seq):
     """(n, lambda_F(n)) for every n of an EigenSequence, ascending, as Python
     ints and floats."""
-    return zip(seq.index.tolist(), seq.values[seq.index].tolist())
+    return zip(seq.index.tolist(), seq.values.tolist())
+
+
+def seq_value(seq, n):
+    """lambda_F(n) of an EigenSequence at one stored n, read by position, as
+    a Python float."""
+    i = int(np.searchsorted(seq.index, n))
+    assert seq.index[i:i + 1].tolist() == [n], f"n={n} is not stored"
+    return seq.values[i:i + 1].tolist()[0]
 
 
 def seq_signs(seq):

@@ -465,6 +465,38 @@ def test_stats_csv(pair_files, tmp_path):
     assert "corollary.contradiction_constant.numerator" in keys
 
 
+def _json_leaves(obj, key=""):
+    """(dotted key, printed value) of every scalar of a JSON report, and
+    (key, "") of every empty list or object."""
+    if isinstance(obj, (dict, list)):
+        items = list(obj.items() if isinstance(obj, dict) else enumerate(obj))
+        if not items:
+            yield key, ""
+        for k, v in items:
+            yield from _json_leaves(v, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, repr(obj) if isinstance(obj, float) else str(obj)
+
+
+def test_search_and_witness_csv_hold_every_json_key(pair_files, tmp_path):
+    # one CSV row per JSON leaf, in order: the s_curve triples of search, and
+    # the witness's empty bound_failures at x = 200, which is one "key," row
+    f, g = pair_files
+    pair = ["--f", str(f), "--g", str(g)]
+    for argv in (["search", *pair, "--xmax", "200"], ["witness", *pair, "--x", "200"]):
+        text = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{argv[0]}.{fmt}"
+            assert run([*argv, "--format", fmt, "--out", str(out)]) == 0
+            text[fmt] = out.read_text()
+        lines = text["csv"].splitlines()
+        assert lines[0] == "key,value"
+        rows = [tuple(ln.split(",", 1)) for ln in lines[1:]]
+        assert rows == list(_json_leaves(json.loads(text["json"]))), argv[0]
+    assert ("bound_failures", "") in rows and json.loads(text["json"])["bound_failures"] == []
+    assert ("hypothesis_violated.0", "2") in rows
+
+
 def test_witness_json(pair_files, tmp_path):
     f, g = pair_files
     out = tmp_path / "wit.json"

@@ -16,7 +16,8 @@ from yoshida.lift import (
     validate_pair,
 )
 from yoshida.primes import factorize, primes_up_to
-from tests.conftest import CURVE_11A, CURVE_33A, lam, rows, seq_items, seq_signs, table, value
+from tests.conftest import (CURVE_11A, CURVE_33A, lam, rows, seq_items, seq_signs, seq_value,
+                            table, value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +161,14 @@ def test_euler_ints_displayed_identity():
 
 def test_sequence_xmax_1(reg_spec):
     seq = lift_sequence(reg_spec, 1)
-    assert seq.index.tolist() == [1] and seq.values.tolist() == [0.0, 1.0]
+    assert seq.index.tolist() == [1] and seq.values.tolist() == [1.0]
 
 
 def test_sequence_indices_coprime(reg_spec, reg_seq):
     N = 33
     assert all(math.gcd(n, N) == 1 for n in reg_seq.index.tolist())
     assert reg_seq.index.tolist() == [n for n in range(1, reg_seq.xmax + 1) if math.gcd(n, N) == 1]
-    assert reg_seq.values[1] == 1.0
+    assert seq_value(reg_seq, 1) == 1.0
 
 
 def test_sequence_doubled_pair():
@@ -178,17 +179,16 @@ def test_sequence_doubled_pair():
     seq = lift_sequence(spec, 100)
     for p in primes_up_to(100).tolist():
         if p != 11:
-            assert seq.values[p] == pytest.approx(2 * lam(t, p), abs=1e-12)
+            assert seq_value(seq, p) == pytest.approx(2 * lam(t, p), abs=1e-12)
 
 
 def test_sequence_multiplicativity(reg_seq):
-    vals = reg_seq.values
-    stored = set(reg_seq.index.tolist())
+    vals = dict(seq_items(reg_seq))
     for m in range(2, 100):
-        if m not in stored:
+        if m not in vals:
             continue
         for n in range(2, 10**4 // m + 1):
-            if n in stored and math.gcd(m, n) == 1:
+            if n in vals and math.gcd(m, n) == 1:
                 assert vals[m * n] == pytest.approx(vals[m] * vals[n], abs=1e-10)
 
 
@@ -250,7 +250,7 @@ def test_sequence_square_identity_in_data(reg_spec, reg_seq):
     for p in primes_up_to(100).tolist():
         if 33 % p == 0:
             continue
-        lhs = reg_seq.values[p] ** 2 - reg_seq.values[p * p]
+        lhs = seq_value(reg_seq, p) ** 2 - seq_value(reg_seq, p * p)
         rhs = 2 + 1 / p + lam(spec.f, p) * lam(spec.g, p)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -263,7 +263,7 @@ def test_sequence_prime_power_bound(reg_spec, reg_seq):
             continue
         q, r = p, 1
         while q <= reg_seq.xmax:
-            assert abs(reg_seq.values[q]) <= (r + 1) ** 2 + (r - 1) ** 2
+            assert abs(seq_value(reg_seq, q)) <= (r + 1) ** 2 + (r - 1) ** 2
             q *= p
             r += 1
 
@@ -329,9 +329,10 @@ def test_sequence_dirichlet_oracle(reg_spec):
     xmax = 1000
     seq = lift_sequence(reg_spec, xmax)
     oracle = dirichlet_oracle(reg_spec, xmax)
+    got = dict(seq_items(seq))
     for n in range(1, xmax + 1):
         if math.gcd(n, 33) == 1:
-            assert seq.values[n] == pytest.approx(oracle[n], abs=1e-10), n
+            assert got[n] == pytest.approx(oracle[n], abs=1e-10), n
 
 
 def test_sequence_table_too_short(table_11a, table_33a):
@@ -345,7 +346,7 @@ def test_sequence_rejects_exact_on_normalized():
     g = table(33, 2, {2: 0.7, 3: -(3**-0.5), 5: -0.9, 7: 1.5, 11: 11**-0.5}, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 10)
-    assert seq.values[2] == pytest.approx(0.0, abs=1e-15)
+    assert seq_value(seq, 2) == pytest.approx(0.0, abs=1e-15)
     # normalized tables get no exact channel, so lambda_F(2) has no certified sign
     assert seq_signs(seq)[2] == UNCERTAIN
 
@@ -400,8 +401,8 @@ def _assert_matches_reference(spec, seq):
     values, scaled = dict_lift_reference(spec, seq.xmax)
     assert seq.index.tolist() == list(values)
     # bit for bit: compare the binary64 patterns, so -0.0 != 0.0 here
-    got = seq.values[seq.index]
-    assert np.array_equal(got.view(np.uint64), np.array(list(values.values())).view(np.uint64))
+    want = np.array(list(values.values()))
+    assert np.array_equal(seq.values.view(np.uint64), want.view(np.uint64))
     if scaled is None:
         # no exact channel: the float signs, uncertain inside the band
         assert seq.signs.tolist() == [_scalar_sign(v) for v in values.values()]
@@ -448,7 +449,7 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
     g = table(33, 2, gc, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
-    assert math.copysign(1.0, seq.values[13]) == 1.0
+    assert math.copysign(1.0, seq_value(seq, 13)) == 1.0
     _assert_matches_reference(spec, seq)
 
 
@@ -482,21 +483,18 @@ def _scalar_sign(v, exact=None):
 
 def test_signs_array_matches_scalar_rule(reg_seq):
     # the float rule over the regression values and values at and around the
-    # band's edges, on an index that skips slots; then the exact channel,
-    # which overrides every float
+    # band's edges; then the exact channel, which overrides every float
     rng = np.random.default_rng(17)
     edge = [0.0, -0.0, SIGN_TOL, -SIGN_TOL, np.nextafter(SIGN_TOL, 1.0),
             np.nextafter(-SIGN_TOL, -1.0), 5e-10, -5e-10]
     values = np.concatenate([reg_seq.values, edge, rng.uniform(-3e-9, 3e-9, 200)])
-    index = np.flatnonzero(np.arange(values.size) % 7 != 3)
-    codes = certified_signs(index, values)
-    assert codes.dtype == np.int8 and codes.shape == index.shape
-    assert codes.tolist() == [_scalar_sign(v) for v in values[index].tolist()]
+    codes = certified_signs(values)
+    assert codes.dtype == np.int8 and codes.shape == values.shape
+    assert codes.tolist() == [_scalar_sign(v) for v in values.tolist()]
     assert {-1, 1, UNCERTAIN} == set(codes.tolist())
     exact = rng.integers(-1, 2, size=values.size).astype(np.int8)
-    codes = certified_signs(index, values, exact).tolist()
-    assert codes == [_scalar_sign(v, e) for v, e in zip(values[index].tolist(),
-                                                         exact[index].tolist())]
+    codes = certified_signs(values, exact).tolist()
+    assert codes == [_scalar_sign(v, e) for v, e in zip(values.tolist(), exact.tolist())]
     # a lifted normalized pair, whose lambda_F(2) = 0.0 is uncertain
     f = table(11, 2, {2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
     g = table(33, 2, {2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5}, normalized=True)
@@ -513,7 +511,26 @@ def test_signs_array_is_one_read_only_object(reg_spec):
     assert not codes.flags.writeable
     with pytest.raises(ValueError):
         codes[0] = -1
-    assert not certified_signs(seq.index, seq.values).flags.writeable
+    assert not certified_signs(seq.values).flags.writeable
+
+
+def test_sequence_columns_are_aligned_and_read_only(reg_spec):
+    # the exact channel, a float channel, and xmax = 1: index, values and
+    # signs have one length, none can be written, and log_index is the log
+    # of index
+    f = table(11, 2, {2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
+    g = table(33, 2, {2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5}, normalized=True)
+    for seq in (lift_sequence(reg_spec, 500), lift_sequence(validate_pair(f, g), 10),
+                lift_sequence(reg_spec, 1)):
+        assert seq.index.shape == seq.values.shape == seq.signs.shape
+        for col in (seq.index, seq.values, seq.signs):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert seq.log_index.tolist() == [math.log(n) for n in seq.index.tolist()]
+    exact = np.array([1, -1, 0], dtype=np.int8)
+    certified_signs(np.zeros(3), exact)
+    assert exact.flags.writeable  # the caller's column is left as it was
 
 
 def test_lam_array_bit_identical_to_lam():

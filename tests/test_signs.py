@@ -22,7 +22,7 @@ from yoshida.signs import (
     weighted_sum,
 )
 
-from tests.conftest import lam, seq_items, seq_signs, table
+from tests.conftest import lam, seq_items, seq_signs, seq_value, table
 
 
 def _flat_table(level, pmax, lam):
@@ -41,21 +41,19 @@ def _flat_table(level, pmax, lam):
 def _seq_from_values(values, xmax, exact=None):
     """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: exact sign}) entries."""
     index = np.array(sorted(values), dtype=np.int64)
-    dense = np.zeros(xmax + 1)
-    dense[index] = [values[n] for n in index.tolist()]
-    dense_sign = None
-    if exact is not None:
-        dense_sign = np.zeros(xmax + 1, dtype=np.int8)
-        dense_sign[list(exact)] = list(exact.values())
-    return EigenSequence(xmax=xmax, index=index, values=dense,
-                         signs=certified_signs(index, dense, dense_sign))
+    column = np.array([values[n] for n in index.tolist()], dtype=np.float64)
+    signs = None if exact is None else np.array([exact[n] for n in index.tolist()], dtype=np.int8)
+    return EigenSequence(xmax=xmax, index=index, values=column,
+                         signs=certified_signs(column, signs))
 
 
-def _resigned(seq):
-    """seq after its values were tampered with, its signs rebuilt by the one
-    rule (the float rule: the tampered pairs are normalized)."""
-    return EigenSequence(xmax=seq.xmax, index=seq.index, values=seq.values,
-                         signs=certified_signs(seq.index, seq.values))
+def _tampered(seq, new):
+    """A copy of seq holding lambda_F(n) = new[n] at the n of new, its signs
+    rebuilt by the one rule (the float rule: the tampered pairs are normalized)."""
+    values = seq.values.copy()
+    values[np.searchsorted(seq.index, list(new))] = list(new.values())
+    return EigenSequence(xmax=seq.xmax, index=seq.index, values=values,
+                         signs=certified_signs(values))
 
 
 def test_weighted_sum_x1():
@@ -97,7 +95,7 @@ def test_count_upto_matches_full_count(reg_seq):
         assert c == np.count_nonzero(reg_seq.index <= x)
         lx = math.log(x)
         full = reg_seq.index <= x
-        terms = reg_seq.values[reg_seq.index[full]] * (lx - reg_seq.log_index[full])
+        terms = reg_seq.values[full] * (lx - reg_seq.log_index[full])
         assert weighted_sum(reg_seq, x) == math.fsum(terms.tolist())
 
 
@@ -410,7 +408,7 @@ def _witness_loop(seq, spec, x):
             violated.append(p)
             continue
         lf, lg = abs(lam(spec.f, p)), abs(lam(spec.g, p))
-        lF = float(seq.values[p])
+        lF = seq_value(seq, p)
         if lg <= V1_GAMMA:
             counts["v1"] += 1
             v1_set.append(p)
@@ -432,7 +430,7 @@ def _witness_loop(seq, spec, x):
     cor = corollary_check(spec.g, y) if y >= 2 else None
     active, active_set = ("v1", v1_set) if cor is not None and cor.d1 >= 1 / 100 else ("v2", v2_set)
     m = len(active_set)
-    esum = math.fsum(seq.values[seq.index[seq.index <= x]].tolist())
+    esum = math.fsum(v for n, v in seq_items(seq) if n <= x)
     lx = math.log(x) if x > 1 else 1.0
     n0 = first_negative(seq)
     qg = float(spec.g.level)
@@ -489,15 +487,16 @@ def test_witness_matches_per_prime_loop_on_tampered_sequences():
         xmax = rng.randrange(3, 3000)
         spec = _normalized_pair(lambda p: rng.uniform(-2, 2), lambda p: rng.uniform(-2, 2), xmax)
         seq = lift_sequence(spec, xmax)
+        new = {}
         for p in seq.index[1:].tolist():
             if p * p > xmax:
                 break
             if rng.random() < 0.6:
-                seq.values[p] = rng.choice((0.0, 1e-12, -0.3, *[rng.uniform(0, 0.5)] * 3))
+                new[p] = rng.choice((0.0, 1e-12, -0.3, *[rng.uniform(0, 0.5)] * 3))
             if rng.random() < 0.7:
-                seq.values[p * p] = rng.choice((0.0, -1.0, 1e-12, 1.0, 1.0, 1.0))
+                new[p * p] = rng.choice((0.0, -1.0, 1e-12, 1.0, 1.0, 1.0))
         x = xmax if rng.random() < 0.75 else rng.randrange(1, xmax + 1)
-        rep = _assert_witness_matches_loop(_resigned(seq), spec, x)
+        rep = _assert_witness_matches_loop(_tampered(seq, new), spec, x)
         failing += bool(rep.bound_failures)
         seen.update(branch for _, branch, _ in rep.bound_failures)
     assert failing >= 10 and seen == {"v1", "case_i", "case_ii"}
@@ -509,9 +508,8 @@ def test_witness_lists_one_failure_per_branch():
     lam_f = {2: 1.5, 5: 1.5, 7: 1.0, 13: 1.0}
     lam_g = {2: 0.5, 5: 1.0, 7: 1.2, 13: 2.0}
     spec = _normalized_pair(lambda p: lam_f.get(p, 0.5), lambda p: lam_g.get(p, 0.5), 200)
-    seq = lift_sequence(spec, 200)
-    seq.values[[2, 5, 7]] = [0.3, 0.05, 0.4]
-    rep = _assert_witness_matches_loop(_resigned(seq), spec, 200)
+    seq = _tampered(lift_sequence(spec, 200), {2: 0.3, 5: 0.05, 7: 0.4})
+    rep = _assert_witness_matches_loop(seq, spec, 200)
     assert rep.counts == {"v1": 1, "case_i": 1, "case_ii": 1, "outside": 1,
                           "hypothesis_violated": 0}
     assert rep.bound_failures == [(2, "v1", 0.3), (5, "case_i", 0.05), (7, "case_ii", 0.4)]
