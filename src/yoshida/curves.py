@@ -3,24 +3,29 @@
 A long Weierstrass curve y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with
 integer coefficients yields a_p = p + 1 - #E(F_p) at good primes and
 a_p = p - #E_ns(F_p) in {+1, -1} at multiplicative primes (the nonsingular
-locus is a form of G_m there; a cusp gives #E_ns = p, i.e. a_p = 0, which is
-rejected as additive reduction).  The reduction is singular exactly when p
+locus is a form of G_m there).  The reduction is singular exactly when p
 divides the discriminant, and then it has exactly one singular point, which
-is F_p-rational and affine (Silverman, AEC, Prop. III.1.4); so #E_ns is the
-affine count plus the point at infinity less [p | disc], with no search.
+is F_p-rational and affine (Silverman, AEC, Prop. III.1.4).  So a_p is
+p - #affine points at every prime: at a good p the point at infinity adds one
+point, and at p | disc the singular point takes it away again.
 
 At good primes p > MESTRE_MIN_P, #E(F_p) is found by Mestre's baby-step
 giant-step method (yoshida.mestre), for all such primes of a table at once,
 one numpy lane per prime; mestre.orders returns the counts aligned with the
-primes, and a_p = p + 1 - #E(F_p) and the Hasse check are array operations
-over them.  Points of E and of its quadratic twist cut the Hasse interval
-down to the one possible #E(F_p), so the count is exact.  In one process
-(2-core machine, Python 3.11), a table of 11a takes about 0.06 s at
-pmax = 3e4, 0.18 s at 1e5 and 3 s at 1e6.
+primes, and a_p = p + 1 - #E(F_p) is one array operation over them.  Points
+of E and of its quadratic twist cut the Hasse interval down to the one
+possible #E(F_p), so the count is exact.  In one process (2-core machine,
+Python 3.11.7, numpy 2.4.6), a table of 11a takes about 0.07 s at
+pmax = 3e4, 0.2 s at 1e5 and 2 s at 1e6 (1.8-2.4 s over six runs).
 Smaller primes, primes dividing the discriminant, and the rare prime where no
 single N survives mestre.MAX_POINTS points are counted by a full enumeration
 over x with a squares table for the y-count, at every odd p (completing the
 square needs 2 invertible); p = 2 alone enumerates all (x, y) pairs.
+
+The counter only counts.  The table it fills is the one check of each count:
+NewformCoeffs refuses a_p^2 > 4p at a good prime and |a_p| != 1 at a prime of
+the level, here rad(disc), and ap_table reports that as a ComputationError
+naming the prime.
 
 The level is the conductor, computed from the model: at p | disc the
 reduction is multiplicative exactly when p does not divide c4 (Silverman,
@@ -117,9 +122,10 @@ def _count_affine_fast(curve: WeierstrassCurve, p: int) -> int:
 
 
 def _ap_values(curve: WeierstrassCurve, primes) -> np.ndarray:
-    """a_p at the given primes, as an int64 array aligned with them: from
-    Mestre's #E(F_p) at the good p > MESTRE_MIN_P, as array operations, and
-    from the full count at every other p and where Mestre gives up."""
+    """a_p at the given primes, as an int64 array aligned with them: p + 1 - N
+    from Mestre's N = #E(F_p) at the good p > MESTRE_MIN_P, and p - #affine
+    points at every other p and where Mestre gives up (N = 0).  Unchecked:
+    the table ap_table builds from them is their one check."""
     # imported here, so that a process which counts no points never compiles it
     from . import mestre
 
@@ -129,31 +135,9 @@ def _ap_values(curve: WeierstrassCurve, primes) -> np.ndarray:
     n = np.zeros_like(ps)
     n[lane] = mestre.orders(*curve.c_invariants(), ps[lane].tolist())
     a = ps + 1 - n
-    lane &= n != 0
-    hasse = np.flatnonzero(lane & (a * a > 4 * ps))
-    if hasse.size:
-        i = hasse[0]
-        raise ComputationError(f"Hasse bound violated at p={int(ps[i])}: a_p={int(a[i])}")
-    for i in np.flatnonzero(~lane).tolist():
-        a[i] = _ap_full_count(curve, int(ps[i]))
-    return a
-
-
-def _ap_full_count(curve: WeierstrassCurve, p: int) -> int:
-    """a_p from #E(F_p), or #E_ns(F_p) at p | disc, counted in full."""
-    good = curve.discriminant % p != 0
-    # nonsingular points: affine ones and O, less the one singular point if p | disc
-    n = (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p) + good
-    if good:
-        a = p + 1 - n
-        if a * a > 4 * p:
-            raise ComputationError(f"Hasse bound violated at p={p}: a_p={a}")
-        return a
-    a = p - n
-    if a == 0:
-        raise AdditiveReductionError(p)
-    if a not in (1, -1):
-        raise ComputationError(f"inconsistent singular count at p={p}: a={a}")
+    for i in np.flatnonzero(n == 0).tolist():
+        p = int(ps[i])
+        a[i] = p - (_count_affine_brute if p == 2 else _count_affine_fast)(curve, p)
     return a
 
 
@@ -182,7 +166,11 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
                               f"it must divide the discriminant {curve.discriminant} and share "
                               f"its prime factors; the conductor is {level}")
     ps = primes_up_to(pmax)
-    return NewformCoeffs(level, 2, ps, _ap_values(curve, ps))
+    a = _ap_values(curve, ps)
+    try:
+        return NewformCoeffs(level, 2, ps, a)
+    except ValidationError as exc:  # a count its own table refuses is a counter fault
+        raise ComputationError(f"point count refused by the table: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from yoshida import curves, mestre, primes
+from yoshida.cli import run
 from yoshida.curves import WeierstrassCurve, ap_table, conductor, load_coeffs, write_coeffs
-from yoshida.errors import AdditiveReductionError, ValidationError
+from yoshida.errors import AdditiveReductionError, ComputationError, ValidationError
 from yoshida.primes import primes_up_to
 from tests.conftest import CURVE_11A, CURVE_33A, count_ap, rows, table
 
@@ -95,14 +96,6 @@ def test_multiplicative_primes():
     assert count_ap(CURVE_11A, 11) == 1
     assert count_ap(CURVE_33A, 3) == -1
     assert count_ap(CURVE_33A, 11) == 1
-
-
-def test_additive_reduction_rejected():
-    # y^2 = x^3 - 5^2 x has additive reduction at 5 (cusp ... a cusp at p=5)
-    c = WeierstrassCurve(0, 0, 0, 5, 0)  # disc = -64*125, additive at 5
-    with pytest.raises(AdditiveReductionError) as exc:
-        count_ap(c, 5)
-    assert exc.value.p == 5
 
 
 def test_hasse_bound_up_to_1e4(table_11a):
@@ -326,6 +319,43 @@ def test_ap_table_propagates_additive_error():
     c = WeierstrassCurve(0, 0, 0, 5, 0, declared_level=10)
     with pytest.raises(AdditiveReductionError):
         ap_table(c, 10)
+
+
+def _plant(monkeypatch, counter, p, a):
+    """Make one counter report a_p = a at the prime p: mestre.orders through
+    its lane's #E(F_p) = p + 1 - a, _count_affine_fast through p - a affine
+    points."""
+    if counter == "mestre":
+        real = mestre.orders
+
+        def orders(c4, c6, ps):
+            n = real(c4, c6, ps)
+            n[ps.index(p)] = p + 1 - a
+            return n
+        monkeypatch.setattr(mestre, "orders", orders)
+    else:
+        real = curves._count_affine_fast
+        monkeypatch.setattr(curves, "_count_affine_fast",
+                            lambda c, q: p - a if q == p else real(c, q))
+
+
+@pytest.mark.parametrize("counter,p,a", [
+    ("mestre", 997, -64),  # a Mestre lane outside the Hasse interval: 64^2 > 4 997
+    ("affine", 97, 97),  # a fully counted good prime past Hasse
+    ("affine", 11, 0),  # the level prime of 11a counted as a cusp
+    ("affine", 11, 2),  # ... and with a count no reduction type gives
+], ids=["mestre-good", "full-good", "level-0", "level-2"])
+def test_counter_fault_is_refused_by_the_table(counter, p, a, monkeypatch, tmp_path, capsys):
+    # the table is the one check of each count: a planted fault names its
+    # prime, and `yoshida ap` exits 2 and writes no file
+    _plant(monkeypatch, counter, p, a)
+    with pytest.raises(ComputationError, match=rf"\bp={p}\b"):
+        ap_table(CURVE_11A, 1000)
+    out = tmp_path / "t.txt"
+    assert run(["ap", "--curve", "0,-1,1,0,0", "--pmax", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation error:") and f"p={p}" in err, err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
