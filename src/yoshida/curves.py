@@ -165,10 +165,9 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
         raise ValidationError(f"declared level {curve.declared_level} contradicts the model: "
                               f"it must divide the discriminant {curve.discriminant} and share "
                               f"its prime factors; the conductor is {level}")
-    ps = primes_up_to(pmax)
-    a = _ap_values(curve, ps)
+    a = _ap_values(curve, primes_up_to(pmax))
     try:
-        return NewformCoeffs(level, 2, ps, a)
+        return NewformCoeffs(level, 2, a)
     except ValidationError as exc:  # a count its own table refuses is a counter fault
         raise ComputationError(f"point count refused by the table: {exc}") from None
 
@@ -181,13 +180,14 @@ def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
 def load_coeffs(path) -> NewformCoeffs:
     """Read a coefficient file.
 
-    numpy's text reader parses every row in one call, and the table is built
-    from its arrays when it takes every row and the table accepts them.  Any
-    other file is read again by _rows_by_line, the row-at-a-time reader that
-    names the first bad line, so a refusal carries the same message, with its
-    1-based line number, whichever reader ran first.  All table invariants
-    (squarefree level, Deligne bound, gap-free primes) are re-validated on
-    load.
+    numpy's text reader parses every row in one call, and the table built
+    from its value column is returned when it accepts the values and the
+    file's prime column is its own, the first n primes.  Any other file is
+    read again by _rows_by_line, the row-at-a-time reader that names the
+    first bad line (a gap by the row that skips a prime), so a refusal
+    carries the same message, with its 1-based line number, whichever reader
+    ran first.  All table invariants (squarefree level, Deligne bound,
+    gap-free primes) are re-validated on load.
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_lines = _line_count(path, fh)
@@ -196,13 +196,15 @@ def load_coeffs(path) -> NewformCoeffs:
         columns = _rows_by_numpy(fh, normalized)
         if columns is not None:
             try:
-                return NewformCoeffs(level, weight, *columns, normalized=normalized)
+                nf = NewformCoeffs(level, weight, columns[1], normalized=normalized)
+                if np.array_equal(columns[0], nf.prime_array):
+                    return nf
             except ValidationError:
                 pass  # the row loop names the first bad line, or the table refuses again below
         fh.seek(0)
         fh.readline()
-        columns = _rows_by_line(path, fh, normalized, n_lines)
-    return NewformCoeffs(level, weight, *columns, normalized=normalized)
+        values = _rows_by_line(path, fh, normalized, n_lines)
+    return NewformCoeffs(level, weight, values, normalized=normalized)
 
 
 def _line_count(path, fh) -> int:
@@ -256,16 +258,18 @@ def _rows_by_numpy(fh, normalized: bool) -> tuple[np.ndarray, np.ndarray] | None
     return rows["p"].copy(), rows["v"].copy()
 
 
-def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> tuple[list, list]:
-    """(ps, values) read a row at a time from line 2 on, naming the first bad
+def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> list:
+    """The values read a row at a time from line 2 on, naming the first bad
     line: a row that is not two fields, a prime int() cannot read or that is
     not prime or not above the one before, or a value int() (float() in a
-    normalized table) cannot read.  Reads integers of any size, as lists."""
-    ps, values = [], []
-    last_p = 0
+    normalized table) cannot read; then the first row that skips a prime.
+    Reads integers of any size, as a list."""
+    values = []
+    last_p, gap = 0, None
     # one sieve to the largest prime a gap-free table of this many rows can
-    # hold; a larger p (which NewformCoeffs rejects) is tested by is_prime
+    # hold; a larger p (which leaves a gap) is tested by is_prime
     sieve = prime_sieve(nth_prime_bound(n_lines))
+    expected = np.flatnonzero(sieve).tolist()
     for i, line in enumerate(fh, start=2):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -281,14 +285,17 @@ def _rows_by_line(path, fh, normalized: bool, n_lines: int) -> tuple[list, list]
             raise ValidationError(f"{path}: {p} is not prime (line {i})")
         if p <= last_p:
             raise ValidationError(f"{path}: primes not strictly ascending at p={p} (line {i})")
+        if gap is None and p != expected[len(values)]:
+            gap = f"{path}: prime table has a gap: missing p={expected[len(values)]} (line {i})"
         last_p = p
         try:
             value = float(parts[1]) if normalized else int(parts[1])
         except ValueError:
             raise ValidationError(f"{path}: bad coefficient {parts[1]!r} (line {i})") from None
-        ps.append(p)
         values.append(value)
-    return ps, values
+    if gap is not None:
+        raise ValidationError(gap)
+    return values
 
 
 def write_coeffs(nf: NewformCoeffs, path) -> None:

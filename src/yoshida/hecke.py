@@ -28,7 +28,7 @@ Atkin-Lehner sign at p is w_p = -a_p / p^((k-2)/2) (NewformCoeffs.atkin_lehner).
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,13 +75,13 @@ def hecke_power_seq(lam_p, rmax: int, step: int = 1) -> list:
 
 @dataclass(frozen=True, eq=False)
 class NewformCoeffs:
-    """Prime-indexed coefficient table of a newform of squarefree level: two
-    aligned columns, prime_array and values.  values holds a_p (exact
-    integers), or lambda(p) (finite binary64) when normalized, at the given
-    primes, which must be exactly the primes up to pmax, ascending;
-    prime_array holds them as the int64 sieve that validated them.  A layer
-    that needs the primes up to y slices the first require_cover(y) entries
-    of prime_array, good, values, lam_array and a_array, and sieves nothing.
+    """Prime-indexed coefficient table of a newform of squarefree level:
+    values[i] is a_p (an exact integer), or lambda(p) (finite binary64) when
+    normalized, at p the i-th prime.  A table of n values holds the first n
+    primes by construction: prime_array is that int64 column, from one sieve
+    to nth_prime_bound(n), and pmax is its last entry.  A layer that needs
+    the primes up to y slices the first require_cover(y) entries of
+    prime_array, good, values, lam_array and a_array, and sieves nothing.
     values is typed once, after the bound check: float64 when normalized,
     else int64 while 16 pmax^(k-1) < 2^126 (so that p^((k-2)/2) and, for the
     f of a lift, |a_f(p)| + |a_g(p)| p^((k-2)/2) <= 4 p^((k-1)/2) fit too)
@@ -100,44 +100,23 @@ class NewformCoeffs:
 
     level: int
     weight: int
-    primes: InitVar[object]
     values: np.ndarray = field(repr=False)
-    normalized: bool = False
+    normalized: bool = field(default=False, kw_only=True)
     pmax: int = field(init=False, default=0)
     level_primes: tuple = field(init=False, default=())
     prime_array: np.ndarray = field(init=False, default=None, repr=False)
     good: np.ndarray = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, primes):
+    def __post_init__(self):
         factors = factorize(self.level) if self.level >= 1 else None
         if factors is None or any(e > 1 for _, e in factors):
             raise ValidationError(f"level {self.level} is not squarefree")
         object.__setattr__(self, "level_primes", tuple(p for p, _ in factors))
         if self.weight < 2 or self.weight % 2 != 0:
             raise ValidationError(f"weight must be an even integer >= 2, got {self.weight}")
-        n = len(primes)
-        if len(self.values) != n:
-            raise ValidationError(f"table has {n} primes but {len(self.values)} values")
-        pmax = int(primes[-1]) if n else 0
-        # a gap-free table of n primes ends at p_n <= limit: sieve no further
-        limit = nth_prime_bound(n)
-        prime_array = primes_up_to(min(pmax, limit))
-        try:
-            same = np.array_equal(np.asarray(primes, dtype=np.int64), prime_array)
-        except OverflowError:  # a prime past int64, which no gap-free table of n holds
-            same = False
-        if not same:
-            keys = [int(p) for p in primes]
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                raise ValidationError("table primes are not strictly ascending")
-            expected = prime_array.tolist()
-            expected_set = set(expected)
-            bad = next((p for p in keys
-                        if not (p in expected_set if p <= limit else is_prime(p))), None)
-            if bad is not None:
-                raise ValidationError(f"{bad} is not prime")
-            missing = min(expected_set.difference(keys))
-            raise ValidationError(f"prime table has a gap: missing p={missing}")
+        n = len(self.values)
+        prime_array = primes_up_to(nth_prime_bound(n))[:n]
+        pmax = int(prime_array[-1]) if n else 0
         object.__setattr__(self, "pmax", pmax)
         object.__setattr__(self, "prime_array", prime_array)
         k = self.weight
@@ -243,8 +222,8 @@ class NewformCoeffs:
         """The number of table primes <= y, so that prime_array[:c] (and the
         same prefix of good, lam_array and a_array) are the primes <= y.
 
-        Refuses a table that lacks a prime <= y: a gap-free table holds every
-        prime up to pmax, so the first missing one is the first prime above
+        Refuses a table that lacks a prime <= y: a table holds every prime
+        up to pmax, so the first missing one is the first prime above
         pmax, found by stepping up from pmax + 1 with no sieve up to y."""
         q = self.pmax + 1
         while q <= y:

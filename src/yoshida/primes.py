@@ -26,8 +26,8 @@ def primes_up_to(n: int) -> np.ndarray:
 
 def nth_prime_bound(n: int) -> int:
     """An integer >= the n-th prime: n (ln n + ln ln n) for n >= 6 (Rosser's
-    theorem, strict there), else p_5 = 11.  A gap-free table of n primes ends
-    at or below it, so no sieve for such a table needs to reach further."""
+    theorem, strict there), else p_5 = 11.  The first n primes end at or
+    below it, so the sieve of a table of n values reaches no further."""
     if n < 6:
         return 11
     return math.ceil(n * (math.log(n) + math.log(math.log(n))))

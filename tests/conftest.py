@@ -7,6 +7,7 @@ from yoshida import curves
 from yoshida.curves import WeierstrassCurve, ap_table
 from yoshida.hecke import NewformCoeffs
 from yoshida.lift import lift_sequence, validate_pair
+from yoshida.primes import primes_up_to
 
 # Regression pair: the discriminant -11 curve (level 11) and a conductor-33
 # curve (disc 3^6 11^2, multiplicative at 3 and 11).  Their Atkin-Lehner
@@ -56,8 +57,11 @@ def seq_signs(seq):
 
 
 def table(level, weight, rows, normalized=False):
-    """A NewformCoeffs from a {p: value} dict, in its order."""
-    return NewformCoeffs(level, weight, list(rows), list(rows.values()), normalized=normalized)
+    """A NewformCoeffs from a {p: value} dict, whose keys must be the first
+    primes, in order: the table is built from the values alone."""
+    assert list(rows) == primes_up_to(max(rows, default=0)).tolist(), \
+        "table rows must be keyed by the first primes"
+    return NewformCoeffs(level, weight, list(rows.values()), normalized=normalized)
 
 
 def rows(h):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from yoshida import curves, mestre, primes
 from yoshida.cli import run
 from yoshida.curves import WeierstrassCurve, ap_table, conductor, load_coeffs, write_coeffs
 from yoshida.errors import AdditiveReductionError, ComputationError, ValidationError
-from yoshida.primes import primes_up_to
+from yoshida.hecke import NewformCoeffs
+from yoshida.primes import nth_prime_bound, primes_up_to
 from tests.conftest import CURVE_11A, CURVE_33A, count_ap, rows, table
 
 
@@ -478,6 +480,74 @@ def test_load_coeffs_descending_rejected(tmp_path):
         load_coeffs(path)
 
 
+def _refusal_text(path):
+    with pytest.raises(ValidationError) as exc:
+        load_coeffs(path)
+    return str(exc.value)
+
+
+def test_load_coeffs_repeated_prime_names_its_line(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# level=11 weight=2\n2 -2\n3 -1\n3 -1\n5 1\n")
+    assert _refusal_text(path) == f"{path}: primes not strictly ascending at p=3 (line 4)"
+
+
+def test_load_coeffs_gap_before_prime_past_int64(tmp_path):
+    # numpy's reader refuses the last row, so the row loop reads every row
+    path = tmp_path / "t.txt"
+    path.write_text(_EXACT + _body(_ROWS_11A) + f"{2**64 + 13} 0\n")
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        assert curves._rows_by_numpy(fh, False) is None
+    assert _refusal_text(path) == f"{path}: prime table has a gap: missing p=17 (line 8)"
+
+
+def test_load_coeffs_gap_refused_after_every_row(tmp_path):
+    # a later bad row outranks an earlier gap, as a later bad value does
+    path = tmp_path / "t.txt"
+    path.write_text("# level=11 weight=2\n2 -2\n5 1\n7 -2\n9 0\n")
+    assert _refusal_text(path) == f"{path}: 9 is not prime (line 5)"
+    path.write_text("# level=11 weight=2\n2 -2\n5 1\n7 x\n")
+    assert _refusal_text(path) == f"{path}: bad coefficient 'x' (line 4)"
+
+
+def test_load_coeffs_gap_in_large_table(tmp_path):
+    ps = [p for p in primes_up_to(10**5).tolist() if p != 99989]
+    path = tmp_path / "t.txt"
+    path.write_text("# level=7 weight=2\n" + "".join(f"{p} 0\n" for p in ps))
+    line = ps.index(99991) + 2
+    t0 = time.perf_counter()
+    msg = _refusal_text(path)
+    assert time.perf_counter() - t0 < 1.0
+    assert msg == f"{path}: prime table has a gap: missing p=99989 (line {line})"
+
+
+def test_load_coeffs_gap_named_before_shifted_values(tmp_path):
+    """Read as values alone, a file that skips 3 puts a_5 = 4 at p = 3,
+    where it breaks the Deligne bound; the loader names the gap instead."""
+    with pytest.raises(ValidationError, match=r"^Deligne bound violated at p=3: a_p=4$"):
+        NewformCoeffs(11, 2, [-2, 4])
+    path = tmp_path / "t.txt"
+    path.write_text("# level=11 weight=2\n2 -2\n5 4\n")
+    assert _refusal_text(path) == f"{path}: prime table has a gap: missing p=3 (line 3)"
+
+
+def test_loaded_primes_are_the_sieved_primes(tmp_path):
+    """The table's own primes equal the primes up to pmax, for an 11a table
+    to 3e4 and the seed-37 synthetic 3e5 table of the benchmark."""
+    from perfbench import synth
+
+    nf = ap_table(CURVE_11A, 3 * 10**4)
+    assert nf.prime_array.size == 3245
+    assert np.array_equal(nf.prime_array, primes_up_to(3 * 10**4))
+    path = tmp_path / "f11.txt"
+    synth.write_table(path, 11, synth.generate(37, 3 * 10**5)[11])
+    nf = load_coeffs(path)
+    assert nf.prime_array.size == 25997
+    assert np.array_equal(nf.prime_array, primes_up_to(nf.pmax))
+    assert nf.prime_array.tolist() == synth.primes_up_to(3 * 10**5)
+
+
 # Differential corpus for the two row readers: numpy's text reader (the fast
 # path) and the row loop (the oracle, which names the first bad line).
 _EXACT = "# level=11 weight=2\n"
@@ -617,8 +687,9 @@ def test_load_coeffs_plain_tables_skip_row_loop(tmp_path, monkeypatch, name):
 
 
 def test_load_coeffs_3e5_table_one_sieve(tmp_path, monkeypatch):
-    """A gap-free 3e5 table read by numpy sieves once, in NewformCoeffs, and
-    its prime_array is that sieve."""
+    """A gap-free 3e5 table read by numpy sieves once, in NewformCoeffs, to
+    the bound on its 25997th prime, and its prime_array is that sieve's first
+    25997 primes."""
     ps = primes_up_to(3 * 10**5)
     cap = np.array([math.isqrt(4 * p) for p in ps.tolist()])
     a = np.clip(np.rint(np.sqrt(ps) * np.random.default_rng(18).uniform(-2, 2, ps.size)),
@@ -636,5 +707,6 @@ def test_load_coeffs_3e5_table_one_sieve(tmp_path, monkeypatch):
     monkeypatch.setattr(primes, "prime_sieve", counted)
     monkeypatch.setattr(curves, "prime_sieve", counted)
     nf = load_coeffs(path)
-    assert sieved == [int(ps[-1])]
+    assert ps.size == 25997 and nth_prime_bound(ps.size) == 324567
+    assert sieved == [324567]
     assert np.array_equal(nf.prime_array, ps) and nf.a_array.tolist() == a.tolist()

@@ -135,24 +135,32 @@ def test_values_typed_once_by_the_integer_width_rule():
     assert nf.values.dtype == np.float64 and nf.values.tolist()[:3] == [-1.0, 0.0, 1.0]
     # an int64 column is kept as it was given, and a_array is that column
     col = np.array([-2, -1, 1, -2, 1], dtype=np.int64)
-    t = NewformCoeffs(11, 2, primes_up_to(11), col)
+    t = NewformCoeffs(11, 2, col)
     assert t.a_array is t.values and np.shares_memory(t.a_array, col)
     assert nf.lam_array is nf.values
     with pytest.raises(ValidationError, match="exact a_p unavailable"):
         nf.a_array
 
 
-def test_column_refusals():
-    with pytest.raises(ValidationError, match="^table has 2 primes but 1 values$"):
-        NewformCoeffs(11, 2, [2, 3], [0])
-    # a dict cannot repeat a prime, but two columns can
-    with pytest.raises(ValidationError, match="^table primes are not strictly ascending$"):
-        NewformCoeffs(11, 2, [2, 3, 3, 5], [0, 0, 0, 0])
-    with pytest.raises(ValidationError, match="^table primes are not strictly ascending$"):
-        NewformCoeffs(11, 2, np.array([2, 5, 3]), np.zeros(3, dtype=np.int64))
-    # a prime past int64 holds no place in a gap-free table of seven rows
-    with pytest.raises(ValidationError, match="^prime table has a gap: missing p=17$"):
-        NewformCoeffs(11, 2, [2, 3, 5, 7, 11, 13, 2**64 + 13], [0, 0, 0, 0, 1, 0, 0])
+def test_prime_array_is_the_first_n_primes():
+    # trial division, independent of the sieve; n < 6 and n >= 6 take the
+    # two branches of nth_prime_bound
+    first = [q for q in range(2, 40) if all(q % d for d in range(2, q))][:12]
+    for n in range(13):
+        nf = NewformCoeffs(1, 2, [0] * n)
+        assert nf.prime_array.dtype == np.int64
+        assert nf.prime_array.tolist() == first[:n], n
+        assert nf.pmax == (first[n - 1] if n else 0)
+
+
+def test_primes_are_not_a_parameter():
+    # the old (level, weight, primes, values) call is refused, not read as
+    # values with the primes' column taken for normalized
+    with pytest.raises(TypeError):
+        NewformCoeffs(11, 2, [2, 3, 5], [0, 0, 0])
+    with pytest.raises(TypeError):
+        NewformCoeffs(11, 2, [0.0, 0.0], True)
+    assert NewformCoeffs(11, 2, [0.0, 0.0], normalized=True).normalized
 
 
 def test_good_primes_read_from_the_factorized_level():
@@ -187,25 +195,6 @@ def test_integer_table_weight_bound_is_exact():
 def test_table_rejects_odd_weight():
     with pytest.raises(ValidationError):
         table(11, 3, {2: 0})
-
-
-def test_table_rejects_gap():
-    with pytest.raises(ValidationError, match="missing p=3"):
-        table(7, 2, {2: 1, 5: 1})
-
-
-def test_table_rejects_gap_in_large_table():
-    # the gap search builds each set once, so a 1e5 table is rejected quickly
-    coeffs = {p: 0 for p in primes_up_to(10**5).tolist() if p != 99989}
-    t0 = time.perf_counter()
-    with pytest.raises(ValidationError, match="missing p=99989"):
-        table(7, 2, coeffs)
-    assert time.perf_counter() - t0 < 1.0
-
-
-def test_table_rejects_nonprime_key():
-    with pytest.raises(ValidationError, match="not prime"):
-        table(7, 2, {2: 1, 3: 1, 4: 1, 5: 1})
 
 
 def test_table_rejects_deligne_violation():
