@@ -154,8 +154,8 @@ def test_prime_array_is_the_first_n_primes():
 
 
 def test_primes_are_not_a_parameter():
-    # the old (level, weight, primes, values) call is refused, not read as
-    # values with the primes' column taken for normalized
+    # a prime column before the values is refused, not read as the values
+    # with the value column taken for the normalized flag
     with pytest.raises(TypeError):
         NewformCoeffs(11, 2, [2, 3, 5], [0, 0, 0])
     with pytest.raises(TypeError):
