@@ -81,8 +81,8 @@ class NewformCoeffs:
     primes by construction: prime_array is that int64 column, from one sieve
     to nth_prime_bound(n), and pmax is its last entry.  A layer that needs
     the primes up to y slices the first require_cover(y) entries of
-    prime_array, good, values, lam_array and a_array, and sieves nothing.
-    values is typed once, after the bound check: float64 when normalized,
+    prime_array, good, values and lam_array, and sieves nothing.  values is
+    typed once, before the bound check reads it: float64 when normalized,
     else int64 while 16 pmax^(k-1) < 2^126 (so that p^((k-2)/2) and, for the
     f of a lift, |a_f(p)| + |a_g(p)| p^((k-2)/2) <= 4 p^((k-1)/2) fit too)
     and Python ints beyond, the one integer-width decision of the program.
@@ -128,9 +128,13 @@ class NewformCoeffs:
                                   f"p={pmax}: p^(k-1) must stay below 2^2046")
         good = np.isin(prime_array, self.level_primes, invert=True)
         object.__setattr__(self, "good", good)
+        if self.normalized:
+            dtype = np.float64
+        else:
+            dtype = np.int64 if 16 * pmax ** (k - 1) < 2**126 else object
         try:
-            values = np.asarray(self.values, dtype=np.float64 if self.normalized else np.int64)
-        except OverflowError:  # Python ints past int64, which the bound check decides
+            values = np.asarray(self.values, dtype=dtype)
+        except OverflowError:  # an integer past that width, which breaks the bound
             values = np.array(self.values, dtype=object)
         object.__setattr__(self, "values", values)
         # one binary64 pass clears the good primes within the Deligne bound;
@@ -151,9 +155,6 @@ class NewformCoeffs:
         at = np.flatnonzero(~(good & cleared))
         for p, v, is_good in zip(prime_array[at].tolist(), values[at].tolist(), good[at].tolist()):
             self._check_bound(p, v, is_good)
-        if not self.normalized:
-            dtype = np.int64 if 16 * pmax ** (k - 1) < 2**126 else object
-            object.__setattr__(self, "values", values.astype(dtype, copy=False))
 
     def _check_bound(self, p: int, v, good: bool) -> None:
         """The scalar rule at one prime: refuse v, the value at p, unless a
@@ -166,6 +167,7 @@ class NewformCoeffs:
                 raise ValidationError(f"bad-prime bound violated at p={p}: "
                                       f"need |a_p| = p^((k-2)/2), got {v!r}")
         elif self.normalized:
+            # repeats the screen's test: this rule is the oracle the screen is tested against
             if not abs(v) <= 2.0 + _FLOAT_BOUND_SLACK:
                 raise ValidationError(f"Deligne bound violated at p={p}: "
                                       f"need |lambda| <= 2, got {v!r}")
@@ -197,30 +199,22 @@ class NewformCoeffs:
             out[p] = -self.integer_ap(p) // p ** ((self.weight - 2) // 2)
         return out
 
-    @property
-    def a_array(self) -> np.ndarray:
-        """The exact a_p of every table prime, in table order: values itself,
-        int64 or Python ints by the rule above; refuses normalized tables."""
-        if self.normalized:
-            raise ValidationError("table holds normalised floats, exact a_p unavailable")
-        return self.values
-
     @cached_property
     def lam_array(self) -> np.ndarray:
         """lambda(p) of every table prime, in table order: a normalized table's
-        values, or a_p / (p^((k-2)/2) sqrt(p)) over a_array, in its dtype, with
+        values, or a_p / (p^((k-2)/2) sqrt(p)) over values, in its dtype, with
         the roundings of the scalar a / (p**((k-2)//2) * math.sqrt(p)): int to
         binary64 (correctly rounded for int64 and Python ints alike), the
         correctly rounded sqrt, one multiply, one divide."""
         if self.normalized:
             return self.values
-        a, ps = self.a_array, self.prime_array
+        a, ps = self.values, self.prime_array
         scale = ps.astype(a.dtype) ** ((self.weight - 2) // 2)
         return a.astype(np.float64) / (scale.astype(np.float64) * np.sqrt(ps.astype(np.float64)))
 
     def require_cover(self, y: int) -> int:
         """The number of table primes <= y, so that prime_array[:c] (and the
-        same prefix of good, lam_array and a_array) are the primes <= y.
+        same prefix of good, values and lam_array) are the primes <= y.
 
         Refuses a table that lacks a prime <= y: a table holds every prime
         up to pmax, so the first missing one is the first prime above

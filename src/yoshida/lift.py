@@ -21,7 +21,7 @@ No Siegel modular forms are constructed; whether a genuine lift exists for a
 given pair is not decided here, the eigenvalue system is computed
 unconditionally.
 
-When both tables hold integer a_p (neither is `normalized`) the lift
+When both tables' values are integer a_p (neither is `normalized`) the lift
 also carries an exact channel: with A_i = a_f(p^i) and B_j = a_g(p^j) the
 unnormalised Hecke sequences,
 
@@ -78,10 +78,6 @@ class LiftSpec:
 
     f: NewformCoeffs
     g: NewformCoeffs
-
-    @property
-    def weight(self) -> int:
-        return self.f.weight
 
 
 def validate_pair(f: NewformCoeffs, g: NewformCoeffs) -> LiftSpec:
@@ -199,7 +195,7 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     on the assembly.  A good prime p > sqrt(xmax) occurs only as n = p, where
     lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 = a_f(p) +
     a_g(p) p^((k-2)/2) are array operations, the latter in the dtype of f's
-    a_array.  The good primes p <= sqrt(xmax) follow from the largest down:
+    values.  The good primes p <= sqrt(xmax) follow from the largest down:
     done marks the n built so far, all of whose primes exceed p, read once
     per p, and each power q of p multiplies c(q) from lift_euler_coeffs into
     every such m <= xmax / q at once.  Multiples of the primes dividing N are
@@ -214,7 +210,7 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     c = spec.f.require_cover(xmax)
     spec.g.require_cover(xmax)
     exact = not (spec.f.normalized or spec.g.normalized)
-    k = spec.weight
+    k = spec.f.weight
 
     ps = spec.f.prime_array[:c]
     root = math.isqrt(xmax)
@@ -231,15 +227,15 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     lam[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
     sign = None
     if exact:
-        # sign of I_1 = lambda_F(p) p^((k-1)/2); a_array's dtype holds I_1
-        a_f, a_g = spec.f.a_array[:c][big], spec.g.a_array[:c][big]
+        # sign of I_1 = lambda_F(p) p^((k-1)/2); the dtype of f's values holds I_1
+        a_f, a_g = spec.f.values[:c][big], spec.g.values[:c][big]
         sign = np.zeros(xmax + 1, dtype=np.int8)
         sign[1] = 1
         sign[big_ps] = np.sign(a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2))
 
     small = np.flatnonzero(good & (ps <= root))[::-1]
     cols = [ps, spec.f.lam_array, spec.g.lam_array]
-    cols += [spec.f.a_array, spec.g.a_array] if exact else []
+    cols += [spec.f.values, spec.g.values] if exact else []
     for p, lam_f, lam_g, *ap in zip(*(col[small].tolist() for col in cols)):
         qs = [p]
         while qs[-1] * p <= xmax:

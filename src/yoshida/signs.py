@@ -92,8 +92,9 @@ def first_negative(seq: EigenSequence) -> int | None:
 
 
 def conductor_proxy(spec: LiftSpec, cfg: BoundConfig) -> float:
-    """Conductor proxy Q^_F = conductor_constant * k^2 N1 N2."""
-    return cfg.conductor_constant * spec.weight**2 * spec.f.level * spec.g.level
+    """Conductor proxy Q^_F = conductor_constant * k^2 N1 N2, with k the
+    weight of f."""
+    return cfg.conductor_constant * spec.f.weight**2 * spec.f.level * spec.g.level
 
 
 def bound_report(seq: EigenSequence, spec: LiftSpec, cfg: BoundConfig) -> SignReport:

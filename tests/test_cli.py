@@ -334,6 +334,62 @@ def test_missing_file_exits_1(tmp_path, capsys):
                 "--xmax", "10"]) == 3
 
 
+_F11 = "# level=11 weight=2\n2 -2\n3 -1\n5 1\n7 -2\n11 1\n"
+_G33 = "# level=33 weight=2\n2 1\n3 -1\n5 -2\n7 0\n11 {a11}\n"
+_STATS = ["stats", "--form", "{form}", "--y", "10"]
+_LIFT = ["lift", "--f", "{f}", "--g", "{g}", "--xmax", "10"]
+
+
+@pytest.mark.parametrize("argv,files,err", [
+    (["ap", "--curve", "0,-1,x,0,0", "--pmax", "10"], {},
+     "bad curve coefficients '0,-1,x,0,0': expected a1,a2,a3,a4,a6"),
+    (["ap", "--curve", "0,-1,1,0", "--pmax", "10"], {},
+     "expected 5 coefficients a1,a2,a3,a4,a6, got 4"),
+    (["ap", "--curve", "0,0,0,0,0", "--pmax", "10"], {}, "curve is singular (discriminant 0)"),
+    (["ap", "--curve", "0,-1,1,0,0", "--pmax", "0"], {}, "pmax must be >= 1, got 0"),
+    (["stats", "--form", "{form}", "--y", "abc"], {"form": _F11},
+     "argument --y: expected an integer >= 2, got 'abc'"),
+    (_STATS, {"form": "# level=abc weight=2\n2 1\n"}, "{form}: malformed header field (line 1)"),
+    (_STATS, {"form": "# level=11\n2 1\n"}, "{form}: missing header field 'weight' (line 1)"),
+    (_STATS, {"form": "2 1\n"},
+     "{form}: missing header line '# level=<int> weight=<int> [normalized]'"),
+    (_STATS, {"form": "# level=4 weight=2\n2 0\n"}, "level 4 is not squarefree"),
+    (_STATS, {"form": "# level=11 weight=3\n2 1\n"}, "weight must be an even integer >= 2, got 3"),
+    (_STATS, {"form": "# level=3 weight=2 normalized\n2 2.5\n"},
+     "Deligne bound violated at p=2: need |lambda| <= 2, got 2.5"),
+    (_LIFT, {"f": _F11, "g": "# level=11 weight=4\n2 0\n3 0\n5 0\n7 0\n11 -11\n"},
+     "g must have weight 2, got 4"),
+    (_LIFT, {"f": _F11, "g": "# level=7 weight=2\n2 0\n3 0\n5 0\n7 1\n"},
+     "levels coprime: gcd(11, 7) = 1"),
+    (_LIFT, {"f": _F11, "g": _G33.format(a11=-1)}, "Atkin-Lehner mismatch at p=11: -1 vs 1"),
+    (["search", "--f", "{f}", "--g", "{g}", "--xmax", "10", "--theta", "0.3"],
+     {"f": _F11, "g": _G33.format(a11=1)}, "theta must lie in [0, 1/4), got 0.3"),
+], ids=["ap_bad_coefficient", "ap_four_coefficients", "ap_singular", "ap_pmax_0", "stats_y_abc",
+        "header_malformed", "header_missing_weight", "header_missing", "level_not_squarefree",
+        "odd_weight", "normalized_deligne", "g_weight_4", "levels_coprime",
+        "atkin_lehner_mismatch", "search_theta"])
+def test_refusal_exits_1_with_its_message(argv, files, err, tmp_path, capsys):
+    # each table file is named by its placeholder, which argv and err name too
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + err.format(**paths)
+    assert not out.exists()
+
+
+def test_stats_without_a_good_prime_up_to_y(tmp_path):
+    # the only prime <= 2 divides the level: pi(y; L) = 0 and the ratios read 0
+    form, out = tmp_path / "form.txt", tmp_path / "stats.csv"
+    form.write_text("# level=2 weight=2\n2 1\n")
+    assert run(["stats", "--form", str(form), "--y", "2", "--format", "csv",
+                "--out", str(out)]) == 0
+    rows = set(out.read_text().splitlines())
+    assert {"abs_sum.pi_yL,0", "corollary.holds,False", "bad_factor.lhs,1.5",
+            "bad_factor.rhs,1.7071067811865475"} <= rows
+
+
 def test_far_prime_in_short_table_rejected_fast(tmp_path, capsys):
     # two rows cannot reach 1000000007 without a gap; no sieve that far is made
     form = tmp_path / "far.txt"

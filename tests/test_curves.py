@@ -709,4 +709,4 @@ def test_load_coeffs_3e5_table_one_sieve(tmp_path, monkeypatch):
     nf = load_coeffs(path)
     assert ps.size == 25997 and nth_prime_bound(ps.size) == 324567
     assert sieved == [324567]
-    assert np.array_equal(nf.prime_array, ps) and nf.a_array.tolist() == a.tolist()
+    assert np.array_equal(nf.prime_array, ps) and nf.values.tolist() == a.tolist()

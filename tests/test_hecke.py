@@ -133,13 +133,28 @@ def test_values_typed_once_by_the_integer_width_rule():
     assert table(11, 2, {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}).values.dtype == np.int64
     nf = table(11, 2, {2: -1, 3: 0, 5: 1, 7: 0, 11: 11**-0.5}, normalized=True)
     assert nf.values.dtype == np.float64 and nf.values.tolist()[:3] == [-1.0, 0.0, 1.0]
-    # an int64 column is kept as it was given, and a_array is that column
+    # an int64 column is kept as it was given
     col = np.array([-2, -1, 1, -2, 1], dtype=np.int64)
     t = NewformCoeffs(11, 2, col)
-    assert t.a_array is t.values and np.shares_memory(t.a_array, col)
+    assert np.shares_memory(t.values, col)
     assert nf.lam_array is nf.values
-    with pytest.raises(ValidationError, match="exact a_p unavailable"):
-        nf.a_array
+
+
+def test_bound_checks_read_the_column_the_table_keeps(monkeypatch):
+    # the scalar rule at the level prime 11 sees values already typed by the
+    # width rule, on both sides of its weight-12 edge
+    seen = []
+    check = NewformCoeffs._check_bound
+
+    def spy(self, p, v, good):
+        if p == 11:
+            seen.append(self.values.dtype)
+        check(self, p, v, good)
+
+    monkeypatch.setattr(NewformCoeffs, "_check_bound", spy)
+    below, above = _weight12(2179), _weight12(2203)
+    assert seen == [np.int64, object]
+    assert [below.values.dtype, above.values.dtype] == seen
 
 
 def test_prime_array_is_the_first_n_primes():
@@ -254,7 +269,7 @@ def test_array_bound_check_matches_scalar_rule(k, pmax, dtype):
     base = {p: 0 for p in ps}
     base[11] = -(11 ** ((k - 2) // 2))
     ref = table(11, k, base)
-    assert ref.a_array.dtype == dtype
+    assert ref.values.dtype == dtype
     p, q = ps[-3], ps[-1]
     edge = math.isqrt(4 * p ** (k - 1))
     edge_q = math.isqrt(4 * q ** (k - 1))

@@ -32,7 +32,7 @@ def test_validate_pair_basic(table_11a, table_33a):
     spec = validate_pair(table_11a, table_33a)
     assert spec.f is table_11a and spec.g is table_33a
     assert spec.f.atkin_lehner[11] == spec.g.atkin_lehner[11] == -1
-    assert spec.weight == 2
+    assert spec.f.weight == 2
 
 
 def test_validate_pair_coprime_levels():
@@ -376,7 +376,7 @@ def dict_lift_reference(spec, xmax):
             rmax += 1
         pw_float[p] = lift_euler_coeffs(lam(spec.f, p), lam(spec.g, p), p, rmax)
         if exact:
-            pw_int[p] = lift_euler_ints(value(spec.f, p), value(spec.g, p), p, rmax, spec.weight)
+            pw_int[p] = lift_euler_ints(value(spec.f, p), value(spec.g, p), p, rmax, spec.f.weight)
     spf = np.zeros(xmax + 1, dtype=np.int64)
     for p in ps.tolist():
         block = spf[p::p]
@@ -415,7 +415,7 @@ def test_dense_sequence_matches_dict_reference_11a_33a():
     xmax = 2 * 10**4
     spec = validate_pair(ap_table(CURVE_11A, xmax), ap_table(CURVE_33A, xmax))
     seq = lift_sequence(spec, xmax)
-    assert spec.f.a_array.dtype == np.int64
+    assert spec.f.values.dtype == np.int64
     _assert_matches_reference(spec, seq)
     # every small xmax, among them those where the level prime 11 lies above
     # sqrt(xmax) and no multiple of it may be built
@@ -431,10 +431,10 @@ def test_dense_sequence_matches_dict_reference_weight4():
 
 def test_dense_sequence_matches_dict_reference_python_int_table():
     # 16 pmax^11 >= 2^126 at weight 12 and pmax 3000: the sign of I_1 is
-    # taken over a_array's Python ints
+    # taken over values' Python ints
     xmax = 3000
     spec = _synthetic_pair(12, xmax, 12)
-    assert spec.f.a_array.dtype == object
+    assert spec.f.values.dtype == object
     _assert_matches_reference(spec, lift_sequence(spec, xmax))
 
 
@@ -460,7 +460,7 @@ def test_scaled_overflow_falls_back_to_python_ints():
     xmax = 1800
     spec = _synthetic_pair(12, xmax, 1)
     seq = lift_sequence(spec, xmax)
-    assert spec.f.a_array.dtype == np.int64
+    assert spec.f.values.dtype == np.int64
     _, scaled = dict_lift_reference(spec, xmax)
     # every Euler coefficient I(p^e) fits int64; the overflow is in the products
     assert max(abs(v) for n, v in scaled.items() if len(factorize(n)) == 1) < 2**62
@@ -534,13 +534,13 @@ def test_sequence_columns_are_aligned_and_read_only(reg_spec):
 
 
 def test_lam_array_bit_identical_to_lam():
-    # int64 a_array at weights 2 and 4, Python ints from weight 12 on; lam is
+    # int64 values at weights 2 and 4, Python ints from weight 12 on; lam is
     # the scalar formula a / (p**((k-2)//2) * math.sqrt(p))
     for k, seed in ((2, 2), (4, 4), (12, 12), (24, 24), (100, 100)):
         spec = _synthetic_pair(k, 3000, seed)
         for h in (spec.f, spec.g):
             want = np.array([lam(h, p) for p in h.prime_array.tolist()])
-            assert h.a_array.dtype == (object if h.weight >= 12 else np.int64)
+            assert h.values.dtype == (object if h.weight >= 12 else np.int64)
             assert np.array_equal(h.lam_array.view(np.uint64), want.view(np.uint64)), k
             assert h.values.shape == h.prime_array.shape
 
