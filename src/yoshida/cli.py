@@ -102,13 +102,6 @@ def _load_pair(args):
     return lift.validate_pair(f, g)
 
 
-def _build_sequence(args):
-    from . import lift
-    spec = _load_pair(args)
-    seq = lift.lift_sequence(spec, args.xmax)
-    return spec, seq
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -122,8 +115,8 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    from .lift import SIGN_CHARS
-    _, seq = _build_sequence(args)
+    from .lift import SIGN_CHARS, lift_sequence
+    seq = lift_sequence(_load_pair(args), args.xmax)
     sg = seq.signs
     with _open_out(args.out) as fh:
         fh.write("n,lambda,sign\n")
@@ -137,10 +130,11 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from . import signs
-    spec, seq = _build_sequence(args)
+    from . import lift, signs
     cfg = signs.BoundConfig(theta=args.theta, epsilon=args.epsilon,
                             conductor_constant=args.conductor_constant)
+    spec = _load_pair(args)
+    seq = lift.lift_sequence(spec, args.xmax)
     report = signs.bound_report(seq, spec, cfg)
     _write_report(report, args.out, args.format)
     return 0
@@ -203,13 +197,14 @@ def _cmd_majorant(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from . import signs
-    spec, seq = _build_sequence(args)
+    from . import lift, signs
     cfg = signs.BoundConfig(theta=args.theta, epsilon=args.epsilon,
                             conductor_constant=args.conductor_constant)
+    spec = _load_pair(args)
     y = args.y if args.y is not None else args.xmax
     spec.f.require_cover(y)  # the stats below stop at pmax, so check y is covered
     spec.g.require_cover(y)
+    seq = lift.lift_sequence(spec, args.xmax)
     rep = signs.bound_report(seq, spec, cfg)
     wit = signs.lower_bound_witness(seq, spec, args.xmax)
     bundle = {

@@ -25,9 +25,10 @@ class AdditiveReductionError(ComputationError):
 
 
 class SignUncertainError(ComputationError):
-    """A negative eigenvalue from normalized float tables lies within the
-    sign tolerance of zero, so its sign cannot be certified; integer
-    coefficient tables give the exact sign."""
+    """The first sign that is not certified nonnegative is uncertain: a
+    prime-power factor of n from normalized float tables lies within the sign
+    tolerance of zero, so whether n is the first negative cannot be
+    certified; integer coefficient tables give the exact sign."""
 
     def __init__(self, n: int, value: float):
         self.n = n

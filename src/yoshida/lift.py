@@ -31,15 +31,20 @@ unnormalised Hecke sequences,
 is an integer (in weight 2, e.g. lambda_F(p) sqrt(p) = a_f(p) + a_g(p) and
 lambda_F(p^2) p = a_f(p)^2 + a_g(p)^2 + a_f(p) a_g(p) - 2p - 1), so
 lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
-Normalized float tables get float signs, certified only outside
-|lambda_F(n)| <= SIGN_TOL.
 
-lift_sequence assembles both channels in dense numpy arrays indexed by n,
-one good prime at a time, largest first, without a per-n Python loop but
-with the same float operations as the per-n recurrence, so every printed bit
-is that of the textbook loop.  The exact channel holds signs only: the sign
-of the integer at each prime power q is taken exactly, and
-sign(n) = sign(q) sign(n/q) by multiplicativity, so no per-n integer (which
+Every certified sign follows one rule: sign(q m) = sign(c(q)) sign(m) for
+the full power q of a prime of n, so the sign of lambda_F(n) is the product
+of the signs of its prime-power factors c(q) = lambda_F(q).  The two channels
+differ only in where sign(c(q)) comes from: the exact integer above when both
+tables hold integers, otherwise the float c(q), whose sign is certified only
+where |c(q)| > SIGN_TOL.  One uncertain factor makes the sign of n
+uncertain, however large |lambda_F(n)| is, and the float channel certifies
+no zero.
+
+lift_sequence assembles lambda_F(n) and its sign in dense numpy arrays
+indexed by n, one good prime at a time, largest first, without a per-n
+Python loop but with the same float operations as the per-n recurrence, so
+every printed bit is that of the textbook loop.  No per-n integer (which
 grows like n^((k-1)/2)) is ever formed.  The EigenSequence holds the n, their
 lambda_F(n) and their certified signs as three aligned columns.
 """
@@ -53,8 +58,9 @@ import numpy as np
 from .errors import ValidationError
 from .hecke import NewformCoeffs, hecke_power_seq
 
-# A float-channel eigenvalue certifies its sign only when |lambda_F(n)|
-# exceeds this; the exact channel is the only certified source of zero signs.
+# A float prime-power factor c(q) = lambda_F(q) certifies its sign only when
+# |c(q)| exceeds this; the exact channel is the only certified source of zero
+# signs.
 SIGN_TOL = 1e-9
 # EigenSequence.signs code for an uncertain sign
 UNCERTAIN = 2
@@ -145,27 +151,14 @@ def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
     return [conv(r) - p ** (k - 2) * conv(r - 2) for r in range(rmax + 1)]
 
 
-def certified_signs(values: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
-    """The certified sign of each lambda_F(n) in values, as a read-only int8
-    array aligned with it: the exact channel's sign (exact, aligned with
-    values) when given, otherwise +-1 from the value when |lambda_F(n)| >
-    SIGN_TOL, and UNCERTAIN inside that band."""
-    if exact is not None:
-        codes = exact.astype(np.int8)
-    else:
-        codes = np.where(np.abs(values) <= SIGN_TOL, UNCERTAIN, np.sign(values)).astype(np.int8)
-    codes.flags.writeable = False
-    return codes
-
-
 @dataclass(eq=False)
 class EigenSequence:
     """lambda_F(n) and its certified sign for the n <= xmax coprime to N.
 
     Three columns of one length, read-only from lift_sequence: index holds
     those n in ascending order, values[i] is the binary64 lambda_F(index[i]),
-    and signs[i] its certified sign from certified_signs: -1, 0, +1, or
-    UNCERTAIN.
+    and signs[i] its certified sign, the product of the signs of its
+    prime-power factors: -1, 0, +1, or UNCERTAIN.
     """
 
     xmax: int
@@ -192,18 +185,20 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     Such an n > 1 is q m with q = p^e the full power of its smallest prime p
     and every prime of m above p, so lambda_F(n) = c(q) lambda_F(m): the
     per-n float product of the textbook recurrence, so the bits do not depend
-    on the assembly.  A good prime p > sqrt(xmax) occurs only as n = p, where
-    lambda_F(p) = lambda_f(p) + lambda_g(p) and the sign of I_1 = a_f(p) +
-    a_g(p) p^((k-2)/2) are array operations, the latter in the dtype of f's
-    values.  The good primes p <= sqrt(xmax) follow from the largest down:
-    done marks the n built so far, all of whose primes exceed p, read once
-    per p, and each power q of p multiplies c(q) from lift_euler_coeffs into
-    every such m <= xmax / q at once.  Multiples of the primes dividing N are
-    never marked, so done ends as the index.  The exact sign channel,
-    sign(n) = sign(I(q)) sign(m) in int8 with sign(I(q)) from
-    lift_euler_ints, rides along whenever neither table is normalized.  The
-    dense lam (lambda_F by n), sign and done are each gathered at the index,
-    or dropped, before the next.
+    on the assembly.  sign(n) = sign(c(q)) sign(m) rides along in int8, with
+    sign(c(q)) that of the integer I(q) from lift_euler_ints when neither
+    table is normalized, and otherwise that of the float c(q) where
+    |c(q)| > SIGN_TOL and 0 inside that band: the products carry that 0 to
+    every multiple, and it becomes UNCERTAIN at the end.  A good prime
+    p > sqrt(xmax) occurs only as n = p, its own factor, where lambda_F(p) =
+    lambda_f(p) + lambda_g(p) and its sign (from I_1 = a_f(p) + a_g(p)
+    p^((k-2)/2) in the dtype of f's values) are array operations.  The good
+    primes p <= sqrt(xmax) follow from the largest down: done marks the n
+    built so far, all of whose primes exceed p, read once per p, and each
+    power q of p multiplies c(q) and its sign into every such m <= xmax / q
+    at once.  Multiples of the primes dividing N are never marked, so done
+    ends as the index.  The dense lam (lambda_F by n), sign and done are each
+    gathered at the index, or dropped, before the next.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -225,13 +220,15 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     # The two-term fsum of lift_euler_coeffs at r = 1 is one IEEE add; + 0.0
     # turns the -0.0 of (-0.0) + (-0.0) into fsum's 0.0.
     lam[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
-    sign = None
+    # each factor's sign is read from I(q), or from c(q) with 0 in the band
     if exact:
-        # sign of I_1 = lambda_F(p) p^((k-1)/2); the dtype of f's values holds I_1
         a_f, a_g = spec.f.values[:c][big], spec.g.values[:c][big]
-        sign = np.zeros(xmax + 1, dtype=np.int8)
-        sign[1] = 1
-        sign[big_ps] = np.sign(a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2))
+        factor = a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2)
+    else:
+        factor = np.where(np.abs(lam[big_ps]) > SIGN_TOL, lam[big_ps], 0.0)
+    sign = np.zeros(xmax + 1, dtype=np.int8)
+    sign[1] = 1
+    sign[big_ps] = np.sign(factor)
 
     small = np.flatnonzero(good & (ps <= root))[::-1]
     cols = [ps, spec.f.lam_array, spec.g.lam_array]
@@ -242,23 +239,25 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
             qs.append(qs[-1] * p)
         coeffs = lift_euler_coeffs(lam_f, lam_g, p, len(qs))[1:]
         if exact:
-            ints = lift_euler_ints(*ap, p, len(qs), k)[1:]
+            factors = lift_euler_ints(*ap, p, len(qs), k)[1:]
+        else:
+            factors = [x if abs(x) > SIGN_TOL else 0.0 for x in coeffs]
         # the m built before p, read once: no power of p reads another
         ms = np.flatnonzero(done[: xmax // p + 1])
         for e, q in enumerate(qs):
             m = ms[: np.searchsorted(ms, xmax // q, side="right")]
             n = q * m
             lam[n] = coeffs[e] * lam[m]
-            if exact:
-                # a Python int times int8 stays int8
-                sign[n] = ((ints[e] > 0) - (ints[e] < 0)) * sign[m]
+            # a Python int times int8 stays int8
+            sign[n] = ((factors[e] > 0) - (factors[e] < 0)) * sign[m]
             done[n] = True
 
     index = np.flatnonzero(done)
     del done
-    sign = sign[index] if exact else None
+    sign = sign[index]
+    if not exact:
+        sign[sign == 0] = UNCERTAIN
     values = lam[index]
     del lam
-    index.flags.writeable = values.flags.writeable = False
-    return EigenSequence(xmax=xmax, index=index, values=values,
-                         signs=certified_signs(values, sign))
+    index.flags.writeable = values.flags.writeable = sign.flags.writeable = False
+    return EigenSequence(xmax=xmax, index=index, values=values, signs=sign)

@@ -78,11 +78,12 @@ def weighted_sum(seq: EigenSequence, x: float) -> float:
 def first_negative(seq: EigenSequence) -> int | None:
     """Smallest stored n with certified sign -1 (EigenSequence.signs), or None.
 
-    A negative float value whose sign is uncertain aborts with
-    SignUncertainError, since no smaller negative exists to rescue it.
-    """
+    The scan stops at the first sign that is -1 or UNCERTAIN.  An uncertain
+    sign there, positive, zero or negative in value, aborts with
+    SignUncertainError: that n may be the first negative, so no later -1 is
+    certified to be first, nor is the absence of one."""
     sg = seq.signs
-    hit = np.flatnonzero((sg == -1) | ((sg == UNCERTAIN) & (seq.values < 0.0)))
+    hit = np.flatnonzero((sg == -1) | (sg == UNCERTAIN))
     if hit.size == 0:
         return None
     i = hit[0]

@@ -64,6 +64,17 @@ def table(level, weight, rows, normalized=False):
     return NewformCoeffs(level, weight, list(rows.values()), normalized=normalized)
 
 
+def normalized_pair(lam_f, lam_g, pmax):
+    """Normalized f of level 11 and g of level 33 with w_11 = -1 on both
+    sides, holding lam_f(p), lam_g(p) at the good primes <= max(pmax, 11):
+    lam_f is called at every such p, ascending, before lam_g."""
+    ps = [p for p in primes_up_to(max(pmax, 11)).tolist() if 33 % p]
+    fc = {**{p: lam_f(p) for p in ps}, 3: 0.0, 11: 11**-0.5}
+    gc = {**{p: lam_g(p) for p in ps}, 3: -(3**-0.5), 11: 11**-0.5}
+    return validate_pair(table(11, 2, dict(sorted(fc.items())), normalized=True),
+                         table(33, 2, dict(sorted(gc.items())), normalized=True))
+
+
 def rows(h):
     """{p: value} of table h, as Python ints and floats, in table order."""
     return dict(zip(h.prime_array.tolist(), h.values.tolist()))

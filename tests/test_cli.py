@@ -98,6 +98,31 @@ def test_float_sign_rule_same_in_lift_and_search(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_uncertain_factor_makes_every_multiple_uncertain(tmp_path, capsys):
+    # lambda_F(2) = 0.5 + (-0.4999999995), about 5e-10, is inside the sign
+    # band; lambda_F(5) = 3.0, so lambda_F(10) is about 1.5e-9, outside the
+    # band but no more certain than its factor at 2.  lambda_F(4) = -2.25 is
+    # a certified negative, yet n = 2 before it might be the first
+    f = tmp_path / "f.txt"
+    g = tmp_path / "g.txt"
+    f.write_text("# level=11 weight=2 normalized\n2 0.5\n3 0.25\n5 1.5\n7 0.1\n11 0.301511\n")
+    g.write_text("# level=33 weight=2 normalized\n2 -0.4999999995\n3 0.57735\n5 1.5\n7 0.2\n"
+                 "11 0.301511\n")
+    out = tmp_path / "l.csv"
+    pair = ["--f", str(f), "--g", str(g)]
+    assert run(["lift", *pair, "--xmax", "10", "--out", str(out)]) == 0
+    rows = {ln.split(",")[0]: ln.split(",")[1:] for ln in out.read_text().splitlines()[1:]}
+    assert rows["2"][1] == rows["10"][1] == "?"
+    assert 1e-9 < float(rows["10"][0]) < 2e-9
+    assert rows["4"][1] == "-1" and rows["5"][1] == "1"
+    for argv in (["search", *pair, "--xmax", "10"], ["witness", *pair, "--x", "10"],
+                 ["report", *pair, "--xmax", "10"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        assert "computation error: sign uncertain at n=2 " in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_same_newform_pair_exits_1(tmp_path, capsys):
     # [0,-1,1,0,0] and [0,-1,1,-10,-20] are isogenous: equal a_p, one newform
     f, g, h = tmp_path / "f.txt", tmp_path / "g.txt", tmp_path / "h.txt"
@@ -218,6 +243,22 @@ def test_y_beyond_the_tables_exits_1(pair_files, tmp_path, capsys):
     assert run(["report", "--f", str(f), "--g", str(g), "--xmax", "100", "--y", "210",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["stats"]["g"]["y"] == 199
+
+
+def test_report_checks_y_before_the_lift(pair_files, tmp_path, capsys, monkeypatch):
+    from yoshida import lift
+
+    def refuse(spec, xmax):
+        raise AssertionError("lift_sequence called")
+
+    monkeypatch.setattr(lift, "lift_sequence", refuse)
+    f, g = pair_files
+    out = tmp_path / "out"
+    assert run(["report", "--f", str(f), "--g", str(g), "--xmax", "100", "--y", "1000",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: coefficient table too short: "
+                                       "missing p=211 (needed up to 1000)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["lift", "stats"])
@@ -364,10 +405,17 @@ _LIFT = ["lift", "--f", "{f}", "--g", "{g}", "--xmax", "10"]
     (_LIFT, {"f": _F11, "g": _G33.format(a11=-1)}, "Atkin-Lehner mismatch at p=11: -1 vs 1"),
     (["search", "--f", "{f}", "--g", "{g}", "--xmax", "10", "--theta", "0.3"],
      {"f": _F11, "g": _G33.format(a11=1)}, "theta must lie in [0, 1/4), got 0.3"),
+    # the bound settings are refused before any table is read: f and g here
+    # are one newform, which the lift would refuse
+    (["search", "--f", "{f}", "--g", "{f}", "--xmax", "10", "--theta", "0.3"],
+     {"f": _F11}, "theta must lie in [0, 1/4), got 0.3"),
+    (["report", "--f", "{f}", "--g", "{f}", "--xmax", "10", "--conductor-constant", "0"],
+     {"f": _F11}, "conductor_constant must be finite and > 0, got 0.0"),
 ], ids=["ap_bad_coefficient", "ap_four_coefficients", "ap_singular", "ap_pmax_0", "stats_y_abc",
         "header_malformed", "header_missing_weight", "header_missing", "level_not_squarefree",
         "odd_weight", "normalized_deligne", "g_weight_4", "levels_coprime",
-        "atkin_lehner_mismatch", "search_theta"])
+        "atkin_lehner_mismatch", "search_theta", "search_theta_before_the_pair",
+        "report_conductor_constant_before_the_pair"])
 def test_refusal_exits_1_with_its_message(argv, files, err, tmp_path, capsys):
     # each table file is named by its placeholder, which argv and err name too
     paths = {name: tmp_path / f"{name}.txt" for name in files}

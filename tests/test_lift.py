@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,15 +10,14 @@ from yoshida.lift import (
     SIGN_TOL,
     UNCERTAIN,
     LiftSpec,
-    certified_signs,
     lift_euler_coeffs,
     lift_euler_ints,
     lift_sequence,
     validate_pair,
 )
 from yoshida.primes import factorize, primes_up_to
-from tests.conftest import (CURVE_11A, CURVE_33A, lam, rows, seq_items, seq_signs, seq_value,
-                            table, value)
+from tests.conftest import (CURVE_11A, CURVE_33A, lam, normalized_pair, rows, seq_items,
+                            seq_signs, seq_value, table, value)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +404,8 @@ def _assert_matches_reference(spec, seq):
     want = np.array(list(values.values()))
     assert np.array_equal(seq.values.view(np.uint64), want.view(np.uint64))
     if scaled is None:
-        # no exact channel: the float signs, uncertain inside the band
-        assert seq.signs.tolist() == [_scalar_sign(v) for v in values.values()]
+        # no exact channel: the products of the float factor signs
+        assert seq.signs.tolist() == list(float_sign_oracle(spec, seq.xmax).values())
     else:
         # the signs of the reference's Python-int products
         assert seq.signs.tolist() == [(v > 0) - (v < 0) for v in scaled.values()]
@@ -471,37 +471,83 @@ def test_scaled_overflow_falls_back_to_python_ints():
             assert s == (1 if v > 0 else -1), n
 
 
-def _scalar_sign(v, exact=None):
-    """The certified-sign rule at one n: the exact sign when there is one,
-    otherwise +-1 outside |v| <= SIGN_TOL and UNCERTAIN inside it."""
-    if exact is not None:
-        return exact
-    if abs(v) <= SIGN_TOL:
+def _factor_sign(c):
+    """The float channel's sign code of one prime-power factor c(q): +-1
+    outside |c| <= SIGN_TOL and UNCERTAIN inside it."""
+    if abs(c) <= SIGN_TOL:
         return UNCERTAIN
-    return 1 if v > 0 else -1
+    return 1 if c > 0 else -1
+
+
+def float_sign_oracle(spec, xmax):
+    """{n: sign code} of the float channel for every n <= xmax coprime to N,
+    ascending, each n factorized on its own: the product of the codes of its
+    factors c(p^e) = lift_euler_coeffs(lambda_f(p), lambda_g(p), p, e)[e],
+    UNCERTAIN where any factor's code is."""
+    N = math.lcm(spec.f.level, spec.g.level)
+    codes = {}
+    for n in range(1, xmax + 1):
+        if math.gcd(n, N) != 1:
+            continue
+        factors = [_factor_sign(lift_euler_coeffs(lam(spec.f, p), lam(spec.g, p), p, e)[e])
+                   for p, e in factorize(n)]
+        codes[n] = UNCERTAIN if UNCERTAIN in factors else math.prod(factors)
+    return codes
 
 
 def test_signs_array_matches_scalar_rule(reg_seq):
-    # the float rule over the regression values and values at and around the
-    # band's edges; then the exact channel, which overrides every float
+    # lambda_F(p) at a good prime above sqrt(xmax) is its own factor: f holds
+    # values at and around the band's edges there, and g holds 0.0, so that
+    # lambda_F(p) is that value (0.0 for -0.0) and its code the float rule's
     rng = np.random.default_rng(17)
     edge = [0.0, -0.0, SIGN_TOL, -SIGN_TOL, np.nextafter(SIGN_TOL, 1.0),
             np.nextafter(-SIGN_TOL, -1.0), 5e-10, -5e-10]
-    values = np.concatenate([reg_seq.values, edge, rng.uniform(-3e-9, 3e-9, 200)])
-    codes = certified_signs(values)
-    assert codes.dtype == np.int8 and codes.shape == values.shape
-    assert codes.tolist() == [_scalar_sign(v) for v in values.tolist()]
-    assert {-1, 1, UNCERTAIN} == set(codes.tolist())
-    exact = rng.integers(-1, 2, size=values.size).astype(np.int8)
-    codes = certified_signs(values, exact).tolist()
-    assert codes == [_scalar_sign(v, e) for v, e in zip(values.tolist(), exact.tolist())]
-    # a lifted normalized pair, whose lambda_F(2) = 0.0 is uncertain
-    f = table(11, 2, {2: -0.5, 3: 0.25, 5: 0.0, 7: 0.1, 11: 11**-0.5}, normalized=True)
-    g = table(33, 2, {2: 0.5, 3: -(3**-0.5), 5: 0.0, 7: 0.2, 11: 11**-0.5}, normalized=True)
-    seq = lift_sequence(validate_pair(f, g), 10)
-    codes = seq.signs.tolist()
-    assert codes == [_scalar_sign(v) for _, v in seq_items(seq)]
-    assert UNCERTAIN in codes
+    draws = iter(edge + rng.uniform(-3e-9, 3e-9, 200).tolist())
+    xmax = 3000
+    root = math.isqrt(xmax)
+    spec = normalized_pair(lambda p: next(draws, 0.5) if p > root else 0.5,
+                           lambda p: 0.0 if p > root else 0.25, xmax)
+    seq = lift_sequence(spec, xmax)
+    sc = seq_signs(seq)
+    big = [p for p in primes_up_to(xmax).tolist() if p > root]
+    assert [sc[p] for p in big] == [_factor_sign(lam(spec.f, p)) for p in big]
+    assert {-1, 1, UNCERTAIN} == {sc[p] for p in big[:208]}
+    # and at each multiple 2 p, the code of lambda_F(2) = 0.75 times that of p
+    assert [sc[2 * p] for p in big if 2 * p <= xmax] == [sc[p] for p in big if 2 * p <= xmax]
+    # the exact channel certifies every sign, zeros included, where the float
+    # value is inside the band and even where it is not 0.0
+    assert UNCERTAIN not in reg_seq.signs
+    zeros = reg_seq.values[reg_seq.signs == 0]
+    assert np.abs(zeros).max() <= SIGN_TOL and np.count_nonzero(zeros)
+
+
+def test_float_signs_are_products_of_factor_signs():
+    # seeded normalized pairs with lambda_g(p) = -lambda_f(p) + d at about a
+    # third of the good primes, d at, inside and just past SIGN_TOL: every
+    # sign is the product of its factors' signs, taken one factor at a time,
+    # and ? appears exactly where some factor is inside the band
+    rng = random.Random(26)
+    near = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6)
+    uncertain_outside = certified_inside = 0
+    for _ in range(8):
+        xmax = rng.randrange(50, 1500)
+        lf = {}
+
+        def lam_f(p):
+            lf[p] = rng.uniform(-1.9, 1.9)
+            return lf[p]
+
+        def lam_g(p):
+            return -lf[p] + rng.choice(near) if rng.random() < 0.3 else rng.uniform(-1.9, 1.9)
+
+        spec = normalized_pair(lam_f, lam_g, xmax)
+        seq = lift_sequence(spec, xmax)
+        assert seq_signs(seq) == float_sign_oracle(spec, xmax)
+        for (n, v), s in zip(seq_items(seq), seq.signs.tolist()):
+            uncertain_outside += s == UNCERTAIN and abs(v) > SIGN_TOL
+            certified_inside += s != UNCERTAIN and abs(v) <= SIGN_TOL
+    # the value of lambda_F(n) and its factors disagree both ways
+    assert uncertain_outside and certified_inside
 
 
 def test_signs_array_is_one_read_only_object(reg_spec):
@@ -511,7 +557,6 @@ def test_signs_array_is_one_read_only_object(reg_spec):
     assert not codes.flags.writeable
     with pytest.raises(ValueError):
         codes[0] = -1
-    assert not certified_signs(seq.values).flags.writeable
 
 
 def test_sequence_columns_are_aligned_and_read_only(reg_spec):
@@ -528,9 +573,6 @@ def test_sequence_columns_are_aligned_and_read_only(reg_spec):
             with pytest.raises(ValueError):
                 col[0] = 0
         assert seq.log_index.tolist() == [math.log(n) for n in seq.index.tolist()]
-    exact = np.array([1, -1, 0], dtype=np.int8)
-    certified_signs(np.zeros(3), exact)
-    assert exact.flags.writeable  # the caller's column is left as it was
 
 
 def test_lam_array_bit_identical_to_lam():

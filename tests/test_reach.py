@@ -53,8 +53,8 @@ def _commands(tmp):
     f, g, h = (str(tmp / name) for name in ("f11.txt", "g33.txt", "h11.txt"))
     bad, nf, ng = tmp / "bad.txt", tmp / "nf.txt", tmp / "ng.txt"
     bad.write_text("# level=11 weight=2\n2 -2\n3 x\n")
-    nf.write_text("# level=11 weight=2 normalized\n2 -0.5\n3 0.25\n5 0.0\n7 0.1\n11 0.301511\n")
-    ng.write_text("# level=33 weight=2 normalized\n2 0.4999999999\n3 0.57735\n5 0.0\n7 0.2\n"
+    nf.write_text("# level=11 weight=2 normalized\n2 0.5\n3 0.25\n5 1.5\n7 0.1\n11 0.301511\n")
+    ng.write_text("# level=33 weight=2 normalized\n2 -0.4999999995\n3 0.57735\n5 1.5\n7 0.2\n"
                   "11 0.301511\n")
     pair = ["--f", f, "--g", g]
     return [
@@ -74,7 +74,8 @@ def _commands(tmp):
         (["ap", "--curve", "0,0,0,0,1", "--pmax", "10", "--out", str(tmp / "x.txt")], 2),
         (["lift", "--f", f, "--g", h, "--xmax", "10"], 1),  # one newform twice: lift._same_ap
         (["majorant", "verify", "--delta", "1.1"], 0),  # majorant.parameter
-        # a first negative inside SIGN_TOL: SignUncertainError
+        # lambda_F(2) about +5e-10, inside SIGN_TOL, before the certified
+        # negative lambda_F(4): SignUncertainError
         (["search", "--f", str(nf), "--g", str(ng), "--xmax", "10"], 2),
     ]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from yoshida.errors import SignUncertainError, ValidationError
-from yoshida.lift import EigenSequence, certified_signs, lift_sequence, validate_pair
+from yoshida.lift import UNCERTAIN, EigenSequence, lift_sequence, validate_pair
 from yoshida.primes import factorize, primes_up_to
 from yoshida.signs import (
     BoundConfig,
@@ -22,7 +22,7 @@ from yoshida.signs import (
     weighted_sum,
 )
 
-from tests.conftest import lam, seq_items, seq_signs, seq_value, table
+from tests.conftest import lam, normalized_pair, seq_items, seq_signs, seq_value, table
 
 
 def _flat_table(level, pmax, lam):
@@ -38,22 +38,23 @@ def _flat_table(level, pmax, lam):
 # weighted_sum / first_negative
 # ---------------------------------------------------------------------------
 
-def _seq_from_values(values, xmax, exact=None):
-    """EigenSequence holding exactly the {n: lambda_F(n)} (and {n: exact sign}) entries."""
+def _seq_from_values(values, xmax, signs=None):
+    """EigenSequence holding exactly the {n: lambda_F(n)} entries, with the
+    sign codes {n: code} of signs, by default the sign of each value."""
     index = np.array(sorted(values), dtype=np.int64)
     column = np.array([values[n] for n in index.tolist()], dtype=np.float64)
-    signs = None if exact is None else np.array([exact[n] for n in index.tolist()], dtype=np.int8)
+    codes = np.sign(column) if signs is None else [signs[n] for n in index.tolist()]
     return EigenSequence(xmax=xmax, index=index, values=column,
-                         signs=certified_signs(column, signs))
+                         signs=np.array(codes, dtype=np.int8))
 
 
 def _tampered(seq, new):
-    """A copy of seq holding lambda_F(n) = new[n] at the n of new, its signs
-    rebuilt by the one rule (the float rule: the tampered pairs are normalized)."""
-    values = seq.values.copy()
-    values[np.searchsorted(seq.index, list(new))] = list(new.values())
-    return EigenSequence(xmax=seq.xmax, index=seq.index, values=values,
-                         signs=certified_signs(values))
+    """A copy of seq holding lambda_F(n) and its sign code (value, code) =
+    new[n] at the n of new, and seq's own entries elsewhere."""
+    at = np.searchsorted(seq.index, list(new))
+    values, signs = seq.values.copy(), seq.signs.copy()
+    values[at], signs[at] = zip(*new.values())
+    return EigenSequence(xmax=seq.xmax, index=seq.index, values=values, signs=signs)
 
 
 def test_weighted_sum_x1():
@@ -112,15 +113,28 @@ def test_first_negative_minimality():
 
 
 def test_first_negative_uncertain_band():
-    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2)
-    with pytest.raises(SignUncertainError):
-        first_negative(seq)
+    # an uncertain sign refuses where it comes first, whatever its value:
+    # before a certified negative, or with none after it
+    values = {1: 1.0, 2: -5e-10, 3: -1.0}
+    for v2 in (-5e-10, 5e-10, 0.0, 1.5e-9):
+        for last in (-1, 1):
+            seq = _seq_from_values({**values, 2: v2}, 3, {1: 1, 2: UNCERTAIN, 3: last})
+            with pytest.raises(SignUncertainError, match="sign uncertain at n=2"):
+                first_negative(seq)
+    # an uncertain sign after the first certified negative does not
+    assert first_negative(_seq_from_values(values, 3, {1: 1, 2: -1, 3: UNCERTAIN})) == 2
 
 
 def test_first_negative_exact_channel_overrides_floats():
-    # tiny float value, but the exact channel certifies the sign
-    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, exact={1: 1, 2: -1})
+    # the certified sign decides, not the value: a tiny or even positive value
+    # whose exact sign is -1 is the first negative, and a negative value whose
+    # exact sign is 0 is not
+    seq = _seq_from_values({1: 1.0, 2: -5e-10}, 2, {1: 1, 2: -1})
     assert first_negative(seq) == 2
+    seq = _seq_from_values({1: 1.0, 2: 5e-10, 3: -3e-16, 5: -1.0}, 5, {1: 1, 2: -1, 3: 0, 5: -1})
+    assert first_negative(seq) == 2
+    seq = _seq_from_values({1: 1.0, 3: -3e-16, 5: -1.0}, 5, {1: 1, 3: 0, 5: -1})
+    assert first_negative(seq) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +334,24 @@ def test_witness_empty_below_4(reg_spec, reg_seq):
     assert rep.pair_count == 0
 
 
+def _zero_pair(pmax):
+    """Integer f of level 11 and g of level 33 with a_p = 0 at every good
+    prime <= pmax: lambda_F(p) = 0 is a certified zero and lambda_F(p^2) =
+    -2 - 1/p < 0, so the first negative is 4."""
+    ps = primes_up_to(pmax).tolist()
+    return validate_pair(table(11, 2, {p: int(p == 11) for p in ps}),
+                         table(33, 2, {p: {3: -1, 11: 1}.get(p, 0) for p in ps}))
+
+
 def test_witness_all_zero_tables_hypothesis_violated():
-    # lambda_f = lambda_g = 0 at every good prime: lambda_F(p^2) = -2 - 1/p < 0, so
     # every prime lands in the violated list, none in the branches
-    zeros = {p: 0.0 for p in primes_up_to(200).tolist()}
-    f = table(11, 2, {**zeros, 11: 11**-0.5}, normalized=True)
-    g = table(33, 2, {**zeros, 3: -(3**-0.5), 11: 11**-0.5}, normalized=True)
-    spec = validate_pair(f, g)
+    spec = _zero_pair(200)
     seq = lift_sequence(spec, 200)
+    assert seq_signs(seq)[2] == 0
     rep = lower_bound_witness(seq, spec, 196)
     assert rep.counts["v1"] == rep.counts["case_i"] == rep.counts["case_ii"] == 0
     assert rep.counts["hypothesis_violated"] == len(rep.hypothesis_violated) > 0
-    assert not rep.bound_failures
+    assert not rep.bound_failures and rep.first_negative_n == 4
 
 
 def test_witness_branch_bounds_verified(reg_seq, reg_spec):
@@ -444,22 +464,19 @@ def _witness_loop(seq, spec, x):
 
 
 def _assert_witness_matches_loop(seq, spec, x):
+    """The witness's report, equal to the loop's field by field; or None when
+    the loop refuses an uncertain first sign, and the witness refuses it too."""
     import dataclasses
-    want = _witness_loop(seq, spec, x)
+    try:
+        want = _witness_loop(seq, spec, x)
+    except SignUncertainError as exc:
+        with pytest.raises(SignUncertainError, match=f"sign uncertain at n={exc.n} "):
+            lower_bound_witness(seq, spec, x)
+        return None
     got = lower_bound_witness(seq, spec, x)
     for fld in dataclasses.fields(got):
         assert repr(getattr(got, fld.name)) == repr(getattr(want, fld.name)), (x, fld.name)
     return got
-
-
-def _normalized_pair(lam_f, lam_g, pmax):
-    """Normalized f of level 11 and g of level 33 with w_11 = -1 on both
-    sides, holding lam_f(p), lam_g(p) at the good primes <= max(pmax, 11)."""
-    ps = [p for p in primes_up_to(max(pmax, 11)).tolist() if 33 % p]
-    fc = {**{p: lam_f(p) for p in ps}, 3: 0.0, 11: 11**-0.5}
-    gc = {**{p: lam_g(p) for p in ps}, 3: -(3**-0.5), 11: 11**-0.5}
-    return validate_pair(table(11, 2, dict(sorted(fc.items())), normalized=True),
-                         table(33, 2, dict(sorted(gc.items())), normalized=True))
 
 
 def test_witness_matches_per_prime_loop(reg_spec, reg_seq):
@@ -471,21 +488,23 @@ def test_witness_matches_per_prime_loop(reg_spec, reg_seq):
         seq = lift_sequence(spec, 3000)
         for x in (4, 300, 3000):
             _assert_witness_matches_loop(seq, spec, x)
-    zero = _normalized_pair(lambda p: 0.0, lambda p: 0.0, 200)
+    zero = _zero_pair(200)
     rep = _assert_witness_matches_loop(lift_sequence(zero, 200), zero, 196)
     assert rep.hypothesis_violated and not rep.bound_failures
 
 
 def test_witness_matches_per_prime_loop_on_tampered_sequences():
-    # random eigenvalues, then lambda_F(p) and the signs at p and p^2 redrawn
-    # at random good p <= sqrt(xmax): uncertain, zero, negative and small
-    # positive values, so that every branch, the hypothesis and the bound
-    # failures are all exercised
+    # random eigenvalues, then lambda_F(p) and lambda_F(p^2) redrawn at random
+    # good p <= sqrt(xmax): uncertain, zero, negative and small positive
+    # values, so that every branch, the hypothesis and the bound failures are
+    # all exercised.  A value of 0.0 gets the code of a certified zero, a
+    # value of 1e-12 the code UNCERTAIN, and the others their sign; where an
+    # uncertain code comes before the first negative both sides refuse
     rng = random.Random(20201)
-    failing, seen = 0, set()
+    failing, refused, seen = 0, 0, set()
     for _ in range(60):
         xmax = rng.randrange(3, 3000)
-        spec = _normalized_pair(lambda p: rng.uniform(-2, 2), lambda p: rng.uniform(-2, 2), xmax)
+        spec = normalized_pair(lambda p: rng.uniform(-2, 2), lambda p: rng.uniform(-2, 2), xmax)
         seq = lift_sequence(spec, xmax)
         new = {}
         for p in seq.index[1:].tolist():
@@ -496,10 +515,14 @@ def test_witness_matches_per_prime_loop_on_tampered_sequences():
             if rng.random() < 0.7:
                 new[p * p] = rng.choice((0.0, -1.0, 1e-12, 1.0, 1.0, 1.0))
         x = xmax if rng.random() < 0.75 else rng.randrange(1, xmax + 1)
-        rep = _assert_witness_matches_loop(_tampered(seq, new), spec, x)
+        codes = {n: (v, UNCERTAIN if v == 1e-12 else np.sign(v)) for n, v in new.items()}
+        rep = _assert_witness_matches_loop(_tampered(seq, codes), spec, x)
+        if rep is None:
+            refused += 1
+            continue
         failing += bool(rep.bound_failures)
         seen.update(branch for _, branch, _ in rep.bound_failures)
-    assert failing >= 10 and seen == {"v1", "case_i", "case_ii"}
+    assert failing >= 10 and refused and seen == {"v1", "case_i", "case_ii"}
 
 
 def test_witness_lists_one_failure_per_branch():
@@ -507,9 +530,11 @@ def test_witness_lists_one_failure_per_branch():
     # lambda_F(p^2) >= 0 at each, and lambda_F(p) is then set below each bound
     lam_f = {2: 1.5, 5: 1.5, 7: 1.0, 13: 1.0}
     lam_g = {2: 0.5, 5: 1.0, 7: 1.2, 13: 2.0}
-    spec = _normalized_pair(lambda p: lam_f.get(p, 0.5), lambda p: lam_g.get(p, 0.5), 200)
-    seq = _tampered(lift_sequence(spec, 200), {2: 0.3, 5: 0.05, 7: 0.4})
+    spec = normalized_pair(lambda p: lam_f.get(p, 0.5), lambda p: lam_g.get(p, 0.5), 200)
+    seq = _tampered(lift_sequence(spec, 200), {2: (0.3, 1), 5: (0.05, 1), 7: (0.4, 1)})
     rep = _assert_witness_matches_loop(seq, spec, 200)
     assert rep.counts == {"v1": 1, "case_i": 1, "case_ii": 1, "outside": 1,
                           "hypothesis_violated": 0}
     assert rep.bound_failures == [(2, "v1", 0.3), (5, "case_i", 0.05), (7, "case_ii", 0.4)]
+    # no factor of this pair is inside the sign band, so nothing is uncertain
+    assert UNCERTAIN not in seq.signs and rep.first_negative_n == 8
