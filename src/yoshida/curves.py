@@ -304,7 +304,7 @@ def write_coeffs(nf: NewformCoeffs, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         flag = " normalized" if nf.normalized else ""
         fh.write(f"# level={nf.level} weight={nf.weight}{flag}\n")
-        ps, vs = nf.prime_array.tolist(), nf.values.tolist()
-        for i in range(0, len(ps), 2**14):
-            rows = zip(ps[i:i + 2**14], vs[i:i + 2**14])
+        for i in range(0, nf.values.size, 2**14):
+            block = slice(i, i + 2**14)
+            rows = zip(nf.prime_array[block].tolist(), nf.values[block].tolist())
             fh.write("".join(f"{p} {v!r}\n" if nf.normalized else f"{p} {v}\n" for p, v in rows))

@@ -35,18 +35,19 @@ lambda_F(n) n^((k-1)/2) is an integer whose sign is computed exactly.
 Every certified sign follows one rule: sign(q m) = sign(c(q)) sign(m) for
 the full power q of a prime of n, so the sign of lambda_F(n) is the product
 of the signs of its prime-power factors c(q) = lambda_F(q).  The two channels
-differ only in where sign(c(q)) comes from: the exact integer above when both
-tables hold integers, otherwise the float c(q), whose sign is certified only
-where |c(q)| > SIGN_TOL.  One uncertain factor makes the sign of n
-uncertain, however large |lambda_F(n)| is, and the float channel certifies
-no zero.
+differ only in where sign(c(q)) comes from, which _factor_signs decides: the
+exact integer above when both tables hold integers, otherwise the float
+c(q), whose sign is certified only where |c(q)| > SIGN_TOL.  One uncertain
+factor makes the sign of n uncertain, however large |lambda_F(n)| is, and
+the float channel certifies no zero.
 
-lift_sequence assembles lambda_F(n) and its sign in dense numpy arrays
+lift_sequence assembles lambda_F(n) and its sign in two dense numpy arrays
 indexed by n, one good prime at a time, largest first, without a per-n
 Python loop but with the same float operations as the per-n recurrence, so
-every printed bit is that of the textbook loop.  No per-n integer (which
-grows like n^((k-1)/2)) is ever formed.  The EigenSequence holds the n, their
-lambda_F(n) and their certified signs as three aligned columns.
+every printed bit is that of the textbook loop; the sign array also records
+which n are built.  No per-n integer (which grows like n^((k-1)/2)) is ever
+formed.  The EigenSequence holds the n, their lambda_F(n) and their
+certified signs as three aligned columns.
 """
 
 import math
@@ -151,6 +152,15 @@ def lift_euler_ints(af: int, ag: int, p: int, rmax: int, k: int) -> list[int]:
     return [conv(r) - p ** (k - 2) * conv(r - 2) for r in range(rmax + 1)]
 
 
+def _factor_signs(c, ints) -> np.ndarray:
+    """The certified int8 signs of a run of prime-power factors c(q): those of
+    the integers I(q) if ints is not None (both tables hold integers), else
+    those of the floats c where |c| > SIGN_TOL, and 0 inside that band."""
+    if ints is None:
+        return np.where(np.abs(c) > SIGN_TOL, np.sign(c), 0).astype(np.int8)
+    return np.sign(ints).astype(np.int8)
+
+
 @dataclass(eq=False)
 class EigenSequence:
     """lambda_F(n) and its certified sign for the n <= xmax coprime to N.
@@ -186,19 +196,18 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     and every prime of m above p, so lambda_F(n) = c(q) lambda_F(m): the
     per-n float product of the textbook recurrence, so the bits do not depend
     on the assembly.  sign(n) = sign(c(q)) sign(m) rides along in int8, with
-    sign(c(q)) that of the integer I(q) from lift_euler_ints when neither
-    table is normalized, and otherwise that of the float c(q) where
-    |c(q)| > SIGN_TOL and 0 inside that band: the products carry that 0 to
-    every multiple, and it becomes UNCERTAIN at the end.  A good prime
-    p > sqrt(xmax) occurs only as n = p, its own factor, where lambda_F(p) =
-    lambda_f(p) + lambda_g(p) and its sign (from I_1 = a_f(p) + a_g(p)
-    p^((k-2)/2) in the dtype of f's values) are array operations.  The good
-    primes p <= sqrt(xmax) follow from the largest down: done marks the n
-    built so far, all of whose primes exceed p, read once per p, and each
-    power q of p multiplies c(q) and its sign into every such m <= xmax / q
-    at once.  Multiples of the primes dividing N are never marked, so done
-    ends as the index.  The dense lam (lambda_F by n), sign and done are each
-    gathered at the index, or dropped, before the next.
+    sign(c(q)) from _factor_signs, 0 where the float channel is uncertain:
+    the products carry that 0 to every multiple, and it becomes UNCERTAIN at
+    the end.  A good prime p > sqrt(xmax) occurs only as n = p, its own
+    factor, where lambda_F(p) = lambda_f(p) + lambda_g(p) and its sign (from
+    I_1 = a_f(p) + a_g(p) p^((k-2)/2) in the dtype of f's values) are array
+    operations.  The good primes p <= sqrt(xmax) follow from the largest
+    down.  The dense sign starts at UNCERTAIN, which no product of -1, 0 and
+    +1 makes, so its other entries mark the n built so far, all of whose
+    primes exceed p: read once per p, each power q of p multiplies c(q) and
+    its sign into every such m <= xmax / q at once.  Multiples of the primes
+    dividing N are never built, so the built n end as the index.  The dense
+    sign, then lam (lambda_F by n), is gathered at the index and dropped.
     """
     if xmax < 1:
         raise ValidationError(f"xmax must be >= 1, got {xmax}")
@@ -212,23 +221,18 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
     good = spec.f.good[:c] & spec.g.good[:c]
     big = good & (ps > root)
     big_ps = ps[big]
-    done = np.zeros(xmax + 1, dtype=bool)
-    done[1] = True
-    done[big_ps] = True
     lam = np.zeros(xmax + 1)
     lam[1] = 1.0
     # The two-term fsum of lift_euler_coeffs at r = 1 is one IEEE add; + 0.0
     # turns the -0.0 of (-0.0) + (-0.0) into fsum's 0.0.
     lam[big_ps] = (spec.f.lam_array[:c][big] + spec.g.lam_array[:c][big]) + 0.0
-    # each factor's sign is read from I(q), or from c(q) with 0 in the band
+    ints = None
     if exact:
         a_f, a_g = spec.f.values[:c][big], spec.g.values[:c][big]
-        factor = a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2)
-    else:
-        factor = np.where(np.abs(lam[big_ps]) > SIGN_TOL, lam[big_ps], 0.0)
-    sign = np.zeros(xmax + 1, dtype=np.int8)
+        ints = a_f + a_g * big_ps.astype(a_f.dtype) ** ((k - 2) // 2)
+    sign = np.full(xmax + 1, UNCERTAIN, dtype=np.int8)
     sign[1] = 1
-    sign[big_ps] = np.sign(factor)
+    sign[big_ps] = _factor_signs(lam[big_ps], ints)
 
     small = np.flatnonzero(good & (ps <= root))[::-1]
     cols = [ps, spec.f.lam_array, spec.g.lam_array]
@@ -238,22 +242,16 @@ def lift_sequence(spec: LiftSpec, xmax: int) -> EigenSequence:
         while qs[-1] * p <= xmax:
             qs.append(qs[-1] * p)
         coeffs = lift_euler_coeffs(lam_f, lam_g, p, len(qs))[1:]
-        if exact:
-            factors = lift_euler_ints(*ap, p, len(qs), k)[1:]
-        else:
-            factors = [x if abs(x) > SIGN_TOL else 0.0 for x in coeffs]
+        ints = lift_euler_ints(*ap, p, len(qs), k)[1:] if exact else None
         # the m built before p, read once: no power of p reads another
-        ms = np.flatnonzero(done[: xmax // p + 1])
-        for e, q in enumerate(qs):
+        ms = np.flatnonzero(sign[: xmax // p + 1] != UNCERTAIN)
+        for q, c_q, s_q in zip(qs, coeffs, _factor_signs(coeffs, ints)):
             m = ms[: np.searchsorted(ms, xmax // q, side="right")]
             n = q * m
-            lam[n] = coeffs[e] * lam[m]
-            # a Python int times int8 stays int8
-            sign[n] = ((factors[e] > 0) - (factors[e] < 0)) * sign[m]
-            done[n] = True
+            lam[n] = c_q * lam[m]
+            sign[n] = s_q * sign[m]
 
-    index = np.flatnonzero(done)
-    del done
+    index = np.flatnonzero(sign != UNCERTAIN)
     sign = sign[index]
     if not exact:
         sign[sign == 0] = UNCERTAIN

@@ -439,8 +439,10 @@ def test_dense_sequence_matches_dict_reference_python_int_table():
 
 
 def test_dense_sequence_matches_dict_reference_normalized_zeros():
-    # (-0.0) + (-0.0) is -0.0 but the two-term fsum gives 0.0; p = 13, 17, 19
-    # lie above sqrt(200), where lambda_F(p) is one array add
+    # (-0.0) + (-0.0) is -0.0 but the two-term fsum gives 0.0.  p = 13 lies
+    # below sqrt(200), where lambda_F(13) is lift_euler_coeffs's fsum; 17 and
+    # 19 lie above it, where lambda_F(p) is one array add and its + 0.0
+    assert math.isqrt(200) == 14
     ps = primes_up_to(200).tolist()
     fc = {p: (-0.0 if p in (13, 17, 19) else 0.3) for p in ps}
     gc = {p: (-0.0 if p in (13, 17, 19) else -0.7) for p in ps}
@@ -449,8 +451,35 @@ def test_dense_sequence_matches_dict_reference_normalized_zeros():
     g = table(33, 2, gc, normalized=True)
     spec = validate_pair(f, g)
     seq = lift_sequence(spec, 200)
-    assert math.copysign(1.0, seq_value(seq, 13)) == 1.0
+    for p in (13, 17, 19):
+        assert math.copysign(1.0, seq_value(seq, p)) == 1.0, p
     _assert_matches_reference(spec, seq)
+
+
+def test_dense_sequence_matches_dict_reference_even_level():
+    # levels 14 and 6 share the prime 2, with w_2 = 1 on both, and
+    # a_f(p) + a_g(p) = 0 at every third prime: no even n is built, while
+    # lambda_F(p) = 0 at those p is built, with sign 0 in the exact channel
+    # and UNCERTAIN in the normalized copy
+    xmax = 3000
+    rng = random.Random(42)
+    ps = primes_up_to(xmax).tolist()
+    fa = {p: rng.randint(-math.isqrt(4 * p), math.isqrt(4 * p)) for p in ps}
+    ga = {p: -a if i % 3 == 0 else rng.randint(-math.isqrt(4 * p), math.isqrt(4 * p))
+          for i, (p, a) in enumerate(fa.items())}
+    fa[2], fa[7], ga[2], ga[3] = -1, 1, -1, 1
+    zeros = [p for i, p in enumerate(ps) if i % 3 == 0 and 42 % p]
+    for normalized, zero_code in ((False, 0), (True, UNCERTAIN)):
+        def scaled(a):
+            return {p: v / math.sqrt(p) for p, v in a.items()} if normalized else a
+
+        spec = validate_pair(table(14, 2, scaled(fa), normalized),
+                             table(6, 2, scaled(ga), normalized))
+        seq = lift_sequence(spec, xmax)
+        _assert_matches_reference(spec, seq)
+        assert not np.any(seq.index % 2 == 0)
+        sc = seq_signs(seq)
+        assert [sc[p] for p in zeros] == [zero_code] * len(zeros)
 
 
 def test_scaled_overflow_falls_back_to_python_ints():
