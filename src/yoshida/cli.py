@@ -38,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _jsonable(obj):
     """Recursively convert report objects to JSON-serializable structures."""
     if isinstance(obj, Fraction):
@@ -81,18 +75,20 @@ def _write_report(report, path, fmt: str) -> None:
         text = json.dumps(data, indent=2) + "\n"
     else:
         rows = _flatten(data)
-        text = "\n".join(["key,value"] + [f"{k},{_fmt(v)}" for k, v in rows]) + "\n"
+        text = "\n".join(["key,value"] + [f"{k},{v}" for k, v in rows]) + "\n"
     with _open_out(path) as fh:
         fh.write(text)
 
 
-def _parse_curve(text: str, level):
+def _parse_curve(text: str):
     from . import curves
     try:
         ai = [int(t) for t in text.split(",")]
     except ValueError:
         raise ValidationError(f"bad curve coefficients {text!r}: expected a1,a2,a3,a4,a6") from None
-    return curves.WeierstrassCurve.from_list(ai, declared_level=level)
+    if len(ai) != 5:
+        raise ValidationError(f"expected 5 coefficients a1,a2,a3,a4,a6, got {len(ai)}")
+    return curves.WeierstrassCurve(*ai)
 
 
 def _load_pair(args):
@@ -108,7 +104,15 @@ def _load_pair(args):
 
 def _cmd_ap(args) -> int:
     from . import curves
-    curve = _parse_curve(args.curve, args.level)
+    curve = _parse_curve(args.curve)
+    if args.pmax < 1:
+        raise ValidationError(f"pmax must be >= 1, got {args.pmax}")
+    # refused before any prime is counted, in this order: pmax, an additive
+    # curve (curve.conductor raises, here or in ap_table), a contradicting level
+    if args.level is not None and args.level != curve.conductor:
+        raise ValidationError(f"declared level {args.level} contradicts the model: "
+                              f"it must divide the discriminant {curve.discriminant} and share "
+                              f"its prime factors; the conductor is {curve.conductor}")
     table = curves.ap_table(curve, args.pmax)
     curves.write_coeffs(table, args.out)
     return 0
@@ -171,7 +175,7 @@ def _cmd_witness(args) -> int:
 
 def _certificate_line(cert) -> str:
     return (f"r > 0 on [0, 2] (exact, Sturm): {cert.ok}; grid step {cert.grid_step:g}: "
-            f"min_r={_fmt(cert.min_r)} at t={_fmt(cert.argmin)}")
+            f"min_r={cert.min_r} at t={cert.argmin}")
 
 
 def _cmd_majorant(args) -> int:
@@ -188,8 +192,8 @@ def _cmd_majorant(args) -> int:
     else:
         opt = majorant.optimize_delta(args.grid_step)
         d, a, u = opt.params.as_floats()
-        print(f"delta={_fmt(d)} alpha={_fmt(a)} upsilon={_fmt(u)} "
-              f"(optimum delta* = 1/5 + 3 sqrt(6)/10 = {_fmt(opt.grid_delta)})")
+        print(f"delta={d} alpha={a} upsilon={u} "
+              f"(optimum delta* = 1/5 + 3 sqrt(6)/10 = {opt.grid_delta})")
         print(_certificate_line(opt.certificate))
         if args.out:
             _write_report(opt, args.out, args.format)

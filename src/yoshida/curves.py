@@ -31,7 +31,8 @@ The level is the conductor, computed from the model: at p | disc the
 reduction is multiplicative exactly when p does not divide c4 (Silverman,
 AEC, Prop. VII.5.1, at every p), so a curve with gcd(disc, c4) = 1 has
 conductor rad(disc) and any other is refused as additive (or non-minimal:
-models should be globally minimal).  A declared level must equal it.
+models should be globally minimal).  WeierstrassCurve.conductor is that
+level: a curve is its five coefficients, and its level is read off them.
 """
 
 import math
@@ -58,7 +59,6 @@ class WeierstrassCurve:
     a3: int
     a4: int
     a6: int
-    declared_level: int | None = None
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
@@ -66,12 +66,6 @@ class WeierstrassCurve:
                 raise ValidationError(f"coefficient {name} must be an integer")
         if self.discriminant == 0:
             raise ValidationError("curve is singular (discriminant 0)")
-
-    @classmethod
-    def from_list(cls, ai, declared_level=None) -> "WeierstrassCurve":
-        if len(ai) != 5:
-            raise ValidationError(f"expected 5 coefficients a1,a2,a3,a4,a6, got {len(ai)}")
-        return cls(*(int(a) for a in ai), declared_level=declared_level)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -89,6 +83,19 @@ class WeierstrassCurve:
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @cached_property
+    def conductor(self) -> int:
+        """The product of the primes dividing the discriminant, which is the
+        conductor when every one of them is multiplicative.  Raises
+        AdditiveReductionError at the smallest prime dividing both the
+        discriminant and c4 (additive reduction, or a model not minimal there)."""
+        disc_primes = [p for p, _ in factorize(abs(self.discriminant))]
+        c4, _ = self.c_invariants()
+        for p in disc_primes:
+            if c4 % p == 0:
+                raise AdditiveReductionError(p)
+        return math.prod(disc_primes)
 
 
 def _count_affine_brute(curve: WeierstrassCurve, p: int) -> int:
@@ -141,30 +148,11 @@ def _ap_values(curve: WeierstrassCurve, primes) -> np.ndarray:
     return a
 
 
-def conductor(curve: WeierstrassCurve) -> int:
-    """The product of the primes dividing the discriminant, which is the
-    conductor when every one of them is multiplicative.  Raises
-    AdditiveReductionError at the smallest prime dividing both the
-    discriminant and c4 (additive reduction, or a model not minimal there)."""
-    disc_primes = [p for p, _ in factorize(abs(curve.discriminant))]
-    c4, _ = curve.c_invariants()
-    for p in disc_primes:
-        if c4 % p == 0:
-            raise AdditiveReductionError(p)
-    return math.prod(disc_primes)
-
-
 def ap_table(curve: WeierstrassCurve, pmax: int) -> NewformCoeffs:
-    """Exact a_p for every prime p <= pmax, as a weight-2 table at the
-    conductor.  An additive curve, then a declared level other than the
-    conductor, is refused before any prime is counted."""
-    if pmax < 1:
-        raise ValidationError(f"pmax must be >= 1, got {pmax}")
-    level = conductor(curve)
-    if curve.declared_level not in (None, level):
-        raise ValidationError(f"declared level {curve.declared_level} contradicts the model: "
-                              f"it must divide the discriminant {curve.discriminant} and share "
-                              f"its prime factors; the conductor is {level}")
+    """Exact a_p for every prime p <= pmax (none below 2), as a weight-2
+    table at the conductor.  An additive curve is refused before any prime
+    is counted."""
+    level = curve.conductor
     a = _ap_values(curve, primes_up_to(pmax))
     try:
         return NewformCoeffs(level, 2, a)
@@ -218,7 +206,8 @@ def _line_count(path, fh) -> int:
 
 
 def _parse_header(path, first: str) -> tuple[int, int, bool]:
-    """level, weight and the normalized flag from the first line."""
+    """level, weight and the normalized flag from the first line; a key
+    given twice is refused."""
     if not first.startswith("#"):
         raise ValidationError(f"{path}: missing header line '# level=<int> weight=<int> [normalized]'")
     fields: dict[str, str] = {}
@@ -226,6 +215,8 @@ def _parse_header(path, first: str) -> tuple[int, int, bool]:
     for tok in first[1:].split():
         if "=" in tok:
             k, _, v = tok.partition("=")
+            if k in fields:
+                raise ValidationError(f"{path}: repeated header field {k!r} (line 1)")
             fields[k] = v
         else:
             flags.add(tok)
@@ -307,4 +298,4 @@ def write_coeffs(nf: NewformCoeffs, path) -> None:
         for i in range(0, nf.values.size, 2**14):
             block = slice(i, i + 2**14)
             rows = zip(nf.prime_array[block].tolist(), nf.values[block].tolist())
-            fh.write("".join(f"{p} {v!r}\n" if nf.normalized else f"{p} {v}\n" for p, v in rows))
+            fh.write("".join(f"{p} {v!r}\n" for p, v in rows))

@@ -12,8 +12,8 @@ from yoshida.primes import primes_up_to
 # Regression pair: the discriminant -11 curve (level 11) and a conductor-33
 # curve (disc 3^6 11^2, multiplicative at 3 and 11).  Their Atkin-Lehner
 # signs at p = 11 agree (both a_11 = +1, so w_11 = -1); frozen as fixtures.
-CURVE_11A = WeierstrassCurve(0, -1, 1, 0, 0, declared_level=11)
-CURVE_33A = WeierstrassCurve(1, 1, 0, -11, 0, declared_level=33)
+CURVE_11A = WeierstrassCurve(0, -1, 1, 0, 0)
+CURVE_33A = WeierstrassCurve(1, 1, 0, -11, 0)
 
 
 @pytest.fixture(scope="session")

@@ -328,13 +328,16 @@ def test_out_of_memory_exits_2(tmp_path, capsys):
     # ... and 3 drops the multiplicative prime 11 above pmax
     (["ap", "--curve", "1,1,0,-11,0", "--pmax", "7", "--level", "3"], None,
      "share its prime factors; the conductor is 33"),
+    # ... and 231 = 33 7 adds a prime that does not divide the discriminant
+    (["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--level", "231"], None,
+     "level 231 contradicts the model"),
     (["ap", "--curve", "0,-1,1,0,0", "--pmax", "10", "--level", "1000000000000000003"], None,
      "must divide the discriminant -11"),
     # a huge prime level is accepted after bounded trial division, then lacks its row
     (["stats", "--y", "3"], 10**18 + 3, "missing bad-prime coefficient"),
     (["stats", "--y", "3"], (10**9 + 7) * (10**9 + 9), "cannot factorize"),
-], ids=["ap_level_misses_3", "ap_level_misses_11", "ap_huge_level", "stats_huge_prime_level",
-        "stats_unfactorable_level"])
+], ids=["ap_level_misses_3", "ap_level_misses_11", "ap_level_adds_7", "ap_huge_level",
+        "stats_huge_prime_level", "stats_unfactorable_level"])
 def test_contradicting_or_huge_level_exits_1_fast(argv, level, err, tmp_path, capsys):
     if level is not None:
         form = tmp_path / "form.txt"
@@ -388,10 +391,18 @@ _LIFT = ["lift", "--f", "{f}", "--g", "{g}", "--xmax", "10"]
      "expected 5 coefficients a1,a2,a3,a4,a6, got 4"),
     (["ap", "--curve", "0,0,0,0,0", "--pmax", "10"], {}, "curve is singular (discriminant 0)"),
     (["ap", "--curve", "0,-1,1,0,0", "--pmax", "0"], {}, "pmax must be >= 1, got 0"),
+    # pmax is refused first, before a contradicting level or an additive curve
+    (["ap", "--curve", "1,1,0,-11,0", "--pmax", "0", "--level", "3"], {},
+     "pmax must be >= 1, got 0"),
+    (["ap", "--curve", "0,0,0,5,0", "--pmax", "0", "--level", "10"], {},
+     "pmax must be >= 1, got 0"),
+    (["ap", "--curve", "0,0,0,5,0", "--pmax", "0"], {}, "pmax must be >= 1, got 0"),
     (["stats", "--form", "{form}", "--y", "abc"], {"form": _F11},
      "argument --y: expected an integer >= 2, got 'abc'"),
     (_STATS, {"form": "# level=abc weight=2\n2 1\n"}, "{form}: malformed header field (line 1)"),
     (_STATS, {"form": "# level=11\n2 1\n"}, "{form}: missing header field 'weight' (line 1)"),
+    (_STATS, {"form": "# level=11 weight=2 level=33\n2 -2\n3 -1\n5 1\n7 -2\n11 1\n"},
+     "{form}: repeated header field 'level' (line 1)"),
     (_STATS, {"form": "2 1\n"},
      "{form}: missing header line '# level=<int> weight=<int> [normalized]'"),
     (_STATS, {"form": "# level=4 weight=2\n2 0\n"}, "level 4 is not squarefree"),
@@ -411,8 +422,10 @@ _LIFT = ["lift", "--f", "{f}", "--g", "{g}", "--xmax", "10"]
      {"f": _F11}, "theta must lie in [0, 1/4), got 0.3"),
     (["report", "--f", "{f}", "--g", "{f}", "--xmax", "10", "--conductor-constant", "0"],
      {"f": _F11}, "conductor_constant must be finite and > 0, got 0.0"),
-], ids=["ap_bad_coefficient", "ap_four_coefficients", "ap_singular", "ap_pmax_0", "stats_y_abc",
-        "header_malformed", "header_missing_weight", "header_missing", "level_not_squarefree",
+], ids=["ap_bad_coefficient", "ap_four_coefficients", "ap_singular", "ap_pmax_0",
+        "ap_pmax_0_before_level", "ap_pmax_0_before_additive_with_level",
+        "ap_pmax_0_before_additive", "stats_y_abc", "header_malformed", "header_missing_weight",
+        "header_repeated_level", "header_missing", "level_not_squarefree",
         "odd_weight", "normalized_deligne", "g_weight_4", "levels_coprime",
         "atkin_lehner_mismatch", "search_theta", "search_theta_before_the_pair",
         "report_conductor_constant_before_the_pair"])
@@ -503,12 +516,16 @@ def test_additive_reduction_exits_2(curve, pmax, level, p, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_ap_without_level_writes_the_conductor(tmp_path):
-    out = tmp_path / "g33.txt"
+    out, checked = tmp_path / "g33.txt", tmp_path / "g33_level.txt"
     assert run(["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "# level=33 weight=2"
+    assert run(["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--level", "33",
+                "--out", str(checked)]) == 0
+    assert checked.read_bytes() == out.read_bytes()
 
 
-def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
+def _count_factorize(monkeypatch) -> list:
+    """The arguments of every factorize call the loaded yoshida modules make."""
     real, calls = primes.factorize, []
 
     def counting(n):
@@ -517,9 +534,22 @@ def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "yoshida"]:
         if getattr(mod, "factorize", None) is real:
             monkeypatch.setattr(mod, "factorize", counting)
+    return calls
+
+
+def test_stats_factorizes_the_level_once(pair_files, tmp_path, monkeypatch):
+    calls = _count_factorize(monkeypatch)
     _, g = pair_files
     assert run(["stats", "--form", str(g), "--y", "100", "--out", str(tmp_path / "s.json")]) == 0
     assert calls == [33]
+
+
+def test_ap_with_level_factorizes_the_discriminant_once(tmp_path, monkeypatch):
+    # the conductor --level is checked against is the one the table is built at
+    calls = _count_factorize(monkeypatch)
+    assert run(["ap", "--curve", "1,1,0,-11,0", "--pmax", "100", "--level", "33",
+                "--out", str(tmp_path / "g33.txt")]) == 0
+    assert calls == [88209, 33]
 
 
 @pytest.mark.parametrize("header,rows,y", [

@@ -11,7 +11,7 @@ import pytest
 
 from yoshida import curves, mestre, primes
 from yoshida.cli import run
-from yoshida.curves import WeierstrassCurve, ap_table, conductor, load_coeffs, write_coeffs
+from yoshida.curves import WeierstrassCurve, ap_table, load_coeffs, write_coeffs
 from yoshida.errors import AdditiveReductionError, ComputationError, ValidationError
 from yoshida.hecke import NewformCoeffs
 from yoshida.primes import nth_prime_bound, primes_up_to
@@ -278,8 +278,9 @@ def test_mestre_character_sum_oracle_above_1e5():
 
 
 def test_ap_table_empty_below_first_prime():
-    t = ap_table(CURVE_11A, 1)
-    assert t.prime_array.size == t.values.size == 0
+    for pmax in (1, 0):
+        t = ap_table(CURVE_11A, pmax)
+        assert t.prime_array.size == t.values.size == 0
 
 
 @pytest.mark.parametrize("ai,want", [
@@ -297,16 +298,9 @@ def test_conductor(ai, want):
     c = WeierstrassCurve(*ai)
     if isinstance(want, str):
         with pytest.raises(AdditiveReductionError, match=f"^{want}$"):
-            conductor(c)
+            c.conductor
     else:
-        assert conductor(c) == want
-
-
-def test_ap_table_refuses_level_the_model_contradicts():
-    # 33a has disc 3^6 11^2: 11 misses the multiplicative prime 3, 7 does not divide
-    for level in (11, 33 * 7):
-        with pytest.raises(ValidationError, match=f"level {level} contradicts the model"):
-            ap_table(WeierstrassCurve(1, 1, 0, -11, 0, declared_level=level), 100)
+        assert c.conductor == want
 
 
 def test_ap_table_tests_no_sieve_prime_for_primality(monkeypatch):
@@ -318,7 +312,7 @@ def test_ap_table_tests_no_sieve_prime_for_primality(monkeypatch):
 
 
 def test_ap_table_propagates_additive_error():
-    c = WeierstrassCurve(0, 0, 0, 5, 0, declared_level=10)
+    c = WeierstrassCurve(0, 0, 0, 5, 0)
     with pytest.raises(AdditiveReductionError):
         ap_table(c, 10)
 
