@@ -14,13 +14,18 @@ each subcommand body imports the modules it calls, so `majorant` runs
 without numpy and `ap` without the lift and sign modules.
 
 Exit codes: 0 success, 1 validation/usage error, 2 computation error (out
-of memory included), 3 I/O error.  Output files are byte-stable across runs:
-fixed field order, floats rendered as shortest round-trip decimals.
+of memory included), 3 I/O error, a failed final flush of stdout included.
+Output files are byte-stable across runs: fixed field order, floats rendered
+as shortest round-trip decimals.
+
+main, the console entry point, ends the process without interpreter teardown
+once stdout and stderr are flushed; run is the entry point for in-process use.
 """
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -347,7 +352,27 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """Run the command line of this process, flush stdout and stderr, and end
+    the process with os._exit: the teardown of the interpreter does nothing
+    the program needs.  Every file the program opens is closed by a `with`
+    block before run returns, and it registers no atexit handler and makes no
+    temporary file and no thread.  A failed flush of stdout exits 3 after a
+    success and keeps any other code; an exception that escapes run takes the
+    normal exit, with its traceback."""
+    code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            code = 3
+            if sys.stderr is not None:
+                with contextlib.suppress(OSError):
+                    print(f"io error: {exc}", file=sys.stderr)
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -467,6 +467,39 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60)
 
 
+_CLI_MAIN = "from yoshida.cli import main; main()"
+
+
+def _main_child(argv, wrap=(), **kwargs) -> subprocess.CompletedProcess:
+    """The console entry point cli.main in a fresh interpreter, argv its
+    command line, behind the command prefix wrap; PYTHONUNBUFFERED is taken
+    out of its environment, so a stdout that is no terminal is block-buffered
+    and output can still be pending when run returns."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(yoshida.__file__).parents[1])
+    return subprocess.run([*wrap, sys.executable, "-c", _CLI_MAIN, *argv], env=env,
+                          timeout=60, **kwargs)
+
+
+def test_failed_final_flush_exits_3_and_closed_stdout_exits_0():
+    r, w = os.pipe()
+    os.close(r)  # no reader: the first write to the pipe, the final flush, fails
+    try:
+        proc = _main_child(["majorant", "verify"], stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "io error: [Errno 32] Broken pipe"
+    with open("/dev/full", "wb") as full:
+        proc = _main_child(["majorant", "verify"], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "io error: [Errno 28] No space left on device"
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    proc = _main_child(["majorant", "verify"], wrap=("sh", "-c", 'exec "$@" >&-', "sh"),
+                       stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 _LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'yoshida'))\n"
 _MAJORANT_MODULES = ["yoshida", "yoshida.cli", "yoshida.errors", "yoshida.majorant"]
 _TABLE_MODULES = ["yoshida.curves", "yoshida.hecke", "yoshida.primes"]
@@ -929,6 +962,34 @@ def test_normalized_pair_outputs_match_frozen_digests(tmp_path, capsys):
         assert run(argv) == 0, name
         got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == FROZEN_NORMALIZED_DIGESTS
+
+
+@pytest.mark.parametrize("argv,out,digest", [
+    (["majorant", "verify"], False, FROZEN_MAJORANT_DIGESTS["verify.stdout"]),
+    # 156,602 bytes, more than a pipe holds: the child's writes wait on the
+    # reader, and every byte must arrive before the child's os._exit
+    (["lift", "--f", "{f}", "--g", "{g}", "--xmax", "10000"], False, FROZEN_DIGESTS["lift"]),
+    (["ap", "--curve", "0,-1,1,0,0", "--pmax", "10000"], True, None),
+    (["report", "--f", "{f}", "--g", "{g}", "--xmax", "10000"], True, FROZEN_DIGESTS["report"]),
+], ids=["majorant-verify", "lift-stdout", "ap-out", "report-out"])
+def test_main_in_a_child_loses_no_output(argv, out, digest, table_11a, table_33a, tmp_path,
+                                          capsys):
+    import hashlib
+
+    from yoshida.curves import write_coeffs
+    f, g = tmp_path / "f11.txt", tmp_path / "g33.txt"
+    write_coeffs(table_11a, f)
+    write_coeffs(table_33a, g)
+    argv = [a.format(f=f, g=g) for a in argv]
+    child_out, own_out = tmp_path / "child.out", tmp_path / "own.out"
+    child = _main_child([*argv, "--out", str(child_out)] if out else argv, capture_output=True)
+    assert child.returncode == 0, child.stderr
+    assert run([*argv, "--out", str(own_out)] if out else argv) == 0
+    got, want = ((child_out.read_bytes(), own_out.read_bytes()) if out
+                 else (child.stdout, capsys.readouterr().out.encode()))
+    assert got == want
+    if digest is not None:
+        assert hashlib.sha256(got).hexdigest() == digest
 
 
 def test_huge_prime_row_rejected_fast(tmp_path, capsys):

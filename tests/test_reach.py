@@ -9,6 +9,7 @@ called by one of the runs, unless it is on ALLOWED.
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -84,8 +85,13 @@ def _commands(tmp):
 
 def _main(argv, monkeypatch):
     """The exit code of the console entry point cli.main, run with argv as
-    its command line."""
+    its command line; its os._exit raises SystemExit here, so the test
+    process lives on."""
+    def exit_(code):
+        raise SystemExit(code)
+
     monkeypatch.setattr(sys, "argv", ["yoshida", *argv])
+    monkeypatch.setattr(os, "_exit", exit_)
     with pytest.raises(SystemExit) as exc:
         main()
     return exc.value.code
